@@ -12,26 +12,9 @@ a :class:`TypeError` that names the replacement keyword.
 from __future__ import annotations
 
 import functools
-import warnings
 from typing import Any, Callable, TypeVar
 
 F = TypeVar("F", bound=Callable[..., Any])
-
-
-def warn_deprecated(old: str, new: str, *, stacklevel: int = 3) -> None:
-    """Emit the one-release :class:`DeprecationWarning` for ``old``.
-
-    The alias lifecycle: a renamed or replaced spelling warns (via this
-    helper) for one release, then moves to :func:`removed_alias` /
-    :func:`removed_name`, which raise with the same replacement text.
-    ``stacklevel`` defaults to 3 — right for the common shape where the
-    deprecated public function calls this helper directly.
-    """
-    warnings.warn(
-        f"{old} is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
 
 
 def removed_alias(**aliases: str) -> Callable[[F], F]:

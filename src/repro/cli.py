@@ -529,8 +529,9 @@ def cmd_bench(args) -> int:
         raise SystemExit(str(exc.args[0]))
     if args.no_fast:
         # Force every simulation the scenarios construct out of the
-        # batch kernel (best-effort for forked fleet workers, which
-        # re-import the engine with the override unset).
+        # batch kernel.  Fleet workers started with fork (the default
+        # wherever it exists) inherit the override; workers started with
+        # spawn re-import the engine and lose it.
         from .sim import engine as _engine
 
         _engine.FAST_OVERRIDE = False

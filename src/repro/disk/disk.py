@@ -14,12 +14,23 @@ the buffer (Fujitsu M2266 only).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .geometry import DiskGeometry
 from .models import DiskModel
 from .rotation import RotationModel
 from .seek import SeekModel
 from .trackbuffer import TrackBuffer
+
+
+@cache
+def seek_table(seek: SeekModel, cylinders: int) -> tuple[float, ...]:
+    """``seek.time(d)`` for every cylinder delta ``d`` below ``cylinders``.
+
+    Built once per (model, cylinder count) and shared, immutable, by every
+    :class:`Disk` of that model.
+    """
+    return tuple(seek.time(d) for d in range(cylinders))
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,13 +84,11 @@ class Disk:
             )
         # Hot-path constants.  The seek table holds the piecewise model's
         # value for every reachable cylinder delta (verified equal in
-        # tests/test_api.py), so a request costs one list index instead of
-        # a branch + sqrt/cbrt/log evaluation.  The remaining scalars are
-        # the exact floats the properties would recompute per access.
-        seek = self.model.seek
-        self._seek_table: list[float] = [
-            seek.time(d) for d in range(geometry.cylinders)
-        ]
+        # tests/test_api.py), so a request costs one tuple index instead of
+        # a branch + sqrt/cbrt/log evaluation; every disk of one model
+        # shares it.  The remaining scalars are the exact floats the
+        # properties would recompute per access.
+        self._seek_table = seek_table(self.model.seek, geometry.cylinders)
         self._overhead_ms = self.model.controller_overhead_ms
         self._blocks_per_cylinder = geometry.blocks_per_cylinder
         self._sectors_per_block = geometry.sectors_per_block

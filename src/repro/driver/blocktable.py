@@ -16,13 +16,14 @@ crash-recovery semantics can be exercised by tests.
 Two implementations share the same contract:
 
 * :class:`BlockTable` — the default, array-backed.  The forward map
-  (original physical block → reserved block) and the reverse map are flat
-  ``array('i')`` vectors indexed by block number with ``-1`` meaning
-  "absent", so the per-request lookup is a bounds check plus one array
-  index and the per-entry footprint is a few bytes instead of a dict slot
-  plus a boxed entry object.  Entry metadata that is genuinely per-entry
-  (insertion order, the disk-copy shadow) stays in small dicts bounded by
-  the number of *rearranged* blocks, never by the size of the disk.
+  (original physical block → reserved block) is a flat ``array('i')``
+  indexed by block number with ``-1`` meaning "absent", so the
+  per-request lookup is a bounds check plus one array index.  It is the
+  only structure that spans the address space (4 bytes per block, filled
+  by a C-level repeat).  Everything else — the reverse map, the dirty
+  bits, insertion order and the disk-copy shadow — lives in dicts and
+  sets bounded by the number of *rearranged* blocks (the paper's table
+  lists only those), never by the size of the disk.
 * :class:`DictBlockTable` — the original dict-of-entries implementation,
   kept as the executable specification.  The equivalence test in
   ``tests/test_blocktable.py`` drives both through randomized
@@ -59,9 +60,9 @@ class BlockTable:
     """In-memory block table plus its on-disk shadow (array-backed).
 
     ``capacity`` bounds the number of entries (the reserved area's data
-    capacity); ``None`` means unbounded.  The address-space arrays grow on
+    capacity); ``None`` means unbounded.  The forward map grows on
     demand; callers that know the device size can :meth:`reserve` it up
-    front to avoid incremental growth.
+    front so :meth:`add` never grows it piecemeal.
 
     :meth:`entries` and :meth:`lookup` materialize fresh
     :class:`BlockTableEntry` snapshots — mutating a returned entry does
@@ -71,10 +72,12 @@ class BlockTable:
     def __init__(self, capacity: int | None = None) -> None:
         self.capacity = capacity
         self._forward = array("i")  # original block -> reserved block
-        self._reverse = array("i")  # reserved block -> original block
-        self._dirty = bytearray()  # indexed by original block
-        # Insertion-ordered original -> sequence number; bounded by the
-        # number of rearranged blocks (the reserved area's capacity).
+        # The rest is bounded by the number of rearranged blocks (the
+        # reserved area's capacity): reserved -> original, the originals
+        # whose reserved copy is dirty, and insertion-ordered original ->
+        # sequence number.
+        self._reverse: dict[int, int] = {}
+        self._dirty: set[int] = set()
         self._order: dict[int, int] = {}
         self._next_seq = 0
         # On-disk shadow, in the order a full snapshot would produce,
@@ -89,17 +92,20 @@ class BlockTable:
     # ------------------------------------------------------------------
 
     def reserve(self, num_blocks: int) -> None:
-        """Pre-size both address-space arrays for a ``num_blocks`` device."""
-        if num_blocks > 0:
-            self._ensure(self._forward, num_blocks - 1)
-            self._ensure(self._reverse, num_blocks - 1)
-            if len(self._dirty) < num_blocks:
-                self._dirty.extend(b"\x00" * (num_blocks - len(self._dirty)))
+        """Pre-size the forward map for a ``num_blocks`` device."""
+        self._grow(num_blocks)
 
-    @staticmethod
-    def _ensure(vector: array, index: int) -> None:
-        if index >= len(vector):
-            vector.extend([_ABSENT] * (index + 1 - len(vector)))
+    def _grow(self, size: int) -> None:
+        missing = size - len(self._forward)
+        if missing > 0:
+            # A C-level repeat, never an n-element Python list.  An empty
+            # map takes the new array as is, so reserving a device peaks
+            # at one copy of it.
+            tail = array("i", [_ABSENT]) * missing
+            if self._forward:
+                self._forward += tail
+            else:
+                self._forward = tail
 
     # ------------------------------------------------------------------
     # In-memory operations
@@ -128,17 +134,12 @@ class BlockTable:
         if reserved == _ABSENT:
             return None
         return BlockTableEntry(
-            original_block, reserved, bool(self._dirty[original_block])
+            original_block, reserved, original_block in self._dirty
         )
 
     def original_of(self, reserved_block: int) -> int | None:
         """Original home of the block stored at ``reserved_block``."""
-        reverse = self._reverse
-        if 0 <= reserved_block < len(reverse):
-            original = reverse[reserved_block]
-            if original != _ABSENT:
-                return original
-        return None
+        return self._reverse.get(reserved_block)
 
     def add(self, original_block: int, reserved_block: int) -> BlockTableEntry:
         """Register a block just copied into the reserved area (clean)."""
@@ -146,21 +147,15 @@ class BlockTable:
             raise ValueError("block numbers must be non-negative")
         if original_block in self:
             raise ValueError(f"block {original_block} is already rearranged")
-        if self.original_of(reserved_block) is not None:
+        if reserved_block in self._reverse:
             raise ValueError(
                 f"reserved block {reserved_block} is already occupied"
             )
         if self.capacity is not None and len(self) >= self.capacity:
             raise ValueError("block table is full")
-        self._ensure(self._forward, original_block)
-        self._ensure(self._reverse, reserved_block)
-        if original_block >= len(self._dirty):
-            self._dirty.extend(
-                b"\x00" * (original_block + 1 - len(self._dirty))
-            )
+        self._grow(original_block + 1)
         self._forward[original_block] = reserved_block
         self._reverse[reserved_block] = original_block
-        self._dirty[original_block] = 0
         self._order[original_block] = self._next_seq
         self._next_seq += 1
         self._unflushed.add(original_block)
@@ -174,11 +169,11 @@ class BlockTable:
                 f"block {original_block} is not in the block table"
             )
         entry = BlockTableEntry(
-            original_block, reserved, bool(self._dirty[original_block])
+            original_block, reserved, original_block in self._dirty
         )
         self._forward[original_block] = _ABSENT
-        self._reverse[reserved] = _ABSENT
-        self._dirty[original_block] = 0
+        del self._reverse[reserved]
+        self._dirty.discard(original_block)
         del self._order[original_block]
         self._unflushed.add(original_block)
         return entry
@@ -187,7 +182,7 @@ class BlockTable:
         """Record that the reserved-area copy has been updated."""
         if original_block not in self:
             raise KeyError(f"block {original_block} is not in the block table")
-        self._dirty[original_block] = 1
+        self._dirty.add(original_block)
         self._unflushed.add(original_block)
 
     def entries(self) -> list[BlockTableEntry]:
@@ -195,7 +190,7 @@ class BlockTable:
         forward = self._forward
         dirty = self._dirty
         return [
-            BlockTableEntry(block, forward[block], bool(dirty[block]))
+            BlockTableEntry(block, forward[block], block in dirty)
             for block in self._order
         ]
 
@@ -205,26 +200,23 @@ class BlockTable:
         return [
             BlockTableEntry(block, forward[block], True)
             for block in self._order
-            if dirty[block]
+            if block in dirty
         ]
 
     def occupied_reserved_blocks(self) -> set[int]:
-        forward = self._forward
-        return {forward[block] for block in self._order}
+        return set(self._reverse)
 
     def clear(self) -> None:
         self._drop_memory()
 
     def _drop_memory(self) -> None:
         forward = self._forward
-        reverse = self._reverse
-        dirty = self._dirty
         for block in self._order:
-            reverse[forward[block]] = _ABSENT
             forward[block] = _ABSENT
-            dirty[block] = 0
-            self._unflushed.add(block)
+        self._unflushed.update(self._order)
         self._order.clear()
+        self._reverse.clear()
+        self._dirty.clear()
 
     # ------------------------------------------------------------------
     # On-disk copy and crash recovery
@@ -259,7 +251,7 @@ class BlockTable:
         dirty = self._dirty
         for block in present:
             seq = order[block]
-            value = (forward[block], bool(dirty[block]))
+            value = (forward[block], block in dirty)
             if disk_seq.get(block) == seq:
                 disk_map[block] = value
             else:
@@ -287,15 +279,10 @@ class BlockTable:
         self._drop_memory()
         self._unflushed.clear()
         for original, (reserved, __) in self._disk_map.items():
-            self._ensure(self._forward, original)
-            self._ensure(self._reverse, reserved)
-            if original >= len(self._dirty):
-                self._dirty.extend(
-                    b"\x00" * (original + 1 - len(self._dirty))
-                )
+            self._grow(original + 1)
             self._forward[original] = reserved
             self._reverse[reserved] = original
-            self._dirty[original] = 1
+            self._dirty.add(original)
             seq = self._next_seq
             self._next_seq += 1
             self._order[original] = seq
@@ -318,6 +305,9 @@ class DictBlockTable:
     _by_original: dict[int, BlockTableEntry] = field(default_factory=dict)
     _by_reserved: dict[int, int] = field(default_factory=dict)
     _disk_copy: dict[int, tuple[int, bool]] = field(default_factory=dict)
+
+    def reserve(self, num_blocks: int) -> None:
+        """No-op: the dicts hold only rearranged blocks."""
 
     # ------------------------------------------------------------------
     # In-memory operations

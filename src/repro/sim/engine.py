@@ -53,9 +53,10 @@ FAST_OVERRIDE: bool | None = None
 charge.  Setting ``True``/``False`` forces every subsequently constructed
 simulation into or out of the batch kernel — the hook behind the bench
 CLI's ``--no-fast`` flag, which must flip the whole scenario suite
-without threading a knob through every config type.  Best-effort: fleet
-scenarios that fork worker *processes* re-import this module fresh, so
-workers keep their configured ``fast`` value.
+without threading a knob through every config type.  Worker *processes*
+started with fork (the default wherever it exists) inherit the override;
+under spawn they re-import this module fresh and keep their configured
+``fast`` value.
 """
 
 _RUN_WALL_NS = 0

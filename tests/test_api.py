@@ -16,7 +16,12 @@ from repro.api import (
     simulate_day,
 )
 from repro.disk.disk import Disk
-from repro.disk.models import FUJITSU_M2266, TOSHIBA_MK156F, disk_model
+from repro.disk.models import (
+    FUJITSU_M2266,
+    MODERN_DISK,
+    TOSHIBA_MK156F,
+    disk_model,
+)
 from repro.sim import ExperimentConfig, Simulation, run_onoff_campaign
 from repro.sim.multifs import DiskSpec
 from repro.workload.profiles import SYSTEM_FS_PROFILE, profile_for_disk
@@ -174,6 +179,14 @@ class TestSeekLookupTable:
     @pytest.mark.parametrize("model", [TOSHIBA_MK156F, FUJITSU_M2266])
     def test_zero_delta_is_free(self, model):
         assert Disk(model)._seek_table[0] == 0.0
+
+    def test_disks_of_one_model_share_an_immutable_table(self):
+        first, second = Disk(MODERN_DISK), Disk(MODERN_DISK)
+        assert first._seek_table is second._seek_table
+        assert isinstance(first._seek_table, tuple)
+        assert len(first._seek_table) == MODERN_DISK.geometry.cylinders
+        with pytest.raises(TypeError):
+            first._seek_table[1] = 0.0
 
 
 class TestCdfSamplerEquivalence:

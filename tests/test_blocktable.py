@@ -10,6 +10,8 @@ requires identical observable state after every step.
 
 import os
 import random
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -267,10 +269,38 @@ def test_array_table_matches_dict_table_under_stress(seed):
     on-disk copy's contents *and* iteration order — after every step.
     """
     rng = random.Random(seed)
+    _drive_mirror(
+        rng,
+        BlockTable(capacity=64),
+        DictBlockTable(capacity=64),
+        originals=list(range(0, 400)),
+        reserveds=list(range(5000, 5400)),
+    )
+
+
+@pytest.mark.parametrize("seed", STRESS_SEEDS)
+def test_presized_array_table_matches_dict_table_under_stress(seed):
+    """The same mirror, with both tables pre-sized as the driver does.
+
+    Half of the original blocks lie beyond the reserved size, so ``add``
+    and ``recover`` take the forward map's growth path, and the reserved
+    blocks are spread across a whole ``modern`` address space, so the
+    reverse map holds sparse keys far beyond the forward map's length.
+    """
+    rng = random.Random(seed)
+    presize = 4096
     array_table = BlockTable(capacity=64)
     dict_table = DictBlockTable(capacity=64)
-    originals = list(range(0, 400))
-    reserveds = list(range(5000, 5400))
+    array_table.reserve(presize)
+    dict_table.reserve(presize)
+    originals = sorted(
+        {presize - 1, presize, *rng.sample(range(2 * presize), 400)}
+    )
+    reserveds = rng.sample(range(2_097_152), 400)
+    _drive_mirror(rng, array_table, dict_table, originals, reserveds)
+
+
+def _drive_mirror(rng, array_table, dict_table, originals, reserveds):
     for _ in range(600):
         op = rng.choices(
             ["add", "remove", "dirty", "flush", "crash_recover", "lookup"],
@@ -328,3 +358,27 @@ def test_array_table_matches_dict_table_under_stress(seed):
                 reserved_probe
             ) == dict_table.original_of(reserved_probe)
         assert _observable_state(array_table) == _observable_state(dict_table)
+
+
+def test_reserve_peak_memory_is_the_forward_array():
+    """Reserving a ``modern`` device allocates the forward map and nothing
+    else of its size: no n-element temporary list, and no address-space
+    sized reverse map or dirty bits.  Entries added afterwards, however
+    far apart, cost per-entry memory only."""
+    num_blocks = 2_097_152
+    forward_bytes = num_blocks * array("i").itemsize  # 8 MiB
+    slack = 256 * 1024
+    tracemalloc.start()
+    try:
+        table = BlockTable()
+        table.reserve(num_blocks)
+        for i in range(64):
+            original = num_blocks - 1 - i * 30_000
+            table.add(original, i * 32_000)
+            table.mark_dirty(original)
+        table.write_to_disk()
+        __, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 64
+    assert peak <= forward_bytes + slack, peak
