@@ -27,7 +27,6 @@ from typing import Sequence
 
 from pathlib import Path
 
-from ._compat import removed_alias
 from .bench import BenchReport, get_scenarios, run_suite
 from .fleet import FleetResult, FleetSpec
 from .fleet import run_fleet as _run_fleet
@@ -114,7 +113,6 @@ def make_config(
     return ExperimentConfig(profile=profile, disk=disk, seed=seed, **overrides)
 
 
-@removed_alias(rearranged="policy")
 def simulate_day(
     config: ExperimentConfig | SsdConfig | None = None,
     *,

@@ -334,12 +334,15 @@ def compare_reports(
 ) -> list[str]:
     """Check reports against a baseline; returns the list of failures.
 
-    Four checks per scenario, in order of severity:
+    Five checks per scenario, in order of severity:
 
     1. the scenario exists in the baseline and modes match;
     2. the metrics digest is byte-identical (behavior unchanged);
-    3. normalized wall-clock has not regressed by more than ``threshold``;
-    4. peak traced memory has not grown by more than ``mem_threshold``
+    3. the dispatched-event count is identical (the batch kernel accounts
+       for every event it absorbs exactly as the scalar engine would
+       dispatch it; skipped when the baseline lacks ``events``);
+    4. normalized wall-clock has not regressed by more than ``threshold``;
+    5. peak traced memory has not grown by more than ``mem_threshold``
        (skipped when either side lacks a memory measurement, e.g. a
        baseline written before memory profiling existed).
 
@@ -380,6 +383,14 @@ def compare_reports(
                 f"(baseline {base_digest[:23]}..., "
                 f"run {report.metrics_digest[:23]}...) — simulated "
                 "behavior is no longer identical"
+            )
+            continue
+        base_events = entry.get("events")
+        if base_events is not None and base_events != report.events:
+            problems.append(
+                f"{report.scenario}: event count changed (baseline "
+                f"{base_events}, run {report.events}) — event accounting "
+                "is no longer identical"
             )
             continue
         base_workers = entry.get("workers")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .._compat import removed_alias
 from .geometry import DiskGeometry
 from .seek import SeekCurve, SeekModel
 
@@ -136,7 +135,6 @@ DISK_MODELS = {
 }
 
 
-@removed_alias(name="disk")
 def disk_model(disk: str) -> DiskModel:
     """Look up a preset by short name (``"toshiba"``, ``"fujitsu"``, or
     ``"modern"``)."""

@@ -168,70 +168,20 @@ class MulticastTracer(Tracer):
     def __init__(self, tracers: Iterable[Tracer]) -> None:
         self.tracers: list[Tracer] = list(tracers)
 
-    def request_enqueued(self, device, request, now_ms, queue_depth):
-        for tracer in self.tracers:
-            tracer.request_enqueued(device, request, now_ms, queue_depth)
 
-    def seek_started(self, device, request, now_ms, seek_distance):
+def _fan_out(hook: str):
+    def fan_out(self: MulticastTracer, *args, **kwargs) -> None:
         for tracer in self.tracers:
-            tracer.seek_started(device, request, now_ms, seek_distance)
+            getattr(tracer, hook)(*args, **kwargs)
 
-    def service_complete(self, device, request, now_ms):
-        for tracer in self.tracers:
-            tracer.service_complete(device, request, now_ms)
+    fan_out.__name__ = hook
+    fan_out.__qualname__ = f"MulticastTracer.{hook}"
+    fan_out.__doc__ = f"Call ``{hook}`` on every tracer, in registration order."
+    return fan_out
 
-    def rearrangement_begin(self, device, now_ms, num_blocks):
-        for tracer in self.tracers:
-            tracer.rearrangement_begin(device, now_ms, num_blocks)
 
-    def rearrangement_end(self, device, now_ms, moved_blocks):
-        for tracer in self.tracers:
-            tracer.rearrangement_end(device, now_ms, moved_blocks)
-
-    def fault_injected(self, device, now_ms, block, kind, is_read):
-        for tracer in self.tracers:
-            tracer.fault_injected(device, now_ms, block, kind, is_read)
-
-    def retry(self, device, now_ms, block, attempt, is_read):
-        for tracer in self.tracers:
-            tracer.retry(device, now_ms, block, attempt, is_read)
-
-    def idle_window(self, device, now_ms, budget_moves):
-        for tracer in self.tracers:
-            tracer.idle_window(device, now_ms, budget_moves)
-
-    def migration_move(
-        self, device, now_ms, logical_block, reserved_block, ios
-    ):
-        for tracer in self.tracers:
-            tracer.migration_move(
-                device, now_ms, logical_block, reserved_block, ios
-            )
-
-    def gc_run(
-        self, device, now_ms, victim_block, policy, moved_pages, erase_count
-    ):
-        for tracer in self.tracers:
-            tracer.gc_run(
-                device, now_ms, victim_block, policy, moved_pages, erase_count
-            )
-
-    def mapping_writeback(self, device, now_ms, tvpn, entries):
-        for tracer in self.tracers:
-            tracer.mapping_writeback(device, now_ms, tvpn, entries)
-
-    def wear_level(self, device, now_ms, max_erase, mean_erase):
-        for tracer in self.tracers:
-            tracer.wear_level(device, now_ms, max_erase, mean_erase)
-
-    def recovery_begin(self, device, now_ms, disk_entries):
-        for tracer in self.tracers:
-            tracer.recovery_begin(device, now_ms, disk_entries)
-
-    def recovery_end(self, device, now_ms, recovered_entries):
-        for tracer in self.tracers:
-            tracer.recovery_end(device, now_ms, recovered_entries)
-
-    def close(self):
-        for tracer in self.tracers:
-            tracer.close()
+# Every public hook of the interface (``close`` included) fans out.
+for _hook, _method in vars(Tracer).items():
+    if callable(_method) and not _hook.startswith("_"):
+        setattr(MulticastTracer, _hook, _fan_out(_hook))
+del _hook, _method

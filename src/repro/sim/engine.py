@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from time import perf_counter_ns
 from typing import Callable, Iterable, Mapping
 
-from .._compat import removed_alias
 from ..driver.protocol import DeviceDriver
 from ..driver.request import DiskRequest
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -178,7 +177,6 @@ class Simulation:
     # Devices
     # ------------------------------------------------------------------
 
-    @removed_alias(name="device")
     def add_device(
         self, driver: DeviceDriver, device: str | None = None
     ) -> DeviceState:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .._compat import removed_alias, removed_name
 from ..parallel import fan_out, spawn_seeds
 from ..parallel import resolve_workers as resolve_workers  # re-export
 from ..core.analyzer import ReferenceStreamAnalyzer
@@ -126,23 +125,6 @@ class ExperimentConfig:
         if self.counter == "spacesaving":
             return max(MIN_SKETCH_CAPACITY, 4 * self.resolved_num_blocks())
         return None
-
-    def __getattr__(self, name: str):
-        if name == "num_rearranged":
-            raise removed_name(
-                "ExperimentConfig.num_rearranged", "ExperimentConfig.num_blocks"
-            )
-        if name == "resolved_num_rearranged":
-            raise removed_name(
-                "ExperimentConfig.resolved_num_rearranged()",
-                "ExperimentConfig.resolved_num_blocks()",
-            )
-        raise AttributeError(name)
-
-
-ExperimentConfig.__init__ = removed_alias(num_rearranged="num_blocks")(
-    ExperimentConfig.__init__
-)
 
 
 def make_partition(label: DiskLabel, profile: WorkloadProfile):

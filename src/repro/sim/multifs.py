@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .._compat import removed_alias, removed_name
 from ..core.analyzer import ReferenceStreamAnalyzer
 from ..core.arranger import BlockArranger
 from ..core.controller import RearrangementController
@@ -68,7 +67,6 @@ class MultiFSDayResult:
 class MultiFSExperiment:
     """One disk, one reserved area, several file systems."""
 
-    @removed_alias(num_rearranged="num_blocks")
     def __init__(
         self,
         specs: list[FileSystemSpec],
@@ -139,12 +137,6 @@ class MultiFSExperiment:
             if partition.contains(logical_block):
                 return partition
         return None
-
-    @property
-    def num_rearranged(self) -> int:
-        raise removed_name(
-            "MultiFSExperiment.num_rearranged", "MultiFSExperiment.num_blocks"
-        )
 
     def run_day(
         self, rearranged: bool, rearrange_tomorrow: bool
@@ -227,15 +219,6 @@ class DiskSpec:
     policy: RearrangementPolicy | str | None = None
     """Rearrangement policy for this device (instance or shorthand);
     ``None`` keeps the nightly cycle."""
-
-    @property
-    def num_rearranged(self) -> int | None:
-        raise removed_name("DiskSpec.num_rearranged", "DiskSpec.num_blocks")
-
-
-DiskSpec.__init__ = removed_alias(num_rearranged="num_blocks")(
-    DiskSpec.__init__
-)
 
 
 @dataclass

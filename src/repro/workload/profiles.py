@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .._compat import removed_alias
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,6 @@ PROFILES = {
 }
 
 
-@removed_alias(base="profile")
 def profile_for_disk(profile: WorkloadProfile, disk: str) -> WorkloadProfile:
     """Adapt a preset profile to the disk it runs on, as the paper did.
 

@@ -103,55 +103,59 @@ class TestFacade:
             run_bench(["warp_drive"], quick=True)
 
 
+def _add_device_with_name():
+    from tests.test_multidevice import FixedLatencyDriver
+
+    Simulation().add_device(FixedLatencyDriver(1.0), name="a")
+
+
+REMOVED_NAMES = {
+    "simulate_day-rearranged": (
+        TypeError, lambda: simulate_day(hours=0.05, rearranged=True)
+    ),
+    "ExperimentConfig-num_rearranged": (
+        TypeError,
+        lambda: ExperimentConfig(profile=SYSTEM_FS_PROFILE, num_rearranged=64),
+    ),
+    "ExperimentConfig.num_rearranged": (
+        AttributeError,
+        lambda: ExperimentConfig(profile=SYSTEM_FS_PROFILE).num_rearranged,
+    ),
+    "config.resolved_num_rearranged": (
+        AttributeError,
+        lambda: ExperimentConfig(
+            profile=SYSTEM_FS_PROFILE
+        ).resolved_num_rearranged(),
+    ),
+    "disk_model-name": (TypeError, lambda: disk_model(name="toshiba")),
+    "profile_for_disk-base": (
+        TypeError,
+        lambda: profile_for_disk(base=SYSTEM_FS_PROFILE, disk="fujitsu"),
+    ),
+    "add_device-name": (TypeError, _add_device_with_name),
+    "DiskSpec-num_rearranged": (
+        TypeError,
+        lambda: DiskSpec(
+            disk="toshiba", profile=SYSTEM_FS_PROFILE, num_rearranged=7
+        ),
+    ),
+    "DiskSpec.num_rearranged": (
+        AttributeError,
+        lambda: DiskSpec(disk="toshiba", profile=SYSTEM_FS_PROFILE).num_rearranged,
+    ),
+}
+
+
 class TestRemovedAliases:
-    """The one-release deprecated keywords are gone; the errors say what
-    replaced them instead of the stock unexpected-keyword message."""
+    """Keywords and attributes renamed two releases ago are gone: a
+    removed keyword raises ``TypeError`` and a removed attribute
+    ``AttributeError``, the stock errors for unknown names."""
 
-    def test_simulate_day_rearranged_kwarg(self):
-        with pytest.raises(TypeError, match="removed.*policy"):
-            simulate_day(hours=0.05, rearranged=True)
-
-    def test_experiment_config_num_rearranged_kwarg(self):
-        with pytest.raises(TypeError, match="removed.*num_blocks"):
-            ExperimentConfig(profile=SYSTEM_FS_PROFILE, num_rearranged=64)
-
-    def test_experiment_config_num_rearranged_property(self):
-        config = ExperimentConfig(profile=SYSTEM_FS_PROFILE, num_blocks=64)
-        with pytest.raises(AttributeError, match="removed.*num_blocks"):
-            config.num_rearranged
-
-    def test_experiment_config_resolved_num_rearranged(self):
-        config = ExperimentConfig(profile=SYSTEM_FS_PROFILE)
-        with pytest.raises(
-            AttributeError, match="removed.*resolved_num_blocks"
-        ):
-            config.resolved_num_rearranged()
-
-    def test_disk_model_name_kwarg(self):
-        with pytest.raises(TypeError, match="removed.*'disk'"):
-            disk_model(name="toshiba")
-
-    def test_profile_for_disk_base_kwarg(self):
-        with pytest.raises(TypeError, match="removed.*'profile'"):
-            profile_for_disk(base=SYSTEM_FS_PROFILE, disk="fujitsu")
-
-    def test_add_device_name_kwarg(self):
-        from tests.test_multidevice import FixedLatencyDriver
-
-        simulation = Simulation()
-        with pytest.raises(TypeError, match="removed.*'device'"):
-            simulation.add_device(FixedLatencyDriver(1.0), name="a")
-
-    def test_disk_spec_num_rearranged_kwarg(self):
-        with pytest.raises(TypeError, match="removed.*num_blocks"):
-            DiskSpec(
-                disk="toshiba", profile=SYSTEM_FS_PROFILE, num_rearranged=7
-            )
-
-    def test_disk_spec_num_rearranged_property(self):
-        spec = DiskSpec(disk="toshiba", profile=SYSTEM_FS_PROFILE)
-        with pytest.raises(AttributeError, match="removed.*num_blocks"):
-            spec.num_rearranged
+    @pytest.mark.parametrize("name", sorted(REMOVED_NAMES))
+    def test_removed_name_raises(self, name):
+        error, use = REMOVED_NAMES[name]
+        with pytest.raises(error):
+            use()
 
     def test_new_names_do_not_warn(self):
         with warnings.catch_warnings(record=True) as record:

@@ -112,6 +112,18 @@ class TestCompareGate:
         (problem,) = compare_reports([report], baseline_for(make_report()))
         assert "digest changed" in problem
 
+    def test_event_count_mismatch_is_a_named_problem(self):
+        report = make_report(events=11)
+        (problem,) = compare_reports([report], baseline_for(make_report()))
+        assert "event count changed" in problem
+        assert "baseline 10, run 11" in problem
+
+    def test_event_check_skipped_when_baseline_lacks_events(self):
+        report = make_report(events=11)
+        baseline = baseline_for(make_report())
+        del baseline["scenarios"]["tiny"]["events"]
+        assert compare_reports([report], baseline) == []
+
     def test_time_regression_detected(self):
         report = make_report(wall_s=2.0)
         baseline = baseline_for(make_report(wall_s=1.0))

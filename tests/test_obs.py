@@ -1,5 +1,6 @@
 """Instrumentation layer: tracer hooks, metrics, JSONL traces, parallel runs."""
 
+import inspect
 import io
 import json
 
@@ -79,6 +80,35 @@ class TestTracerBasics:
         assert first.calls == [("enqueued", "d"), ("rearrange-end", "d")]
         assert second.calls == first.calls
         assert first.closed and second.closed
+
+    def test_multicast_forwards_every_hook_in_order(self):
+        hooks = [
+            name
+            for name, value in vars(Tracer).items()
+            if callable(value) and not name.startswith("_")
+        ]
+        assert len(hooks) == 15  # fourteen event hooks plus close()
+        log = []
+
+        class Child(Tracer):
+            def __init__(self, label):
+                self.label = label
+
+        def recorder(hook):
+            def record(self, *args):
+                log.append((self.label, hook, args))
+
+            return record
+
+        for hook in hooks:
+            setattr(Child, hook, recorder(hook))
+        tracer = MulticastTracer([Child("a"), Child("b"), Child("c")])
+        for hook in hooks:
+            arity = len(inspect.signature(getattr(Tracer, hook)).parameters)
+            args = tuple(range(arity - 1))  # all but ``self``
+            log.clear()
+            getattr(tracer, hook)(*args)
+            assert log == [(label, hook, args) for label in "abc"], hook
 
 
 class TestTracerThreading:

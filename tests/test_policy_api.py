@@ -179,10 +179,10 @@ class TestCli:
 
 class TestRemovedRearranged:
     """The ``rearranged=`` boolean finished its one-release deprecation
-    cycle: it is now a removed alias that names ``policy=``."""
+    cycle and is removed; ``policy=`` replaces it."""
 
     def test_rearranged_kwarg_is_removed(self):
-        with pytest.raises(TypeError, match="removed.*policy"):
+        with pytest.raises(TypeError, match="unexpected keyword.*'rearranged'"):
             simulate_day(hours=0.05, rearranged=True)
 
     def test_policy_spelling_still_matches_the_old_behavior(self):

@@ -45,6 +45,11 @@ def _experiment_digests(fast: bool, **overrides) -> list[str]:
     return digests
 
 
+def _fresh_driver():
+    model = disk_model("toshiba")
+    return AdaptiveDiskDriver(disk=Disk(model), label=DiskLabel(model.geometry))
+
+
 def _run_jobs(make_jobs, fast: bool, crash_ms: float | None = None):
     """Digest + completed count of a bare job list on a fresh driver."""
     model = disk_model("toshiba")
@@ -78,6 +83,15 @@ class TestUnitEquivalence:
         make = lambda: [sequential_job(0.0, [99], Op.READ, name="one")]
         assert _run_jobs(make, True) == _run_jobs(make, False)
 
+    def test_long_stretch_without_a_flush(self):
+        # Thousands of completions with nothing to decline: the kernel
+        # counts its histogram bucket logs midway, not only on flush.
+        make = lambda: [
+            sequential_job(0.0, [b * 7 % 9000 for b in range(3000)], Op.READ, 0.5),
+            batch_job(50.0, list(range(100, 9000, 13)), Op.WRITE),
+        ]
+        assert _run_jobs(make, True) == _run_jobs(make, False)
+
     def test_epoch_boundary_splits_batch(self):
         # The crash lands while the burst is draining: the epoch bump
         # strands an already-scheduled completion, which the kernel must
@@ -90,6 +104,57 @@ class TestUnitEquivalence:
         scalar = _run_jobs(make, False, crash_ms=80.0)
         assert fast == scalar
 
+    def test_completion_tied_with_a_scheduled_event(self):
+        # Events scheduled at exactly a completion time (and, with zero
+        # think time, at the follow-up's issue time) were pushed first,
+        # so they dispatch first: the kernel must hand back on the tie.
+        make = lambda: [
+            sequential_job(0.0, list(range(0, 6000, 97)), Op.READ, 0.0),
+            sequential_job(5000.0, list(range(7000, 9000, 89)), Op.WRITE, 0.5),
+            batch_job(3.0, list(range(9000, 12000, 211)), Op.WRITE),
+        ]
+
+        def observe(fast, ties):
+            driver = _fresh_driver()
+            simulation = Simulation(driver, fast=fast)
+            simulation.add_jobs(make())
+            seen = []
+            for at in ties:
+                simulation.add_periodic(
+                    1e9,
+                    lambda now: seen.append(
+                        (now, driver.disk.accesses, len(driver.queue))
+                    ),
+                    start_offset_ms=at,
+                )
+            completed = simulation.run()
+            return completed, seen, simulation.events_dispatched
+
+        completed, __, __ = observe(False, [])
+        ties = [request.complete_ms for request in completed[::4]]
+        ties += [request.complete_ms + 0.5 for request in completed[2::4]]
+        assert observe(True, ties)[1:] == observe(False, ties)[1:]
+
+    def test_deadline_between_issue_and_completion(self):
+        # run(until_ms) stops with a closed-loop step in flight: the clock
+        # is that step's issue time, the last event dispatched.
+        make = lambda: [
+            sequential_job(0.0, list(range(0, 4000, 53)), Op.READ, 2.0)
+        ]
+        scalar_run = Simulation(_fresh_driver())
+        scalar_run.add_jobs(make())
+        middle = scalar_run.run()[20]
+        until = (middle.arrival_ms + middle.complete_ms) / 2
+
+        def clock(fast):
+            simulation = Simulation(_fresh_driver(), fast=fast)
+            simulation.add_jobs(make())
+            simulation.run(until_ms=until)
+            return simulation.now_ms, simulation.events_dispatched
+
+        # The job start, 20 issue-complete pairs, then the 21st issue.
+        assert clock(True) == clock(False) == (middle.arrival_ms, 42)
+
     def test_fault_mid_batch(self):
         # Fault injection makes the device ineligible, so fast mode must
         # fall back to scalar dispatch entirely — digests stay identical
@@ -99,6 +164,126 @@ class TestUnitEquivalence:
         assert _experiment_digests(True, **overrides) == _experiment_digests(
             False, **overrides
         )
+
+
+def _device_fingerprint(driver) -> tuple:
+    """Everything the kernel mirrors for one device, read back live."""
+    metrics = DayMetrics.from_tables(
+        IoctlInterface(driver).read_stats(),
+        driver.disk.model.seek,
+        day=0,
+        rearranged=False,
+    )
+    buffer = driver.disk._track_buffer
+    monitor = driver.request_monitor
+    return (
+        metrics_digest(day_metrics_payload(metrics)),
+        driver.disk.head_cylinder,
+        driver.disk.accesses,
+        None if buffer is None else (buffer.hits, buffer.misses),
+        monitor.recorded_count,
+        monitor.suspended_count,
+        driver.queue.ascending,
+        [entry.original_block for entry in driver.block_table.dirty_entries()],
+    )
+
+
+def _random_jobs(rng, label, count, think_zero):
+    """A seeded mix of closed-loop runs and cache-flush bursts.
+
+    Blocks come from a small hot set (redirected into the reserved area,
+    so writes dirty table entries), from short consecutive runs (track
+    buffer hits on the Fujitsu model) and from anywhere on the disk.
+    """
+    total = label.virtual_total_blocks
+    hot = rng.sample(range(total), 40)
+    jobs = []
+    for number in range(count):
+        start = rng.uniform(0.0, 400.0)
+        op = Op.READ if rng.random() < 0.7 else Op.WRITE
+        length = rng.randint(1, 12)
+        shape = rng.random()
+        if shape < 0.4:
+            blocks = [rng.choice(hot) for _ in range(length)]
+        elif shape < 0.7:
+            first = rng.randrange(total - length)
+            blocks = list(range(first, first + length))
+        else:
+            blocks = [rng.randrange(total) for _ in range(length)]
+        name = f"job{number}"
+        if rng.random() < 0.6:
+            think = 0.0 if think_zero else rng.choice([0.0, 0.5, 2.0, 7.0])
+            jobs.append(sequential_job(start, blocks, op, think, name=name))
+        else:
+            jobs.append(batch_job(start, blocks, op, name=name))
+    return jobs, hot
+
+
+def _run_fleet(seed, models, fast, think_zero=False, segments=0):
+    """Fingerprint a seeded job mix over several devices on one heap.
+
+    ``segments`` > 0 drives the run through that many ``run(until_ms)``
+    deadlines before the final unbounded ``run()``.
+    """
+    rng = random.Random(seed)
+    drivers = {}
+    jobs = {}
+    for index, model_name in enumerate(models):
+        model = disk_model(model_name)
+        label = DiskLabel(model.geometry, reserved_cylinders=48)
+        driver = AdaptiveDiskDriver(
+            disk=Disk(model), label=label, queue=make_queue("scan")
+        )
+        device_jobs, hot = _random_jobs(rng, label, 30, think_zero)
+        reserved = label.reserved_data_blocks()
+        for slot, logical in enumerate(hot[:20]):
+            driver.block_table.add(
+                label.virtual_to_physical_block(logical), reserved[slot * 7]
+            )
+        name = f"dev{index}"
+        drivers[name] = driver
+        jobs[name] = device_jobs
+    simulation = Simulation(drivers=drivers, fast=fast)
+    for name, device_jobs in jobs.items():
+        simulation.add_jobs(device_jobs, device=name)
+    completed = 0
+    clocks = []
+    for cut in sorted(rng.uniform(0.0, 500.0) for _ in range(segments)):
+        completed += len(simulation.run(until_ms=cut))
+        clocks.append(simulation.now_ms)
+        assert simulation.now_ms <= cut
+    completed += len(simulation.run())
+    return {
+        "devices": [_device_fingerprint(d) for d in drivers.values()],
+        "clocks": clocks,
+        "events": simulation.events_dispatched,
+        "requests": completed + simulation.absorbed_completions,
+        "absorbed": simulation.absorbed_completions,
+        "now_ms": simulation.now_ms,
+    }
+
+
+FLEET_CASES = {
+    "segmented": dict(models=["toshiba"], segments=6),
+    "three_devices": dict(models=["toshiba", "fujitsu", "toshiba"]),
+    "think_zero": dict(models=["toshiba"], think_zero=True),
+    "track_buffer": dict(models=["fujitsu"], segments=2),
+}
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("case", sorted(FLEET_CASES))
+def test_fast_matches_scalar(case, seed):
+    """Per-device digests and mirrored state, ``events_dispatched`` and
+    completed-plus-absorbed counts agree between the kernel and the
+    scalar engine — and the kernel absorbs every completion."""
+    fast = _run_fleet(seed, fast=True, **FLEET_CASES[case])
+    scalar = _run_fleet(seed, fast=False, **FLEET_CASES[case])
+    assert scalar["absorbed"] == 0
+    assert fast["absorbed"] == fast["requests"] > 0
+    fast.pop("absorbed")
+    scalar.pop("absorbed")
+    assert fast == scalar
 
 
 STRESS_SEEDS = [11, 23, 37]
