@@ -9,9 +9,10 @@ Scripts and notebooks should import from here::
 
 Deep imports (``repro.sim.experiment`` and friends) keep working, but
 their layout may shift between releases; renamed keywords get one release
-of :class:`DeprecationWarning` and are then removed with an error naming
-the replacement (see ``docs/api.md``).  The names in this module's
-``__all__`` do not break.
+of :class:`DeprecationWarning` and are then removed, after which passing
+one raises Python's stock :class:`TypeError` for an unexpected keyword
+argument (see ``docs/api.md``).  The names in this module's ``__all__``
+do not break.
 
 Every function returns the library's typed result objects —
 :class:`~repro.sim.experiment.DayResult`,
@@ -141,8 +142,9 @@ def simulate_day(
     :class:`SsdConfig`) the day runs through the page-mapped FTL instead
     and returns an :class:`SsdDayResult`; there ``policy`` decides
     hot/cold write separation, not block moves (``docs/ftl.md``).  The
-    removed ``rearranged=`` boolean raises a :class:`TypeError` naming
-    ``policy=``.
+    removed ``rearranged=`` boolean is an unknown keyword now: passing it
+    raises ``TypeError: simulate_day() got an unexpected keyword argument
+    'rearranged'``; use ``policy=``.
     """
     if config is None:
         config = make_config(profile, disk, hours=hours, seed=seed)

@@ -35,11 +35,11 @@ import sys
 from dataclasses import replace
 
 from .analysis.characterize import characterize, render_character
-from .disk.label import DiskLabel
 from .disk.models import disk_model
 from .faults.spec import FaultSpecError, parse_fault_spec
 from .obs import NULL_TRACER, JsonlTraceWriter, replay_day_metrics
 from .sim.experiment import (
+    Experiment,
     ExperimentConfig,
     run_block_count_sweep,
     run_block_count_sweep_parallel,
@@ -53,8 +53,7 @@ from .stats.report import (
     render_onoff_table,
     render_sweep,
 )
-from .workload.generator import WorkloadGenerator
-from .workload.profiles import PROFILES, profile_for_disk
+from .workload.profiles import PROFILES
 from .workload.trace import load_trace, save_trace
 
 
@@ -207,16 +206,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_workload(args) -> int:
-    model = disk_model(args.disk)
-    label = DiskLabel(model.geometry, reserved_cylinders=48)
-    partition = label.add_partition("fs0", label.virtual_total_blocks)
-    profile = profile_for_disk(PROFILES[args.profile], args.disk)
-    if args.hours is not None:
-        profile = profile.scaled(hours=args.hours)
-    generator = WorkloadGenerator(
-        profile, partition, model.geometry.blocks_per_cylinder, seed=args.seed
-    )
-    workload = generator.generate_day()
+    # Day 0 exactly as the experiment commands simulate it.
+    workload = Experiment(_config(args)).generator.generate_day()
     print(render_character(characterize(workload), f"{args.profile} day 0"))
     if args.out:
         count = save_trace(workload.jobs, args.out)
@@ -715,7 +706,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--rearrange", action="store_true",
         help="pre-train rearrangement on the trace itself",
     )
-    replay.add_argument("--blocks", type=int, default=1018)
+    replay.add_argument(
+        "--blocks", type=int, default=None,
+        help="blocks to rearrange with --rearrange "
+        "(default: the paper's count for --disk)",
+    )
     replay.add_argument(
         "--out-trace", default=None, metavar="FILE",
         help="write request-lifecycle events to FILE as JSONL",

@@ -135,6 +135,15 @@ DISK_MODELS = {
 }
 
 
+PAPER_RESERVED_CYLINDERS = {"toshiba": 48, "fujitsu": 80, "modern": 64}
+"""Reserved-area size per preset, in cylinders: the paper's 48 and 80
+(Section 5), and 64 on the synthetic ``modern`` drive."""
+
+PAPER_REARRANGED_BLOCKS = {"toshiba": 1018, "fujitsu": 3500, "modern": 8000}
+"""Blocks rearranged nightly per preset: the paper's 1018 and 3500
+(Section 5), and 8000 on the synthetic ``modern`` drive."""
+
+
 def disk_model(disk: str) -> DiskModel:
     """Look up a preset by short name (``"toshiba"``, ``"fujitsu"``, or
     ``"modern"``)."""

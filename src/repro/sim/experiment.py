@@ -33,7 +33,12 @@ from ..core.controller import RearrangementController
 from ..core.placement import make_policy
 from ..disk.disk import Disk
 from ..disk.label import DiskLabel
-from ..disk.models import DiskModel, disk_model
+from ..disk.models import (
+    PAPER_REARRANGED_BLOCKS,
+    PAPER_RESERVED_CYLINDERS,
+    DiskModel,
+    disk_model,
+)
 from ..driver.driver import AdaptiveDiskDriver
 from ..driver.ioctl import IoctlInterface
 from ..driver.queue import make_queue
@@ -43,10 +48,7 @@ from ..policy import RearrangementPolicy, resolve_policy
 from ..stats.metrics import DayMetrics
 from ..workload.generator import DayWorkload, WorkloadGenerator
 from ..workload.profiles import WorkloadProfile, profile_for_disk
-from .engine import Simulation
-
-PAPER_RESERVED_CYLINDERS = {"toshiba": 48, "fujitsu": 80, "modern": 64}
-PAPER_REARRANGED_BLOCKS = {"toshiba": 1018, "fujitsu": 3500, "modern": 8000}
+from .engine import DEFAULT_DEVICE, Simulation
 
 # Default Space-Saving sketch size: generously above the number of blocks
 # rearranged nightly, so the top-num_blocks ranking is trustworthy (the
@@ -100,14 +102,10 @@ class ExperimentConfig:
         resolve_policy(self.policy)  # validate early; resolved per use
 
     def resolved_reserved_cylinders(self) -> int:
-        if self.reserved_cylinders is not None:
-            return self.reserved_cylinders
-        return PAPER_RESERVED_CYLINDERS[self.disk]
+        return _paper(PAPER_RESERVED_CYLINDERS, self.disk, self.reserved_cylinders)
 
     def resolved_num_blocks(self) -> int:
-        if self.num_blocks is not None:
-            return self.num_blocks
-        return PAPER_REARRANGED_BLOCKS[self.disk]
+        return _paper(PAPER_REARRANGED_BLOCKS, self.disk, self.num_blocks)
 
     def resolved_policy(self) -> RearrangementPolicy:
         """The :attr:`policy` as a policy instance (``None`` → nightly)."""
@@ -120,11 +118,22 @@ class ExperimentConfig:
         ``spacesaving`` sketch needs a bound, defaulting to four times the
         nightly rearrangement count (at least ``MIN_SKETCH_CAPACITY``).
         """
-        if self.analyzer_capacity is not None:
-            return self.analyzer_capacity
-        if self.counter == "spacesaving":
-            return max(MIN_SKETCH_CAPACITY, 4 * self.resolved_num_blocks())
-        return None
+        return _sketch_capacity(
+            self.counter, self.analyzer_capacity, self.resolved_num_blocks()
+        )
+
+
+def _paper(table: dict[str, int], disk: str, value: int | None) -> int:
+    """``value``, or the paper's choice for ``disk`` when it is ``None``."""
+    return table[disk] if value is None else value
+
+
+def _sketch_capacity(
+    counter: str, capacity: int | None, num_blocks: int
+) -> int | None:
+    if capacity is None and counter == "spacesaving":
+        return max(MIN_SKETCH_CAPACITY, 4 * num_blocks)
+    return capacity
 
 
 def make_partition(label: DiskLabel, profile: WorkloadProfile):
@@ -154,6 +163,139 @@ def make_partition(label: DiskLabel, profile: WorkloadProfile):
             label.add_partition("root", start_cyl * per_cyl)
         return label.add_partition("home", total - start_cyl * per_cyl)
     return label.add_partition("fs0", total)
+
+
+# ----------------------------------------------------------------------
+# One device's stack, and one day of several
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class DiskRig:
+    """Everything assembled around one physical disk."""
+
+    name: str
+    model: DiskModel
+    label: DiskLabel
+    driver: AdaptiveDiskDriver
+    ioctl: IoctlInterface
+    controller: RearrangementController
+    num_blocks: int
+    """Blocks rearranged nightly (the paper's count unless overridden)."""
+    generators: list[WorkloadGenerator] = field(default_factory=list)
+    """The workloads this disk serves, one per partition; the caller
+    adds them once it has laid its partitions out on :attr:`label`."""
+
+
+def build_rig(
+    disk: str,
+    *,
+    name: str = DEFAULT_DEVICE,
+    reserved_cylinders: int | None = None,
+    reserved_center: bool = True,
+    num_blocks: int | None = None,
+    placement_policy: str = "organ-pipe",
+    queue_policy: str = "scan",
+    counter: str = "exact",
+    analyzer_capacity: int | None = None,
+    analyzer_heuristic: str = "space-saving",
+    counter_fading: float | None = None,
+    policy: RearrangementPolicy | str | None = None,
+    faults: FaultPlan | None = None,
+    monitor_capacity: int | None = None,
+) -> DiskRig:
+    """Assemble the adaptive stack of one ``disk`` preset.
+
+    The one place the paper's defaults are filled in: a ``None`` reserved
+    area or block count takes the paper's choice for ``disk``, and a
+    ``spacesaving`` counter a sketch four times the block count.
+    """
+    model = disk_model(disk)
+    geometry = model.geometry
+    reserved = _paper(PAPER_RESERVED_CYLINDERS, disk, reserved_cylinders)
+    blocks = _paper(PAPER_REARRANGED_BLOCKS, disk, num_blocks)
+    start = None if reserved_center else geometry.cylinders - reserved
+    label = DiskLabel(
+        geometry, reserved_cylinders=reserved, reserved_start_cylinder=start
+    )
+    if faults is not None and faults.is_empty:
+        faults = None
+    driver = AdaptiveDiskDriver(
+        disk=Disk(model),
+        label=label,
+        queue=make_queue(queue_policy),
+        faults=faults.injector() if faults is not None else None,
+        name=name,
+    )
+    if monitor_capacity is not None:
+        driver.request_monitor.capacity = monitor_capacity
+    ioctl = IoctlInterface(driver)
+    controller = RearrangementController(
+        ioctl=ioctl,
+        policy=resolve_policy(policy),
+        analyzer=ReferenceStreamAnalyzer(
+            capacity=_sketch_capacity(counter, analyzer_capacity, blocks),
+            heuristic=analyzer_heuristic,
+            counter=counter,
+            fading=DEFAULT_FADING if counter_fading is None else counter_fading,
+        ),
+        arranger=BlockArranger(ioctl, policy=make_policy(placement_policy)),
+        max_error_rate=faults.degrade_threshold if faults is not None else None,
+        degrade_action=faults.degrade_action if faults is not None else "clean",
+    )
+    return DiskRig(name, model, label, driver, ioctl, controller, blocks)
+
+
+@dataclass
+class RigDay:
+    """One simulated day of every rig, before any night runs."""
+
+    metrics: dict[str, DayMetrics]
+    workloads: dict[str, list[DayWorkload]]
+    """Each rig's generated days, in :attr:`DiskRig.generators` order."""
+    end_ms: float
+    events: int
+
+
+def run_rig_day(
+    rigs: Sequence[DiskRig],
+    *,
+    day: int,
+    rearranged: bool,
+    tracer: Tracer = NULL_TRACER,
+    fast: bool = True,
+) -> RigDay:
+    """Serve every rig's generated jobs on one simulation, with each
+    controller attached and the fault plans' crashes for ``day`` (offsets
+    from this day's t=0) scheduled.  The night is left to the caller."""
+    simulation = Simulation(
+        drivers={rig.name: rig.driver for rig in rigs},
+        tracer=tracer,
+        fast=fast,
+    )
+    workloads: dict[str, list[DayWorkload]] = {}
+    for rig in rigs:
+        rig.controller.attach_to(simulation)
+        workloads[rig.name] = [g.generate_day() for g in rig.generators]
+        for workload in workloads[rig.name]:
+            simulation.add_jobs(workload.jobs, device=rig.name)
+        if rig.driver.faults is not None:
+            for offset in rig.driver.faults.claim_crash_times(day):
+                simulation.schedule_crash(offset)
+    simulation.run()
+    metrics = {
+        rig.name: DayMetrics.from_tables(
+            rig.ioctl.read_stats(), rig.model.seek, day=day, rearranged=rearranged
+        )
+        for rig in rigs
+    }
+    # The bus subscriptions keep the Simulation (and through it every
+    # driver stack) in a reference cycle; close it so long serial
+    # campaigns free each day by refcount instead of gc timing.
+    simulation.close()
+    return RigDay(
+        metrics, workloads, simulation.now_ms, simulation.events_dispatched
+    )
 
 
 @dataclass
@@ -193,66 +335,34 @@ class Experiment:
     ) -> None:
         self.config = config
         self.tracer = tracer
-        self.model: DiskModel = disk_model(config.disk)
-        geometry = self.model.geometry
-        reserved = config.resolved_reserved_cylinders()
-        start_cylinder = None
-        if not config.reserved_center:
-            start_cylinder = geometry.cylinders - reserved
-        self.label = DiskLabel(
-            geometry=geometry,
-            reserved_cylinders=reserved,
-            reserved_start_cylinder=start_cylinder,
+        rig = self.rig = build_rig(
+            config.disk,
+            reserved_cylinders=config.reserved_cylinders,
+            reserved_center=config.reserved_center,
+            num_blocks=config.num_blocks,
+            placement_policy=config.placement_policy,
+            queue_policy=config.queue_policy,
+            counter=config.counter,
+            analyzer_capacity=config.analyzer_capacity,
+            analyzer_heuristic=config.analyzer_heuristic,
+            counter_fading=config.counter_fading,
+            policy=config.policy,
+            faults=config.faults,
+            monitor_capacity=config.monitor_capacity,
         )
+        self.model, self.label = rig.model, rig.label
+        self.driver, self.controller = rig.driver, rig.controller
         profile = profile_for_disk(config.profile, config.disk)
-        partition = self._make_partition(profile)
-        self.disk = Disk(self.model)
-        plan = config.faults
-        if plan is not None and plan.is_empty:
-            plan = None  # an empty plan must behave exactly like no plan
-        self.driver = AdaptiveDiskDriver(
-            disk=self.disk,
-            label=self.label,
-            queue=make_queue(config.queue_policy),
-            faults=plan.injector() if plan is not None else None,
-        )
-        self.driver.request_monitor.capacity = config.monitor_capacity
-        self.ioctl = IoctlInterface(self.driver)
-        self.controller = RearrangementController(
-            ioctl=self.ioctl,
-            policy=config.resolved_policy(),
-            analyzer=ReferenceStreamAnalyzer(
-                capacity=config.resolved_analyzer_capacity(),
-                heuristic=config.analyzer_heuristic,
-                counter=config.counter,
-                fading=(
-                    config.counter_fading
-                    if config.counter_fading is not None
-                    else DEFAULT_FADING
-                ),
-            ),
-            arranger=BlockArranger(
-                self.ioctl, policy=make_policy(config.placement_policy)
-            ),
-            max_error_rate=(
-                plan.degrade_threshold if plan is not None else None
-            ),
-            degrade_action=(
-                plan.degrade_action if plan is not None else "clean"
-            ),
-        )
         self.generator = WorkloadGenerator(
             profile=profile,
-            partition=partition,
-            blocks_per_cylinder=geometry.blocks_per_cylinder,
+            partition=make_partition(self.label, profile),
+            blocks_per_cylinder=self.model.geometry.blocks_per_cylinder,
             seed=config.seed,
         )
+        rig.generators.append(self.generator)
         self._day_index = 0
         self.events_dispatched = 0
         """Simulation events processed across every day run so far."""
-
-    def _make_partition(self, profile: WorkloadProfile):
-        return make_partition(self.label, profile)
 
     # ------------------------------------------------------------------
     # One day
@@ -275,47 +385,31 @@ class Experiment:
         """
         day = self._day_index
         self._day_index += 1
-        workload: DayWorkload = self.generator.generate_day()
-
-        simulation = Simulation(
-            self.driver, tracer=self.tracer, fast=self.config.fast
+        simulated = run_rig_day(
+            [self.rig],
+            day=day,
+            rearranged=rearranged,
+            tracer=self.tracer,
+            fast=self.config.fast,
         )
-        self.controller.attach_to(simulation)
-        simulation.add_jobs(workload.jobs)
-        if self.driver.faults is not None:
-            # Each day is a fresh Simulation starting at t=0, so timed
-            # crashes are (day, offset) pairs claimed day by day.
-            for offset in self.driver.faults.claim_crash_times(day):
-                simulation.schedule_crash(offset)
-        simulation.run()
-        end_of_day = simulation.now_ms
-        self.events_dispatched += simulation.events_dispatched
-
-        tables = self.ioctl.read_stats()
-        metrics = DayMetrics.from_tables(
-            tables, self.model.seek, day=day, rearranged=rearranged
-        )
+        self.events_dispatched += simulated.events
+        (workload,) = simulated.workloads[self.rig.name]
         blocks_in_table = len(self.driver.block_table)
-        blocks = (
-            num_blocks_tomorrow
-            if num_blocks_tomorrow is not None
-            else self.config.resolved_num_blocks()
-        )
         if keep_arrangement:
             self.controller.final_poll()
             self.controller.analyzer.reset()
         else:
             self.controller.end_of_day(
-                now_ms=end_of_day,
+                now_ms=simulated.end_ms,
                 rearrange_tomorrow=rearrange_tomorrow,
-                num_blocks=blocks,
+                num_blocks=(
+                    num_blocks_tomorrow
+                    if num_blocks_tomorrow is not None
+                    else self.rig.num_blocks
+                ),
             )
-        # The bus subscriptions keep the day's Simulation (and through it
-        # the driver stack) in a reference cycle; close it so long serial
-        # campaigns free each day by refcount instead of gc timing.
-        simulation.close()
         return DayResult(
-            metrics=metrics,
+            metrics=simulated.metrics[self.rig.name],
             workload_requests=workload.num_requests,
             workload_reads=workload.num_reads,
             read_counts=workload.read_counts,

@@ -16,29 +16,24 @@ Two configurations from the paper's measured server live here:
   adaptive driver, analyzer and arranger, and a single
   :class:`~repro.sim.engine.Simulation` clocks all of them concurrently,
   producing per-device metrics.
+
+Both assemble their stacks with :func:`~repro.sim.experiment.build_rig`
+and run their days through :func:`~repro.sim.experiment.run_rig_day`,
+like the single-disk :class:`~repro.sim.experiment.Experiment`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.analyzer import ReferenceStreamAnalyzer
-from ..core.arranger import BlockArranger
-from ..core.controller import RearrangementController
-from ..core.placement import make_policy
-from ..disk.disk import Disk
-from ..disk.label import DiskLabel, Partition
-from ..disk.models import DiskModel, disk_model
-from ..driver.driver import AdaptiveDiskDriver
-from ..driver.ioctl import IoctlInterface
-from ..driver.queue import make_queue
+from ..disk.label import Partition
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..policy import RearrangementPolicy, resolve_policy
+from ..policy import RearrangementPolicy
 from ..stats.metrics import DayMetrics
 from ..workload.generator import WorkloadGenerator
 from ..workload.profiles import WorkloadProfile, profile_for_disk
 from ..workload.tenancy import SharedHotSet
-from .engine import Simulation
+from .experiment import DiskRig, build_rig, run_rig_day
 
 
 @dataclass(frozen=True)
@@ -84,43 +79,26 @@ class MultiFSExperiment:
             raise ValueError("need at least one file system")
         if sum(spec.fraction for spec in specs) > 1.0 + 1e-9:
             raise ValueError("partition fractions exceed the disk")
-        self.model = disk_model(disk)
-        from .experiment import PAPER_REARRANGED_BLOCKS, PAPER_RESERVED_CYLINDERS
-
-        reserved = (
-            reserved_cylinders
-            if reserved_cylinders is not None
-            else PAPER_RESERVED_CYLINDERS[disk]
+        rig = self.rig = build_rig(
+            disk,
+            reserved_cylinders=reserved_cylinders,
+            num_blocks=num_blocks,
+            placement_policy=placement_policy,
+            queue_policy=queue_policy,
         )
-        self.num_blocks = (
-            num_blocks
-            if num_blocks is not None
-            else PAPER_REARRANGED_BLOCKS[disk]
-        )
-        self.label = DiskLabel(self.model.geometry, reserved_cylinders=reserved)
-        self.disk = Disk(self.model)
-        self.driver = AdaptiveDiskDriver(
-            disk=self.disk, label=self.label, queue=make_queue(queue_policy)
-        )
-        self.ioctl = IoctlInterface(self.driver)
-        self.controller = RearrangementController(
-            ioctl=self.ioctl,
-            analyzer=ReferenceStreamAnalyzer(),
-            arranger=BlockArranger(
-                self.ioctl, policy=make_policy(placement_policy)
-            ),
-        )
+        self.model, self.label = rig.model, rig.label
+        self.driver, self.controller = rig.driver, rig.controller
+        self.num_blocks = rig.num_blocks
 
         total = self.label.virtual_total_blocks
         self.partitions: list[Partition] = []
-        self.generators: list[WorkloadGenerator] = []
         for index, spec in enumerate(specs):
             size = int(total * spec.fraction)
             partition = self.label.add_partition(
                 f"fs{index}-{spec.profile.name}", size
             )
             self.partitions.append(partition)
-            self.generators.append(
+            rig.generators.append(
                 WorkloadGenerator(
                     spec.profile,
                     partition,
@@ -145,23 +123,19 @@ class MultiFSExperiment:
         day = self._day
         self._day += 1
 
-        per_fs_requests: dict[str, int] = {}
-        simulation = Simulation(
-            self.driver, tracer=self.tracer, fast=self.fast
-        )
-        self.controller.attach_to(simulation)
-        for partition, generator in zip(self.partitions, self.generators):
-            workload = generator.generate_day()
-            per_fs_requests[partition.name] = workload.num_requests
-            simulation.add_jobs(workload.jobs)
-        simulation.run()
-
-        metrics = DayMetrics.from_tables(
-            self.ioctl.read_stats(),
-            self.model.seek,
+        simulated = run_rig_day(
+            [self.rig],
             day=day,
             rearranged=rearranged,
+            tracer=self.tracer,
+            fast=self.fast,
         )
+        per_fs_requests = {
+            partition.name: workload.num_requests
+            for partition, workload in zip(
+                self.partitions, simulated.workloads[self.rig.name]
+            )
+        }
         blocks_in_table = len(self.driver.block_table)
         rearranged_per_fs: dict[str, int] = {}
         for entry in self.driver.block_table.entries():
@@ -175,13 +149,12 @@ class MultiFSExperiment:
                 )
 
         self.controller.end_of_day(
-            now_ms=simulation.now_ms,
+            now_ms=simulated.end_ms,
             rearrange_tomorrow=rearrange_tomorrow,
             num_blocks=self.num_blocks,
         )
-        simulation.close()
         return MultiFSDayResult(
-            metrics=metrics,
+            metrics=simulated.metrics[self.rig.name],
             per_fs_requests=per_fs_requests,
             rearranged_blocks=blocks_in_table,
             rearranged_per_fs=rearranged_per_fs,
@@ -211,27 +184,14 @@ class DiskSpec:
     not scale with the multi-million-block device size."""
     analyzer_capacity: int | None = None
     """Sketch size for ``counter="spacesaving"``; default is four times
-    the nightly rearrangement count, as in
-    :meth:`~repro.sim.experiment.ExperimentConfig.resolved_analyzer_capacity`."""
+    the nightly rearrangement count (see
+    :func:`~repro.sim.experiment.build_rig`)."""
     shared_hot: SharedHotSet | None = None
     """Fleet-wide shared hot content overlaid on the device's private
     popularity draw (see :class:`repro.workload.tenancy.SharedHotSet`)."""
     policy: RearrangementPolicy | str | None = None
     """Rearrangement policy for this device (instance or shorthand);
     ``None`` keeps the nightly cycle."""
-
-
-@dataclass
-class _DiskRig:
-    """Everything assembled around one physical disk."""
-
-    name: str
-    model: DiskModel
-    driver: AdaptiveDiskDriver
-    ioctl: IoctlInterface
-    controller: RearrangementController
-    generator: WorkloadGenerator
-    num_blocks: int
 
 
 @dataclass
@@ -262,73 +222,39 @@ class MultiDiskExperiment:
         tracer: Tracer = NULL_TRACER,
         fast: bool = True,
     ) -> None:
-        from .experiment import (
-            MIN_SKETCH_CAPACITY,
-            PAPER_REARRANGED_BLOCKS,
-            PAPER_RESERVED_CYLINDERS,
-        )
-
         if not specs:
             raise ValueError("need at least one disk")
         self.tracer = tracer
         self.fast = fast
-        self.rigs: dict[str, _DiskRig] = {}
+        self.rigs: dict[str, DiskRig] = {}
         for index, spec in enumerate(specs):
             name = spec.name or f"{spec.disk}{index}"
             if name in self.rigs:
                 raise ValueError(f"duplicate device name {name!r}")
-            model = disk_model(spec.disk)
-            reserved = (
-                spec.reserved_cylinders
-                if spec.reserved_cylinders is not None
-                else PAPER_RESERVED_CYLINDERS[spec.disk]
-            )
-            num_blocks = (
-                spec.num_blocks
-                if spec.num_blocks is not None
-                else PAPER_REARRANGED_BLOCKS[spec.disk]
-            )
-            capacity = spec.analyzer_capacity
-            if capacity is None and spec.counter == "spacesaving":
-                capacity = max(MIN_SKETCH_CAPACITY, 4 * num_blocks)
-            label = DiskLabel(model.geometry, reserved_cylinders=reserved)
-            driver = AdaptiveDiskDriver(
-                disk=Disk(model),
-                label=label,
-                queue=make_queue(spec.queue_policy),
+            rig = build_rig(
+                spec.disk,
                 name=name,
+                reserved_cylinders=spec.reserved_cylinders,
+                num_blocks=spec.num_blocks,
+                placement_policy=spec.placement_policy,
+                queue_policy=spec.queue_policy,
+                counter=spec.counter,
+                analyzer_capacity=spec.analyzer_capacity,
+                policy=spec.policy,
             )
-            ioctl = IoctlInterface(driver)
-            controller = RearrangementController(
-                ioctl=ioctl,
-                analyzer=ReferenceStreamAnalyzer(
-                    counter=spec.counter, capacity=capacity
-                ),
-                arranger=BlockArranger(
-                    ioctl, policy=make_policy(spec.placement_policy)
-                ),
-                policy=resolve_policy(spec.policy),
+            partition = rig.label.add_partition(
+                f"{name}-fs", rig.label.virtual_total_blocks
             )
-            profile = profile_for_disk(spec.profile, spec.disk)
-            partition = label.add_partition(
-                f"{name}-fs", label.virtual_total_blocks
+            rig.generators.append(
+                WorkloadGenerator(
+                    profile_for_disk(spec.profile, spec.disk),
+                    partition,
+                    rig.model.geometry.blocks_per_cylinder,
+                    seed=spec.seed,
+                    shared_hot=spec.shared_hot,
+                )
             )
-            generator = WorkloadGenerator(
-                profile,
-                partition,
-                model.geometry.blocks_per_cylinder,
-                seed=spec.seed,
-                shared_hot=spec.shared_hot,
-            )
-            self.rigs[name] = _DiskRig(
-                name=name,
-                model=model,
-                driver=driver,
-                ioctl=ioctl,
-                controller=controller,
-                generator=generator,
-                num_blocks=num_blocks,
-            )
+            self.rigs[name] = rig
         self._day = 0
         self.events_dispatched = 0
         """Simulation events processed across every day run so far."""
@@ -344,40 +270,30 @@ class MultiDiskExperiment:
         day = self._day
         self._day += 1
 
-        simulation = Simulation(
-            drivers={name: rig.driver for name, rig in self.rigs.items()},
+        simulated = run_rig_day(
+            list(self.rigs.values()),
+            day=day,
+            rearranged=rearranged,
             tracer=self.tracer,
             fast=self.fast,
         )
-        per_device_requests: dict[str, int] = {}
-        for name, rig in self.rigs.items():
-            rig.controller.attach_to(simulation)
-            workload = rig.generator.generate_day()
-            per_device_requests[name] = workload.num_requests
-            simulation.add_jobs(workload.jobs, device=name)
-        simulation.run()
-        end_of_day = simulation.now_ms
-        self.events_dispatched += simulation.events_dispatched
-
-        per_device: dict[str, DayMetrics] = {}
-        rearranged_blocks: dict[str, int] = {}
-        for name, rig in self.rigs.items():
-            per_device[name] = DayMetrics.from_tables(
-                rig.ioctl.read_stats(),
-                rig.model.seek,
-                day=day,
-                rearranged=rearranged,
-            )
-            rearranged_blocks[name] = len(rig.driver.block_table)
+        self.events_dispatched += simulated.events
+        per_device_requests = {
+            name: workload.num_requests
+            for name, (workload,) in simulated.workloads.items()
+        }
+        rearranged_blocks = {
+            name: len(rig.driver.block_table)
+            for name, rig in self.rigs.items()
+        }
         for rig in self.rigs.values():
             rig.controller.end_of_day(
-                now_ms=end_of_day,
+                now_ms=simulated.end_ms,
                 rearrange_tomorrow=rearrange_tomorrow,
                 num_blocks=rig.num_blocks,
             )
-        simulation.close()
         return MultiDiskDayResult(
-            per_device=per_device,
+            per_device=simulated.metrics,
             per_device_requests=per_device_requests,
             rearranged_blocks=rearranged_blocks,
         )

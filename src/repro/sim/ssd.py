@@ -25,14 +25,14 @@ from dataclasses import dataclass, replace
 
 from ..core.counters import DEFAULT_FADING, SpaceSavingSketch
 from ..disk.label import DiskLabel
-from ..disk.models import DiskModel, disk_model
+from ..disk.models import PAPER_RESERVED_CYLINDERS, DiskModel, disk_model
 from ..driver.ftl import GC_POLICIES, FtlDriver, flash_model
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..policy import RearrangementPolicy, resolve_policy
 from ..workload.generator import DayWorkload, WorkloadGenerator
 from ..workload.profiles import WorkloadProfile, profile_for_disk
 from .engine import Simulation
-from .experiment import PAPER_RESERVED_CYLINDERS, make_partition
+from .experiment import make_partition
 
 __all__ = ["SsdConfig", "SsdDayResult", "SsdExperiment"]
 

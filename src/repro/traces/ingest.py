@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import TextIO
 
 from ..disk.label import DiskLabel
-from ..disk.models import disk_model
+from ..disk.models import PAPER_RESERVED_CYLINDERS, disk_model
 from ..sim.jobs import Job
 from ..workload.generator import DayWorkload
 from ..workload.trace import dump_jobs
@@ -32,10 +32,6 @@ from .characterize import TraceCharacter, characterize_records
 from .formats import BLOCK_BYTES, BlockIO, iter_trace
 from .mapping import AddressMapper, make_mapper
 from .rescale import DEFAULT_GAP_MS, jobs_from_records
-
-#: Reserved-cylinder counts matching the replay harness's disk labels
-#: (the paper's choices; see ``repro.sim.experiment``).
-_RESERVED_CYLINDERS = {"toshiba": 48, "fujitsu": 80}
 
 #: ``disk="ssd"`` replays through the page-mapped FTL, whose logical
 #: span mirrors this reference disk's label — the same convention as
@@ -99,7 +95,7 @@ def default_target_blocks(disk: str) -> int:
         disk = _SSD_REFERENCE_DISK
     model = disk_model(disk)
     label = DiskLabel(
-        model.geometry, reserved_cylinders=_RESERVED_CYLINDERS[disk]
+        model.geometry, reserved_cylinders=PAPER_RESERVED_CYLINDERS[disk]
     )
     return label.virtual_total_blocks
 

@@ -20,26 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ..core.analyzer import ReferenceStreamAnalyzer
-from ..core.arranger import BlockArranger
-from ..core.hotlist import HotBlockList
-from ..disk.disk import Disk
-from ..disk.label import DiskLabel
-from ..disk.models import DiskModel, disk_model
-from ..driver.driver import AdaptiveDiskDriver
-from ..driver.ioctl import IoctlInterface
-from ..driver.queue import make_queue
+from ..disk.models import DiskModel
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..sim.engine import Simulation
+from ..sim.experiment import build_rig
 from ..sim.jobs import Job
 from ..stats.metrics import DayMetrics
-from .ingest import _RESERVED_CYLINDERS, _SSD_REFERENCE_DISK, IngestResult
+from .ingest import IngestResult, default_target_blocks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..driver.ftl import FtlStats
-
-#: Default nightly rearrangement sizes (the paper's choices).
-_PAPER_BLOCKS = {"toshiba": 1018, "fujitsu": 3500}
 
 #: Fixed preconditioning seed for FTL replays: ages the drive so the
 #: replayed trace garbage-collects, while keeping the replay fully
@@ -145,31 +135,25 @@ def replay_jobs(
         return _replay_jobs_ssd(
             jobs, rearrange=rearrange, tracer=tracer, fast=fast
         )
-    model = disk_model(disk)
-    label = DiskLabel(
-        model.geometry, reserved_cylinders=_RESERVED_CYLINDERS[disk]
-    )
-    driver = AdaptiveDiskDriver(
-        disk=Disk(model), label=label, queue=make_queue(queue)
-    )
+    rig = build_rig(disk, queue_policy=queue, num_blocks=num_blocks)
     rearranged_blocks = 0
     if rearrange:
-        analyzer = ReferenceStreamAnalyzer()
+        controller = rig.controller
         for job in jobs:
             for step in job.steps:
-                analyzer.observe(step.logical_block)
-        arranger = BlockArranger(IoctlInterface(driver))
-        hot = HotBlockList.from_pairs(analyzer.hot_blocks())
-        blocks = num_blocks if num_blocks is not None else _PAPER_BLOCKS[disk]
-        plan, __ = arranger.rearrange(hot, blocks, now_ms=0.0)
+                controller.analyzer.observe(step.logical_block)
+        assert controller.arranger is not None
+        plan, __ = controller.arranger.rearrange(
+            controller.hot_list(), rig.num_blocks, now_ms=0.0
+        )
         rearranged_blocks = len(plan)
-        driver.perf_monitor.read_and_clear()
-    simulation = Simulation(driver, tracer=tracer, fast=fast)
+        rig.driver.perf_monitor.read_and_clear()
+    simulation = Simulation(rig.driver, tracer=tracer, fast=fast)
     simulation.add_jobs(jobs)
     completed = simulation.run()
     metrics = DayMetrics.from_tables(
-        IoctlInterface(driver).read_stats(),
-        model.seek,
+        rig.ioctl.read_stats(),
+        rig.model.seek,
         day=0,
         rearranged=rearrange,
     )
@@ -185,7 +169,7 @@ def replay_jobs(
         rearranged_blocks=rearranged_blocks,
         disk=disk,
         queue=queue,
-        model=model,
+        model=rig.model,
     )
 
 
@@ -210,11 +194,6 @@ def _replay_jobs_ssd(
     from ..core.counters import SpaceSavingSketch
     from ..driver.ftl import FtlDriver, flash_model
 
-    reference = disk_model(_SSD_REFERENCE_DISK)
-    label = DiskLabel(
-        reference.geometry,
-        reserved_cylinders=_RESERVED_CYLINDERS[_SSD_REFERENCE_DISK],
-    )
     separation = rearrange
     sketch = None
     if separation:
@@ -227,7 +206,7 @@ def _replay_jobs_ssd(
                     sketch.observe(step.logical_block)
     driver = FtlDriver(
         geometry=flash_model(flash),
-        logical_pages=label.virtual_total_blocks,
+        logical_pages=default_target_blocks("ssd"),
         separation=separation,
         sketch=sketch,
         name="ssd0",

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.experiment import Experiment, ExperimentConfig
+from repro.workload.profiles import USERS_FS_PROFILE
+from repro.workload.trace import save_trace
 
 
 class TestParser:
@@ -74,6 +77,35 @@ class TestCommands:
         assert "mean seek" in out
         assert "rearranged" in out
 
+    def test_workload_writes_the_experiment_day(self, capsys, tmp_path):
+        """``repro workload`` saves the day ``Experiment`` simulates: the
+        users profile's centre home band on the Fujitsu's 80 reserved
+        cylinders, not a whole-disk partition on a fixed 48."""
+        trace = tmp_path / "day.trace"
+        args = ["--profile", "users", "--disk", "fujitsu", "--hours", "0.05"]
+        code = main(["workload", *args, "--seed", "1", "--out", str(trace)])
+        assert code == 0
+        config = ExperimentConfig(
+            profile=USERS_FS_PROFILE.scaled(hours=0.05), disk="fujitsu", seed=1
+        )
+        expected = tmp_path / "expected.trace"
+        save_trace(Experiment(config).generator.generate_day().jobs, expected)
+        assert trace.read_text() == expected.read_text()
+
+    def test_modern_workload_replays_with_rearrangement(self, capsys, tmp_path):
+        trace = tmp_path / "modern.trace"
+        args = ["--disk", "modern", "--hours", "0.02", "--out", str(trace)]
+        assert main(["workload", *args]) == 0
+        capsys.readouterr()
+        code = main(["replay", str(trace), "--disk", "modern", "--rearrange"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "rearranged" in out
+        assert "mean seek" in out
+
+    def test_replay_blocks_default_to_the_disk(self):
+        assert build_parser().parse_args(["replay", "t"]).blocks is None
+
     def test_replay_plain(self, capsys, tmp_path):
         trace = tmp_path / "day.trace"
         main(["workload", "--hours", "0.25", "--seed", "1", "--out", str(trace)])
@@ -139,6 +171,13 @@ class TestIngestCommand:
         assert "rearranged" in out
         assert "mean seek" in out
         assert "zero seeks" in out
+
+    def test_ingest_for_modern_disk(self, capsys, tmp_path):
+        converted = tmp_path / "modern.trace"
+        code = main(["ingest", self.BLK, "--disk", "modern", "--out", str(converted)])
+        assert code == 0
+        assert "wrote" in capsys.readouterr().out
+        assert main(["replay", str(converted), "--disk", "modern"]) == 0
 
     def test_pipeline_closed_loop_msr(self, capsys, tmp_path):
         converted = tmp_path / "msr.trace"

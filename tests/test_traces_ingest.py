@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis import characterize
 from repro.bench.digest import day_metrics_payload, metrics_digest
+from repro.sim.experiment import Experiment, ExperimentConfig
 from repro.traces import (
     IngestResult,
     default_target_blocks,
@@ -15,6 +16,7 @@ from repro.traces import (
     replay_jobs,
     write_ingested,
 )
+from repro.workload.profiles import SYSTEM_FS_PROFILE
 from repro.workload.trace import load_trace
 
 BLK_FIXTURE = "tests/fixtures/sample.blkparse"
@@ -133,6 +135,12 @@ class TestPersistence:
         first, second = dump_once(), dump_once()
         assert first == second
         assert "# source: sample.msr.csv" in first
+
+    @pytest.mark.parametrize("disk", ["toshiba", "fujitsu", "modern"])
+    def test_default_target_is_the_experiment_label(self, disk):
+        config = ExperimentConfig(profile=SYSTEM_FS_PROFILE, disk=disk)
+        label = Experiment(config).label
+        assert default_target_blocks(disk) == label.virtual_total_blocks
 
     def test_fixture_path_resolves_and_rejects(self):
         assert fixture_path("sample.blkparse").is_file()
