@@ -40,6 +40,7 @@ reference counts, enough so that replacement was rarely necessary").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import nlargest
 from typing import Iterable
 
 from ..driver.ioctl import IoctlInterface
@@ -62,19 +63,36 @@ def _ranked(
 ) -> list[tuple[int, int]]:
     """Rank (block, count) pairs by decreasing count, ties by block.
 
-    Large tables go through ``numpy.lexsort``, which produces exactly the
-    ordering of ``sorted(key=lambda item: (-count, block))``.  With a
-    ``limit``, only the leading entries are materialized as Python pairs —
-    on a multi-million-block device that is the difference between a
+    The result is exactly ``sorted(key=lambda item: (-count, block))``
+    truncated to ``limit``.  A ``limit`` below the table size does not
+    sort the whole table: the ``limit``-th largest count is a floor, and
+    only the entries at or above it — every member of the top ``limit``,
+    plus any ties at the boundary — are sorted.  Large tables go through
+    numpy (``partition`` for the floor, ``lexsort`` for the order), and
+    only the leading entries are materialized as Python pairs — on a
+    multi-million-block device that is the difference between a
     ``num_blocks``-sized list and millions of tuples per nightly cycle.
     """
+    if limit is not None and limit >= len(counts):
+        limit = None
+    if limit == 0:
+        return []
     if len(counts) < _VECTOR_RANK_MIN:
-        ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+        items = counts.items()
+        if limit is not None:
+            floor = nlargest(limit, counts.values())[-1]
+            items = [item for item in items if item[1] >= floor]
+        ranked = sorted(items, key=lambda item: (-item[1], item[0]))
         return ranked if limit is None else ranked[:limit]
     import numpy as np
 
     blocks = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
     tallies = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    if limit is not None:
+        floor = -np.partition(-tallies, limit - 1)[limit - 1]
+        keep = tallies >= floor
+        blocks = blocks[keep]
+        tallies = tallies[keep]
     order = np.lexsort((blocks, -tallies))
     if limit is not None:
         order = order[:limit]
@@ -95,6 +113,10 @@ class ReferenceStreamAnalyzer:
     observed: int = 0
     _counts: dict[int, int] = field(default_factory=dict)
     _sketch: SpaceSavingSketch | None = field(default=None, repr=False)
+    _version: int = field(default=0, repr=False, compare=False)
+    """Bumped on every count change; :meth:`hot_blocks` caches under it."""
+    _rank_cache: tuple = field(default=(-1, 0, ()), repr=False, compare=False)
+    """``(version, limit, ranking)`` of the last :meth:`hot_blocks` miss."""
 
     def __post_init__(self) -> None:
         if self.capacity is not None and self.capacity <= 0:
@@ -125,6 +147,7 @@ class ReferenceStreamAnalyzer:
     def observe(self, block: int) -> None:
         """Count one reference to ``block``."""
         self.observed += 1
+        self._version += 1
         sketch = self._sketch
         if sketch is not None:
             sketch.observe(block)
@@ -199,6 +222,7 @@ class ReferenceStreamAnalyzer:
         for block, tally in zip(unique.tolist(), tallies.tolist()):
             counts[block] = get(block, 0) + tally
         self.observed += len(blocks)
+        self._version += 1
         return len(blocks)
 
     def poll(self, ioctl: IoctlInterface) -> int:
@@ -212,16 +236,27 @@ class ReferenceStreamAnalyzer:
     def hot_blocks(self, n: int | None = None) -> list[tuple[int, int]]:
         """The hottest blocks as (logical block, estimated count), ordered
         by decreasing estimated frequency (ties by block number for
-        determinism)."""
+        determinism).
+
+        The ranking is cached under a version counter that every count
+        change bumps (:meth:`observe`, the batch ingest, :meth:`reset`):
+        between two polls of the request table the counts stand still,
+        so the online arranger's per-window calls cost one slice of the
+        cached prefix instead of a ranking each.  A cached ranking of the
+        top ``m`` also answers any ``n <= m``.  Each call returns a fresh
+        list, so callers may mutate it freely.
+        """
         if n is not None and n < 0:
             raise ValueError("n must be non-negative")
-        sketch = self._sketch
-        if sketch is not None:
-            ranked = sorted(
-                sketch.items(), key=lambda item: (-item[1], item[0])
-            )
-            return ranked if n is None else ranked[:n]
-        return _ranked(self._counts, n)
+        version, limit, ranked = self._rank_cache
+        if version != self._version or not (
+            limit is None or (n is not None and n <= limit)
+        ):
+            sketch = self._sketch
+            counts = self._counts if sketch is None else sketch._counts
+            ranked = _ranked(counts, n)
+            self._rank_cache = (self._version, n, ranked)
+        return ranked[:n]
 
     def count_of(self, block: int) -> int:
         if self._sketch is not None:
@@ -246,3 +281,4 @@ class ReferenceStreamAnalyzer:
         self._counts.clear()
         self.replacements = 0
         self.observed = 0
+        self._version += 1

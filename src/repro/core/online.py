@@ -46,13 +46,13 @@ from ..driver.ioctl import IoctlInterface
 from ..driver.request import DiskRequest, Op
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..policy import OnlinePolicy
-from ..sim.events import DeviceIdle, IdleCheck, JobStart, MachineCrash, StepIssue
+from ..sim.events import DeviceIdle, IdleCheck, MachineCrash
 from .analyzer import ReferenceStreamAnalyzer
 from .placement import ReservedLayout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..driver.driver import AdaptiveDiskDriver
-    from ..sim.engine import Simulation
+    from ..sim.engine import DeviceState, Simulation
 
 __all__ = [
     "BUDGET_CAP_MS",
@@ -119,9 +119,11 @@ class IdleDetector:
 
     A drain event only *starts* a candidate gap; the gap becomes a window
     when an :class:`IdleCheck` scheduled ``idle_ms`` later fires with the
-    device still untouched.  Foreground activity is tracked with a
-    sequence number bumped on every :class:`JobStart`/:class:`StepIssue`
-    for this device: a check whose token is stale is discarded (and
+    device still untouched.  Foreground activity is the device's arrival
+    counter (:attr:`DeviceState.arrivals
+    <repro.sim.engine.DeviceState.arrivals>`), bumped by every foreground
+    request the engine or the batch kernel hands to the driver: a check
+    whose token is stale is discarded (and
     re-armed if the device has meanwhile gone quiet again), which handles
     back-to-back windows and gaps interrupted mid-probe.  ``idle_ms`` of
     zero degenerates to "open a window on every drain", still
@@ -139,18 +141,21 @@ class IdleDetector:
         self.driver = driver
         self.idle_ms = idle_ms
         self.on_idle_window = on_idle_window
-        self.activity_seq = 0
-        """Bumped on every foreground arrival; the arranger compares it
-        across a move's lifetime to detect mid-move interference."""
         self._check_pending = False
         self._sim: Simulation | None = None
+        self._state: DeviceState | None = None
+
+    @property
+    def activity_seq(self) -> int:
+        """Bumped on every foreground arrival; the arranger compares it
+        across a move's lifetime to detect mid-move interference."""
+        return 0 if self._state is None else self._state.arrivals
 
     def attach(self, simulation: Simulation) -> None:
         """Subscribe to the bus and enable the engine's idle events."""
         self._sim = simulation
+        self._state = simulation.devices[self.device]
         bus = simulation.bus
-        bus.subscribe(JobStart, self._on_activity)
-        bus.subscribe(StepIssue, self._on_activity)
         bus.subscribe(DeviceIdle, self._on_device_idle)
         bus.subscribe(IdleCheck, self._on_idle_check)
         simulation.emit_idle_events()
@@ -165,10 +170,6 @@ class IdleDetector:
             self._sim.now_ms + self.idle_ms,
             IdleCheck(self.device, self.activity_seq),
         )
-
-    def _on_activity(self, event) -> None:
-        if event.device == self.device:
-            self.activity_seq += 1
 
     def _on_device_idle(self, event: DeviceIdle) -> None:
         if event.device != self.device or self._check_pending:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from time import perf_counter_ns
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from ..driver.protocol import DeviceDriver
 from ..driver.request import DiskRequest
@@ -37,6 +37,9 @@ from .events import (
     StepIssue,
 )
 from .jobs import Job
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .vector import BatchPlanner
 
 DEFAULT_DEVICE = "disk0"
 """Name under which a driver without one is registered."""
@@ -98,6 +101,12 @@ class DeviceState:
     epoch: int = 0
     """Crash epoch: bumped when the device loses its in-flight state, so
     stale completion events already in the heap are discarded."""
+    arrivals: int = 0
+    """Foreground requests handed to the driver's strategy routine.  Crash
+    resubmissions and migration steps are not arrivals, and neither is a
+    sequential job's start (its first request arrives at its first
+    ``StepIssue``).  The online idle detector reads this as its activity
+    sequence."""
 
 
 class Simulation:
@@ -140,6 +149,9 @@ class Simulation:
         self._migration_sinks: dict[
             str, Callable[[DiskRequest, float], None]
         ] = {}
+        self._planner: BatchPlanner | None = None
+        """The running :meth:`run` call's batch planner, if any (dropped
+        on exit so it cannot keep a finished day's stack alive)."""
         self.bus.subscribe(JobStart, self._on_job_start)
         self.bus.subscribe(StepIssue, self._on_step_issue)
         self.bus.subscribe(DeviceComplete, self._on_device_complete)
@@ -309,6 +321,10 @@ class Simulation:
         routed to the device's migration sink.
         """
         state = self._devices[device]
+        if self._planner is not None:
+            # The driver is about to touch disk state the batch kernel
+            # may be holding in its resident mirrors.
+            self._planner.flush()
         request.migration = True
         state.outstanding += 1
         completion = state.driver.enqueue_migration(request, self.now_ms)
@@ -343,6 +359,7 @@ class Simulation:
         try:
             return self._run_loop(until_ms)
         finally:
+            self._planner = None
             _RUN_WALL_NS += perf_counter_ns() - start_ns
 
     def _run_loop(self, until_ms: float | None) -> list[DiskRequest]:
@@ -359,6 +376,7 @@ class Simulation:
             planner = BatchPlanner(self)
             if planner.eligible:
                 absorb = planner.absorb
+                self._planner = planner
         if until_ms is None:
             if absorb is not None:
                 # Fast path: let the kernel absorb homogeneous stretches;
@@ -434,6 +452,7 @@ class Simulation:
             request_for = job.request_for
             count = len(job.steps)
             state.outstanding += count
+            state.arrivals += count
             for index in range(count):
                 completion = strategy(request_for(index, now), now)
                 if completion is not None:
@@ -446,6 +465,7 @@ class Simulation:
         state = self._devices[device]
         request = job.request_for(index, self.now_ms)
         state.outstanding += 1
+        state.arrivals += 1
         if job.sequential and index + 1 < len(job.steps):
             self._waiting_jobs[request.request_id] = (job, index + 1, device)
         completion = state.driver.strategy(request, self.now_ms)

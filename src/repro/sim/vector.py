@@ -6,8 +6,8 @@ walks it through the driver's strategy routine, pushes a ``DeviceComplete``
 onto the heap, pops it back off, and finally walks the completion path —
 roughly a dozen object allocations and dynamic dispatches per simulated
 request.  Most simulated time, however, is *homogeneous*: closed-loop
-streams and batch flushes hitting a disk with no fault injector, no tracer
-and no online migration.  Along such a stretch the entire future is
+streams and batch flushes hitting a disk with no fault injector and no
+tracer.  Along such a stretch the entire future is
 determined by pure arithmetic — seek-table gather, the rotational-position
 recurrence, transfer time — so the engine does not need to materialize the
 intermediate events at all.
@@ -81,11 +81,21 @@ scalar engine dispatches normally — are:
   subclassed monitors, or an identity-gated tracer hook (any tracer other
   than ``NULL_TRACER`` on the driver or the simulation forces scalar
   dispatch so traced runs stay replay-identical);
-* live interaction points: online-migration sinks or idle-window events
-  enabled, rearrangement-epoch boundaries (a stale-epoch completion after
-  a crash), migration requests, and every event the kernel has no handler
-  for — periodic analyzer polls, scheduled crashes, ineligible devices'
-  traffic — which also bound every loop via the horizon.
+* live interaction points: rearrangement-epoch boundaries (a stale-epoch
+  completion after a crash), migration requests (started in the loop when
+  the SCAN pop yields one, then handed back in flight so the completion
+  reaches the online arranger's sink), and every event the kernel has no
+  handler for — periodic analyzer polls, scheduled crashes, ineligible
+  devices' traffic — which also bound every loop via the horizon.
+
+Online migration does not take a device off the kernel.  Idle-window
+events (``DeviceIdle``/``IdleCheck``) are declined *without* a flush: the
+mirrors stay resident across them, because their handlers reach mirrored
+state only through :meth:`Simulation.submit_migration`, which flushes the
+running planner first.  At every drain ``_serve`` pushes the scalar
+engine's ``DeviceIdle`` after any follow-up ``StepIssue`` and, with idle
+events on, never absorbs a follow-up across a drain.  ``_admit`` bumps the
+device's arrivals counter, the idle detector's activity sequence.
 
 Absorbed completions do **not** append to ``Simulation.completed`` (the
 day-level wrappers read metrics from the monitor tables, never from the
@@ -110,7 +120,7 @@ from ..driver.monitor import (
 from ..driver.queue import ScanQueue
 from ..driver.request import DiskRequest, Op
 from ..obs.tracer import NULL_TRACER
-from .events import DeviceComplete, JobStart, StepIssue
+from .events import DeviceComplete, DeviceIdle, IdleCheck, JobStart, StepIssue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import DeviceState, Simulation
@@ -118,6 +128,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _INF = math.inf
 READ_OP = Op.READ
 _ABSORBED = (StepIssue, JobStart, DeviceComplete)
+#: Declined without a flush: their handlers (the online idle detector)
+#: reach mirrored state only through ``Simulation.submit_migration``,
+#: which flushes first.
+_IDLE_EVENTS = (DeviceIdle, IdleCheck)
 #: Logged completions after which ``_serve`` counts the bucket logs even
 #: though no flush came (keeps their memory small on long stretches).
 _BUCKET_LOG_LIMIT = 1024
@@ -401,8 +415,8 @@ class BatchPlanner:
                 StepIssue(job, 0, event.device),
             )
             return 1
-        if cls not in _ABSORBED or sim._idle_events or sim._migration_sinks:
-            return self._decline()
+        if cls not in _ABSORBED:
+            return 0 if cls in _IDLE_EVENTS else self._decline()
         ctx = self.contexts.get(event.device)
         if ctx is None:
             return self._decline()
@@ -453,6 +467,7 @@ class BatchPlanner:
         """
         step = job.steps[index]
         lb = step.logical_block
+        ctx.state.arrivals += 1
         physical = ctx.to_physical(lb)
         request = DiskRequest(lb, step.op, t)
         request.physical_block = physical
@@ -518,6 +533,7 @@ class BatchPlanner:
         waiting_pop = sim._waiting_jobs.pop
         admit = self._admit
         state = ctx.state
+        idle_events = sim._idle_events
 
         disk = ctx.disk
         seek_table = ctx.seek_table
@@ -679,15 +695,21 @@ class BatchPlanner:
                     push(f + job.steps[index].think_ms, StepIssue(job, index, device))
                     horizon = heap[0][0]
                 continue
+            # The device drains.  A follow-up whose issue is the next
+            # event starts at once — unless idle events are on: the idle
+            # detector must see every drain.
+            if follow is not None:
+                job, index, device = follow
+                t = f + job.steps[index].think_ms
+                if idle_events or t >= horizon or t > until_ms:
+                    push(t, StepIssue(job, index, device))
+                    follow = None
             if follow is None:
-                break  # the device drains
-            job, index, device = follow
-            t = f + job.steps[index].think_ms
-            if t >= horizon or t > until_ms:
-                push(t, StepIssue(job, index, device))
+                if idle_events:  # scalar order: after the follow-up push
+                    push(f, DeviceIdle(state.name))
                 break
-            # The follow-up's issue is the next event: admit and start it
-            # on the idle device (mirroring the single-entry SCAN pop).
+            # Admit the follow-up and start it on the idle device
+            # (mirroring the single-entry SCAN pop).
             req = admit(ctx, job, index, device, t)
             follow_ups += 1
             now = t

@@ -160,3 +160,78 @@ def test_unbounded_analyzer_is_exact(stream):
         analyzer.observe(block)
         true_counts[block] = true_counts.get(block, 0) + 1
     assert dict(analyzer.hot_blocks()) == true_counts
+
+
+RANKING_COUNTERS = {
+    "exact": dict(),
+    "exact-bounded-space-saving": dict(capacity=48, heuristic="space-saving"),
+    "exact-bounded-evict-min": dict(capacity=48, heuristic="evict-min"),
+    "spacesaving": dict(counter="spacesaving", capacity=48),
+}
+
+
+def _count_table(analyzer):
+    sketch = analyzer._sketch
+    return dict(analyzer._counts if sketch is None else sketch.items())
+
+
+@pytest.mark.parametrize("universe", [24, 4000])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("counter", sorted(RANKING_COUNTERS))
+def test_hot_blocks_matches_a_full_sort(counter, seed, universe):
+    """Random interleavings of ``observe``, ``observe_records`` and
+    ``reset``: every ``hot_blocks(n)`` is the fully sorted table's prefix,
+    cached or not.  A small block universe makes ties at the n-th entry
+    common; a large one (with big record batches) takes the numpy ranking
+    and the vectorized ingest."""
+    import random
+
+    rng = random.Random(seed * 1000 + universe)
+    options = dict(RANKING_COUNTERS[counter])
+    if universe > 1000 and "capacity" in options:
+        options["capacity"] = 2500  # past the numpy ranking threshold
+    analyzer = ReferenceStreamAnalyzer(**options)
+    for __ in range(40):
+        action = rng.random()
+        if action < 0.45:
+            for __ in range(rng.randint(1, 60)):
+                analyzer.observe(rng.randrange(universe))
+        elif action < 0.9:
+            batch = [
+                record(
+                    rng.randrange(universe),
+                    size=rng.choice([1, 1, 1, 3]),
+                    is_read=rng.random() < 0.6,
+                )
+                for __ in range(rng.choice([5, 50, 1200]))
+            ]
+            analyzer.observe_records(batch)
+        else:
+            analyzer.reset()
+        expected = sorted(
+            _count_table(analyzer).items(), key=lambda item: (-item[1], item[0])
+        )
+        size = len(expected)
+        # Cache misses and hits in turn: a short prefix, then longer ones.
+        for n in (16, None, 0, 1, 16, size - 1, size, size + 5, None, 1):
+            if n is not None and n < 0:
+                continue
+            got = analyzer.hot_blocks(n)
+            assert got == expected[:n], (n, size)
+            got.append((-1, -1))  # callers own the list they get back
+            got.reverse()
+        assert analyzer.hot_blocks(16) == expected[:16]
+
+
+def test_hot_blocks_cache_follows_every_count_change():
+    analyzer = ReferenceStreamAnalyzer()
+    for block in (1, 2, 2):
+        analyzer.observe(block)
+    assert analyzer.hot_blocks(1) == [(2, 2)]
+    analyzer.observe(1)
+    analyzer.observe(1)
+    assert analyzer.hot_blocks(1) == [(1, 3)]
+    analyzer.observe_records([record(7)] * 1100)
+    assert analyzer.hot_blocks(1) == [(7, 1100)]
+    analyzer.reset()
+    assert analyzer.hot_blocks(1) == []

@@ -3,9 +3,12 @@ detection edge cases, the cost/benefit throttle against the precomputed
 seek tables, end-to-end migration days, crash safety mid-move, and
 determinism at any worker count."""
 
+import os
+
 import pytest
 
-from repro.bench.digest import day_metrics_payload
+from repro.api import make_config
+from repro.bench.digest import day_metrics_payload, metrics_digest
 from repro.core.analyzer import ReferenceStreamAnalyzer
 from repro.core.controller import RearrangementController
 from repro.core.online import (
@@ -23,7 +26,9 @@ from repro.faults.invariants import BlockTableInvariants
 from repro.fleet import FleetSpec, run_fleet
 from repro.policy import OnlinePolicy
 from repro.sim.engine import Simulation
-from repro.sim.jobs import batch_job
+from repro.sim.experiment import Experiment
+from repro.sim.jobs import batch_job, sequential_job
+from repro.stats.metrics import DayMetrics
 from repro.workload.tenancy import TenancySpec
 
 
@@ -71,9 +76,9 @@ def hot_burst(repeats=16):
 
 
 class TestIdleDetector:
-    def detect(self, idle_ms, jobs):
+    def detect(self, idle_ms, jobs, fast=False):
         driver, ioctl, __ = make_rig()
-        simulation = Simulation(driver)
+        simulation = Simulation(driver, fast=fast)
         windows = []
         detector = IdleDetector(
             ioctl.device_name, driver, idle_ms, windows.append
@@ -119,6 +124,23 @@ class TestIdleDetector:
         # Not the interrupted gap's check time (~1020 ms): a full quiet
         # second after the second burst.
         assert windows[0] >= 1_300.0
+
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_sequential_job_start_is_not_activity(self, fast):
+        """A closed-loop job's start issues no I/O, so it does not
+        interrupt a probe: only its first request, a think time later,
+        does.  Both engines must agree (the batch kernel never publishes
+        the start at all)."""
+        jobs = [
+            batch_job(0.0, [3], Op.READ),
+            # Starts inside the first 1000 ms probe; issues at 2300 ms.
+            sequential_job(300.0, [9], Op.READ, think_ms=2_000.0),
+        ]
+        drained = drain_time_ms(jobs[:1])
+        windows, __ = self.detect(1_000.0, jobs, fast=fast)
+        assert len(windows) == 2
+        assert windows[0] == pytest.approx(drained + 1_000.0)
+        assert windows[1] > 2_300.0 + 1_000.0
 
     def test_foreground_activity_bumps_the_sequence(self):
         windows, detector = self.detect(
@@ -274,6 +296,64 @@ class TestOnlineDay:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_batch_kernel_matches_scalar(self, crash):
+        """The batch kernel serves the online device: idle windows,
+        closed-loop traffic that drains between steps and cancels moves
+        mid-flight, windows opening with the kernel's mirrors resident
+        (polls are 300 ms apart) and, optionally, a crash mid-move.  Every
+        migration counter, table state and metric equals the scalar
+        engine's."""
+        burst = [hot_burst()]
+        drained = drain_time_ms(burst)
+        jobs = burst + [
+            sequential_job(drained + 60.0, [400, 7000, 9, 5000, 12000, 3],
+                           Op.READ, 20.0),
+            *(
+                sequential_job(drained + 700.0 + 37.0 * i, [100 * i + 1],
+                               Op.WRITE, 1.0)
+                for i in range(6)
+            ),
+        ]
+        policy = OnlinePolicy(idle_ms=50.0, duty_cycle=1.0)
+
+        def run(fast):
+            driver, __, controller = make_rig(policy, poll_ms=300.0)
+            simulation = Simulation(driver, fast=fast)
+            controller.attach_to(simulation)
+            simulation.add_jobs(jobs)
+            if crash:
+                simulation.schedule_crash(drained + 1_100.0)
+            simulation.run()
+            controller.final_poll()
+            metrics = DayMetrics.from_tables(
+                controller.ioctl.read_stats(),
+                driver.disk.model.seek,
+                day=0,
+                rearranged=False,
+            )
+            table = driver.block_table
+            state = (
+                controller.online_stats.payload(),
+                table.entries(),
+                table.disk_copy(),
+                day_metrics_payload(metrics),
+                driver.disk.accesses,
+                driver.disk.head_cylinder,
+                simulation.events_dispatched,
+                simulation.now_ms,
+            )
+            return state, simulation.absorbed_completions
+
+        fast, absorbed = run(True)
+        scalar, __ = run(False)
+        assert absorbed > 0
+        assert fast == scalar
+        stats = fast[0]
+        assert stats["moves_completed"] >= 1
+        assert stats["moves_cancelled"] >= 1
+        assert stats["crash_aborts"] == int(crash)
+
     def test_same_policy_same_day_twice(self):
         from repro.api import simulate_day
 
@@ -301,3 +381,28 @@ class TestDeterminism:
         parallel = run_fleet(spec, workers=8)
         assert serial.digest() == parallel.digest()
         assert serial.payload() == parallel.payload()
+
+
+@pytest.mark.skipif(
+    not os.environ.get("ONLINE_FULL_DAY"),
+    reason="full-size online day (about 10 s); set ONLINE_FULL_DAY=1",
+)
+@pytest.mark.parametrize(
+    "profile, disk", [("users", "fujitsu"), ("system", "toshiba")]
+)
+def test_full_size_online_day_fast_matches_scalar(profile, disk):
+    """A paper-length (15 h) online day: the batch kernel and the scalar
+    engine agree on the day's metrics digest and on every migration
+    counter.  Short days can miss divergences that only a long day's
+    thousands of idle windows expose."""
+
+    def day(fast):
+        config = make_config(profile, disk, policy="online", fast=fast)
+        experiment = Experiment(config)
+        result = experiment.run_day(rearranged=False, rearrange_tomorrow=False)
+        return (
+            metrics_digest(day_metrics_payload(result.metrics)),
+            experiment.controller.online_stats.payload(),
+        )
+
+    assert day(True) == day(False)

@@ -30,8 +30,9 @@ from repro.sim.jobs import batch_job, sequential_job
 from repro.stats.metrics import DayMetrics
 
 
-def _experiment_digests(fast: bool, **overrides) -> list[str]:
-    """Per-day metrics digests of a two-day off/on experiment."""
+def _experiment_digests(fast: bool, **overrides) -> list:
+    """Per-day metrics digests of a two-day off/on experiment, then the
+    online-migration counters when the policy is online."""
     config = make_config("system", hours=0.05, fast=fast, **overrides)
     experiment = Experiment(config)
     schedule = [False, True]
@@ -42,6 +43,9 @@ def _experiment_digests(fast: bool, **overrides) -> list[str]:
             rearranged=on_today, rearrange_tomorrow=on_tomorrow
         )
         digests.append(metrics_digest(day_metrics_payload(result.metrics)))
+    stats = experiment.controller.online_stats
+    if stats is not None:
+        digests.append(stats.payload())
     return digests
 
 
@@ -315,3 +319,35 @@ def test_randomized_equivalence_stress(seed):
         assert _experiment_digests(True, **overrides) == _experiment_digests(
             False, **overrides
         ), f"digest divergence for {overrides}"
+
+
+def test_finished_run_releases_its_devices():
+    """After ``run()`` and ``close()`` the simulation holds nothing of the
+    day's stack: once the caller drops its own driver reference, the
+    driver is freed by reference counting alone, with the simulation
+    object itself still alive (a planner kept past ``run`` would pin every
+    device it served, and with them a fleet's block tables)."""
+    import gc
+    import weakref
+
+    driver = _fresh_driver()
+    simulation = Simulation(driver, fast=True)
+    simulation.add_jobs(
+        [
+            sequential_job(0.0, list(range(0, 3000, 61)), Op.READ, 1.0),
+            batch_job(20.0, list(range(5, 4000, 97)), Op.WRITE),
+        ]
+    )
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        simulation.run()
+        assert simulation.absorbed_completions > 0
+        simulation.close()
+        released = weakref.ref(driver)
+        del driver
+        assert released() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert simulation.events_dispatched > 0
