@@ -8,14 +8,17 @@ is forwarded to the disk only in case the block is not found in the cache
 That periodic flush is what makes the measured write arrival pattern
 bursty, which in turn drives the paper's waiting-time results (Section
 5.2).  :class:`BufferCache` is an LRU write-back cache over logical blocks;
-:meth:`sync` returns (and cleans) the dirty set, which the workload
-generator turns into a batch arrival at the driver.
+:meth:`sync` returns (and cleans) the dirty set, plus any dirty block
+evicted since the last sync, which the workload generator turns into a
+batch arrival at the driver.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Collection
 from dataclasses import dataclass, field
+from itertools import islice
 
 
 @dataclass
@@ -27,6 +30,10 @@ class BufferCache:
     misses: int = 0
     write_backs: int = 0
     _entries: OrderedDict[int, bool] = field(default_factory=OrderedDict)
+    _evicted: list[int] = field(default_factory=list)
+    """Dirty blocks evicted since the last sync, in eviction order."""
+    _touches: int = 0
+    """Reads and writes since the last sync (see :meth:`dirty_blocks`)."""
 
     def __post_init__(self) -> None:
         if self.capacity_blocks <= 0:
@@ -46,16 +53,23 @@ class BufferCache:
         """Probe for a read.  Returns True on a hit.
 
         On a miss the block is brought into the cache (the caller is
-        responsible for issuing the disk read); an evicted dirty block is
-        counted as an immediate write-back and returned by the *next*
-        :meth:`sync` — real systems write it out at eviction, and
-        :meth:`read_with_eviction` exposes that variant.
+        responsible for issuing the disk read).  A dirty block that the
+        insertion evicts counts as a write-back at once and goes out with
+        the *next* :meth:`sync`, after that sync's dirty set.  Real
+        systems write it out at eviction; :meth:`read_with_eviction`
+        hands it to the caller for that instead.
         """
-        hit, __ = self.read_with_eviction(block)
+        hit, evicted = self.read_with_eviction(block)
+        if evicted is not None:
+            self._evicted.append(evicted)
         return hit
 
     def read_with_eviction(self, block: int) -> tuple[bool, int | None]:
-        """Probe for a read; also report an evicted dirty block, if any."""
+        """Probe for a read; also report an evicted dirty block, if any.
+
+        The caller owns the reported block: no :meth:`sync` returns it.
+        """
+        self._touches += 1
         if block in self._entries:
             self._entries.move_to_end(block)
             self.hits += 1
@@ -67,15 +81,31 @@ class BufferCache:
     def write(self, block: int) -> int | None:
         """Dirty ``block`` in the cache (write-back, no disk I/O yet).
 
-        Returns an evicted dirty block if the insertion displaced one.
+        Returns the dirty block the insertion evicted, if any.  It counts
+        as a write-back at once and goes out with the next :meth:`sync`.
         """
-        if block in self._entries:
-            self._entries.move_to_end(block)
-            self._entries[block] = True
-            self.hits += 1
-            return None
-        self.misses += 1
-        return self._insert(block, dirty=True)
+        queued = len(self._evicted)
+        self.write_many((block,))
+        return self._evicted[queued] if len(self._evicted) > queued else None
+
+    def write_many(self, blocks: Collection[int]) -> None:
+        """:meth:`write` each block in turn."""
+        entries = self._entries
+        move_to_end = entries.move_to_end
+        misses = 0
+        for block in blocks:
+            try:  # a hit is the common case: no membership probe first
+                move_to_end(block)
+            except KeyError:
+                misses += 1
+                evicted = self._insert(block, dirty=True)
+                if evicted is not None:
+                    self._evicted.append(evicted)
+            else:
+                entries[block] = True
+        self.hits += len(blocks) - misses
+        self.misses += misses
+        self._touches += len(blocks)
 
     def _insert(self, block: int, dirty: bool) -> int | None:
         evicted_dirty: int | None = None
@@ -92,10 +122,21 @@ class BufferCache:
     # ------------------------------------------------------------------
 
     def dirty_blocks(self) -> list[int]:
-        return [block for block, dirty in self._entries.items() if dirty]
+        """The cached dirty blocks, in LRU order.
+
+        A sync cleans every block, so only a block touched since then can
+        be dirty, and each touch moves its block to the newest end.  The
+        scan therefore covers just the newest entries, at most one per
+        touch: it costs O(accesses since the last sync), not O(cache).
+        """
+        newest = islice(reversed(self._entries.items()), self._touches)
+        dirty = [block for block, is_dirty in newest if is_dirty]
+        dirty.reverse()
+        return dirty
 
     def sync(self) -> list[int]:
-        """Flush: return every dirty block (in LRU order) and mark it clean.
+        """Flush: return every dirty block (in LRU order) and mark it clean,
+        followed by the dirty blocks evicted since the last sync.
 
         The caller issues the returned blocks to the driver as one burst.
         """
@@ -103,12 +144,17 @@ class BufferCache:
         for block in dirty:
             self._entries[block] = False
         self.write_backs += len(dirty)
+        self._touches = 0
+        dirty.extend(self._evicted)
+        self._evicted.clear()
         return dirty
 
     def invalidate(self, block: int) -> None:
         self._entries.pop(block, None)
 
     def clear(self) -> None:
+        """Drop every cached block, dirty or not.  Dirty blocks evicted
+        earlier still go out with the next :meth:`sync`."""
         self._entries.clear()
 
     @property

@@ -75,20 +75,36 @@ def poisson_arrivals(
         raise ValueError("duration must be positive")
     if clump_mean < 1.0:
         raise ValueError("clump_mean must be at least 1")
+    # The stream must stay that of one ``exponential(1 / center_rate)``
+    # per center and one ``uniform(0, clump_spread_ms)`` per clump member
+    # (the bench digests pin it).  Those equal ``scale *
+    # standard_exponential()`` and ``spread * random()``, so a clump's
+    # offsets come from one ``random(size)`` call; see docs/scaling.md,
+    # "Workload generation", and tests/test_generation_equivalence.py.
     arrivals: list[float] = []
     center_rate = rate_per_ms / clump_mean
+    if center_rate <= 0:
+        return arrivals
+    scale = 1.0 / center_rate
+    exponential = rng.standard_exponential
+    geometric = rng.geometric
+    uniforms = rng.random
+    p = 1.0 / clump_mean
+    clumped = clump_mean > 1
+    append = arrivals.append
     t = 0.0
     while True:
-        if center_rate <= 0:
-            break
-        t += rng.exponential(1.0 / center_rate)
+        t += scale * exponential()
         if t >= duration_ms:
             break
-        size = int(rng.geometric(1.0 / clump_mean)) if clump_mean > 1 else 1
-        for __ in range(size):
-            offset = rng.uniform(0.0, clump_spread_ms) if size > 1 else 0.0
-            when = t + offset
-            if when < duration_ms:
-                arrivals.append(when)
+        if clumped:
+            size = geometric(p)
+            if size > 1:
+                for u in uniforms(size).tolist():
+                    when = t + clump_spread_ms * u
+                    if when < duration_ms:
+                        append(when)
+                continue
+        append(t)
     arrivals.sort()
     return arrivals

@@ -29,8 +29,10 @@ changing access patterns that made the *users* results weaker.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -39,7 +41,7 @@ from ..driver.request import Op
 from ..fs.allocator import AllocationError
 from ..fs.buffercache import BufferCache
 from ..fs.ufs import FileSystem, FileSystemError, Inode
-from ..sim.jobs import Job, batch_job, sequential_job
+from ..sim.jobs import Job, Step
 from .distributions import (
     geometric_run_length,
     poisson_arrivals,
@@ -76,6 +78,20 @@ class DayWorkload:
         return self.num_requests - self.num_reads
 
 
+def _merge_sessions(
+    sessions: list[float], others: list[tuple[float, str]]
+) -> Iterator[tuple[float, str]]:
+    """Two time-sorted event streams as one; a session goes first at equal
+    times."""
+    k = 0
+    for when in sessions:
+        while k < len(others) and others[k][0] < when:
+            yield others[k]
+            k += 1
+        yield when, "session"
+    yield from others[k:]
+
+
 class WorkloadGenerator:
     """Reproducible multi-day workload for one file system on one disk."""
 
@@ -99,7 +115,6 @@ class WorkloadGenerator:
             directory_placement=profile.directory_placement,
         )
         self.cache = BufferCache(profile.cache_blocks)
-        self._pending_evicted: list[int] = []
         self._groups_allocated: set[int] = set()
         self._day = 0
         self._new_file_serial = 0
@@ -110,6 +125,10 @@ class WorkloadGenerator:
         self._file_keys: list[tuple[str, str]] = [
             (d, n) for d, n, __ in files
         ]
+        # Filled by _index_files when generation starts.
+        self._dir_files: dict[str, list[int]] = {}
+        self._atime_writes: list[tuple[int, ...]] = []
+        self._atime_tuples: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._weights = zipf_weights(
             len(self._inodes), profile.file_popularity_exponent
         )
@@ -126,6 +145,7 @@ class WorkloadGenerator:
         self._cdf: np.ndarray | None = None
         self._cdf_list: list[float] | None = None
         self._last_dir: str | None = None
+        self._day_steps: dict[tuple[Op, float | None], dict[int, Step]] = {}
 
     # ------------------------------------------------------------------
     # Setup
@@ -147,6 +167,17 @@ class WorkloadGenerator:
         """A system log whose blocks receive the cron-spike writes."""
         self.fs.make_directory("var")
         return self.fs.populate_file("var", "syslog", 8)
+
+    def _index_files(self) -> None:
+        """Index the file table for generation: each directory's file
+        indices, in ``_file_keys`` order, and per file the blocks that one
+        access to it dirties.  Creations and rewrites keep both up to
+        date."""
+        for index, (directory, __) in enumerate(self._file_keys):
+            self._dir_files.setdefault(directory, []).append(index)
+        self._atime_writes = self._atime_blocks(
+            zip(self._inodes, map(itemgetter(0), self._file_keys))
+        )
 
     # ------------------------------------------------------------------
     # Popularity and drift
@@ -205,14 +236,17 @@ class WorkloadGenerator:
         self._rank_of[chosen] = self._rank_of[shuffled]
         self._probs_dirty = True
 
-    def _register_file(self, inode: Inode) -> None:
+    def _register_file(self, directory: str, name: str, inode: Inode) -> None:
         """Add a newly created file to the popularity model.
 
         A new file occasionally becomes immediately popular (a fresh
         document everyone opens); usually it starts cool.
         """
         self._inodes.append(inode)
+        self._file_keys.append((directory, name))
         n = len(self._inodes)
+        self._dir_files.setdefault(directory, []).append(n - 1)
+        self._atime_writes += self._atime_blocks([(inode, directory)])
         self._weights = zipf_weights(
             n, self.profile.file_popularity_exponent
         )
@@ -230,31 +264,50 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------
 
     def generate_day(self) -> DayWorkload:
-        """Produce the next day's jobs (advances the generator's day)."""
+        """Produce the next day's jobs (advances the generator's day).
+
+        The day's events are walked in time order, with the periodic syncs
+        in between; at equal times, sessions come first, then file opens,
+        spikes, creations and extensions, and a due sync before them all.
+        The opens, by far the most numerous, are emitted in runs.
+        """
         profile = self.profile
         day = self._day
         self._day += 1
-        if day > 0:
+        if day == 0:
+            self._index_files()
+        else:
             self._apply_drift()
 
-        timeline = self._build_timeline()
+        sessions, opens, others = self._build_timeline()
         jobs: list[Job] = []
+        self._day_steps = {}
         sync_ms = profile.sync_interval_s * 1000.0
         next_sync = sync_ms
-        for when, kind in timeline:
+        opened = 0
+        for when, kind in _merge_sessions(sessions, others):
+            # The opens due first; one at this very instant follows a
+            # session but precedes every other kind.
+            cut = bisect_left if kind == "session" else bisect_right
+            due = cut(opens, when, opened)
+            next_sync = self._emit_opens(
+                opens, opened, due, next_sync, sync_ms, jobs
+            )
+            opened = due
             while next_sync <= when:
                 self._flush_sync(next_sync, jobs)
                 next_sync += sync_ms
             if kind == "session":
                 self._emit_session(when, jobs)
-            elif kind == "open":
-                self._emit_open(when)
             elif kind == "spike":
                 self._emit_spike(when, jobs)
             elif kind == "create":
                 self._emit_create(when)
-            elif kind == "extend":
+            else:
                 self._emit_extend(when)
+        next_sync = self._emit_opens(
+            opens, opened, len(opens), next_sync, sync_ms, jobs
+        )
         while next_sync <= profile.day_ms:
             self._flush_sync(next_sync, jobs)
             next_sync += sync_ms
@@ -264,40 +317,46 @@ class WorkloadGenerator:
         self._count(workload)
         return workload
 
-    def _build_timeline(self) -> list[tuple[float, str]]:
+    def _build_timeline(
+        self,
+    ) -> tuple[list[float], list[float], list[tuple[float, str]]]:
+        """The day's session and open arrival times, each sorted, and its
+        few spike, create and extend events as ``(when, kind)`` pairs in
+        time order (a stable sort, so ties keep that kind order)."""
         profile = self.profile
-        events: list[tuple[float, str]] = []
         rate_per_ms = profile.read_sessions_per_hour / 3_600_000.0
-        for when in poisson_arrivals(
+        sessions = poisson_arrivals(
             self.rng,
             rate_per_ms,
             profile.day_ms,
             clump_mean=profile.session_clump_mean,
             clump_spread_ms=profile.clump_spread_ms,
-        ):
-            events.append((when, "session"))
+        )
+        opens: list[float] = []
         if profile.open_sessions_per_hour > 0:
             open_rate = profile.open_sessions_per_hour / 3_600_000.0
-            for when in poisson_arrivals(
+            opens = poisson_arrivals(
                 self.rng,
                 open_rate,
                 profile.day_ms,
                 clump_mean=profile.session_clump_mean,
                 clump_spread_ms=profile.clump_spread_ms,
-            ):
-                events.append((when, "open"))
+            )
+        others: list[tuple[float, str]] = []
         if profile.spike_interval_s > 0:
             interval_ms = profile.spike_interval_s * 1000.0
             t = interval_ms
             while t < profile.day_ms:
-                events.append((t, "spike"))
+                others.append((t, "spike"))
                 t += interval_ms
-        for __ in range(profile.new_files_per_day):
-            events.append((self.rng.uniform(0, profile.day_ms), "create"))
-        for __ in range(profile.extend_sessions_per_day):
-            events.append((self.rng.uniform(0, profile.day_ms), "extend"))
-        events.sort(key=lambda pair: pair[0])
-        return events
+        kinds = ["create"] * profile.new_files_per_day
+        kinds += ["extend"] * profile.extend_sessions_per_day
+        if kinds:
+            # ``uniform(0, day_ms)`` is ``day_ms * random()``, one draw each.
+            times = profile.day_ms * self.rng.random(len(kinds))
+            others.extend(zip(times.tolist(), kinds))
+        others.sort(key=lambda pair: pair[0])
+        return sessions, opens, others
 
     # -- sessions -----------------------------------------------------
 
@@ -310,11 +369,7 @@ class WorkloadGenerator:
             and self._last_dir is not None
             and self.rng.random() < profile.user_locality
         ):
-            indices = [
-                i
-                for i, (d, __) in enumerate(self._file_keys)
-                if d == self._last_dir
-            ]
+            indices = self._dir_files.get(self._last_dir)
             if indices:
                 weights = probs[indices]
                 total = weights.sum()
@@ -340,12 +395,8 @@ class WorkloadGenerator:
             ]
         if read_blocks:
             jobs.append(
-                sequential_job(
-                    when,
-                    read_blocks,
-                    Op.READ,
-                    think_ms=profile.think_ms,
-                    name="session",
+                self._job(
+                    when, read_blocks, Op.READ, "session", profile.think_ms
                 )
             )
         is_edit = (
@@ -357,24 +408,72 @@ class WorkloadGenerator:
             if self.rng.random() < profile.edit_uniform_prob:
                 edit_index = int(self.rng.integers(0, len(self._inodes)))
             self._rewrite_file(edit_index)
-            self._cache_write(self._inodes[edit_index].inode_block)
-        if profile.atime_updates:
-            self._cache_write(self._inodes[index].inode_block)
-        if profile.atime_updates and profile.dir_atime_updates:
-            # The path lookup updates the directory's own inode too.
-            directory = self._file_keys[index][0]
-            self._cache_write(self.fs.directory_inode_block(directory))
+            self.cache.write(self._inodes[edit_index].inode_block)
+        self.cache.write_many(self._atime_writes[index])
 
-    def _emit_open(self, when: float) -> None:
-        """A cache-served file open: only the atime updates reach the disk."""
-        if not self.profile.atime_updates:
-            return
-        index = self._pick_file()
-        inode = self._inodes[index]
-        self._cache_write(inode.inode_block)
-        if self.profile.dir_atime_updates:
-            directory = self._file_keys[index][0]
-            self._cache_write(self.fs.directory_inode_block(directory))
+    def _atime_blocks(
+        self, files: Iterable[tuple[Inode, str]]
+    ) -> list[tuple[int, ...]]:
+        """For each ``(inode, directory)`` file, the blocks one access to
+        it dirties: its inode's access time and, since the path lookup
+        reads the directory, the directory inode's.
+
+        Files whose inodes share a block get one shared tuple, so the
+        table holds a few objects per directory, not one per file.
+        """
+        profile = self.profile
+        if not profile.atime_updates:
+            blocks = [() for __ in files]
+        elif not profile.dir_atime_updates:
+            blocks = [(inode.inode_block,) for inode, __ in files]
+        else:
+            directory_block = self.fs.directory_inode_block
+            blocks = [
+                (inode.inode_block, directory_block(directory))
+                for inode, directory in files
+            ]
+        shared = self._atime_tuples
+        return [shared.setdefault(key, key) for key in blocks]
+
+    def _emit_opens(
+        self,
+        opens: list[float],
+        start: int,
+        stop: int,
+        next_sync: float,
+        sync_ms: float,
+        jobs: list[Job],
+    ) -> float:
+        """Cache-served file opens ``opens[start:stop]``: only the atime
+        updates reach the disk, through the syncs due among them.
+
+        Each open is one popularity pick, so the run draws its picks with
+        one ``random(n)`` call.  Returns the next sync time.
+        """
+        if start == stop or not self.profile.atime_updates:
+            return next_sync
+        picks = (
+            self._file_cdf()
+            .searchsorted(self.rng.random(stop - start), "right")
+            .tolist()
+        )
+        writes = self._atime_writes
+        write_many = self.cache.write_many
+        first = start
+        while True:
+            cut = bisect_left(opens, next_sync, first, stop)
+            write_many(
+                [
+                    block
+                    for index in picks[first - start : cut - start]
+                    for block in writes[index]
+                ]
+            )
+            if cut == stop:
+                return next_sync
+            self._flush_sync(next_sync, jobs)
+            next_sync += sync_ms
+            first = cut
 
     def _rewrite_file(self, index: int) -> None:
         """Save an edited file the way editors do: write a fresh copy.
@@ -399,15 +498,14 @@ class WorkloadGenerator:
             self.fs.rename(dir_name, temp_name, file_name)
         except (FileSystemError, AllocationError):
             # Read-only or full: fall back to updating in place.
-            for block in old.data_blocks:
-                self._cache_write(block)
+            self.cache.write_many(old.data_blocks)
             return
         for block in old.data_blocks:
             self.cache.invalidate(block)
         self._inodes[index] = inode
+        self._atime_writes[index] = self._atime_blocks([(inode, dir_name)])[0]
         self._note_allocation(inode.data_blocks)
-        for block in inode.data_blocks:
-            self._cache_write(block)
+        self.cache.write_many(inode.data_blocks)
 
     def _run_blocks(self, inode: Inode) -> list[int]:
         profile = self.profile
@@ -424,11 +522,6 @@ class WorkloadGenerator:
         else:
             start = int(self.rng.integers(0, size - length + 1))
         return inode.data_blocks[start : start + length]
-
-    def _cache_write(self, block: int) -> None:
-        evicted = self.cache.write(block)
-        if evicted is not None:
-            self._pending_evicted.append(evicted)
 
     # -- spikes -------------------------------------------------------
 
@@ -450,21 +543,13 @@ class WorkloadGenerator:
             if blocks:
                 # Cron jobs read files one after another (closed loop), so
                 # they lengthen the busy period without stacking the queue.
-                jobs.append(
-                    sequential_job(
-                        when,
-                        blocks,
-                        Op.READ,
-                        think_ms=5.0,
-                        name="spike-read",
-                    )
-                )
+                jobs.append(self._job(when, blocks, Op.READ, "spike-read", 5.0))
         log_blocks = self._log_file.data_blocks
         for __ in range(profile.spike_writes):
             block = log_blocks[int(self.rng.integers(0, len(log_blocks)))]
-            self._cache_write(block)
+            self.cache.write(block)
         if profile.spike_writes > 0:
-            self._cache_write(self._log_file.inode_block)
+            self.cache.write(self._log_file.inode_block)
 
     def _all_data_blocks(self) -> np.ndarray:
         blocks: list[int] = []
@@ -486,12 +571,10 @@ class WorkloadGenerator:
             inode = self.fs.create_file(directory, name, size)
         except (FileSystemError, AllocationError):
             return  # file system full or read-only: drop the creation
-        self._register_file(inode)
-        self._file_keys.append((directory, name))
+        self._register_file(directory, name, inode)
         self._note_allocation(inode.data_blocks)
-        for block in inode.data_blocks:
-            self._cache_write(block)
-        self._cache_write(inode.inode_block)
+        self.cache.write_many(inode.data_blocks)
+        self.cache.write(inode.inode_block)
 
     def _emit_extend(self, when: float) -> None:
         profile = self.profile
@@ -506,24 +589,22 @@ class WorkloadGenerator:
         except (FileSystemError, AllocationError):
             return
         self._note_allocation(new_blocks)
-        for block in new_blocks:
-            self._cache_write(block)
-        self._cache_write(inode.inode_block)
+        self.cache.write_many(new_blocks)
+        self.cache.write(inode.inode_block)
 
     # -- syncs ----------------------------------------------------------
 
     def _flush_sync(self, when: float, jobs: list[Job]) -> None:
         """The periodic update policy: flush all dirty blocks as one burst.
 
-        Besides the cache's dirty blocks, the burst carries the superblock
-        (timestamp update) and the cylinder-group summary of every group
-        that *allocated* blocks since the last sync — FFS only rewrites a
+        Besides the cache's dirty blocks (and those it evicted since the
+        last sync), the burst carries the superblock (timestamp update)
+        and the cylinder-group summary of every group that *allocated*
+        blocks since the last sync — FFS only rewrites a
         group's free maps when blocks are allocated or freed, so pure
         access-time traffic dirties no summaries.
         """
         dirty = self.cache.sync()
-        dirty.extend(self._pending_evicted)
-        self._pending_evicted = []
         if not dirty and not self._groups_allocated:
             return
         burst: list[int] = []
@@ -539,7 +620,37 @@ class WorkloadGenerator:
             if block not in in_burst:
                 in_burst.add(block)
                 burst.append(block)
-        jobs.append(batch_job(when, burst, Op.WRITE, name="sync"))
+        jobs.append(self._job(when, burst, Op.WRITE, "sync"))
+
+    def _job(
+        self,
+        when: float,
+        blocks: list[int],
+        op: Op,
+        name: str,
+        think_ms: float | None = None,
+    ) -> Job:
+        """What ``sequential_job`` builds, with ``think_ms`` before each
+        request, or ``batch_job`` if ``think_ms`` is None.
+
+        A step is an immutable value, and a day issues the same few inode
+        and summary blocks thousands of times, so the day shares one
+        :class:`Step` per block, op and think time.
+        """
+        shared = self._day_steps.setdefault((op, think_ms), {})
+        think = 0.0 if think_ms is None else think_ms
+        steps = []
+        for block in blocks:
+            step = shared.get(block)
+            if step is None:
+                step = shared[block] = Step(block, op, think)
+            steps.append(step)
+        return Job(
+            start_ms=when,
+            steps=steps,
+            sequential=think_ms is not None,
+            name=name,
+        )
 
     def _note_allocation(self, blocks: list[int]) -> None:
         """Record that these freshly allocated blocks dirty their groups'
@@ -556,13 +667,10 @@ class WorkloadGenerator:
         update; the count *values* are identical and no consumer depends
         on the dicts' insertion order.
         """
-        all_blocks: list[int] = []
-        read_blocks: list[int] = []
-        for job in workload.jobs:
-            for step in job.steps:
-                all_blocks.append(step.logical_block)
-                if step.op is Op.READ:
-                    read_blocks.append(step.logical_block)
+        read = Op.READ
+        steps = [step for job in workload.jobs for step in job.steps]
+        all_blocks = [step.logical_block for step in steps]
+        read_blocks = [step.logical_block for step in steps if step.op is read]
         for blocks, counts in (
             (all_blocks, workload.all_counts),
             (read_blocks, workload.read_counts),

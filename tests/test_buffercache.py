@@ -75,6 +75,38 @@ class TestSync:
         cache.write(1)
         assert cache.sync() == [1]
 
+    def test_read_miss_eviction_goes_out_with_next_sync(self):
+        """A read miss that evicts a dirty block counts a write-back; the
+        next sync must hand that block out, or it is never written."""
+        cache = BufferCache(capacity_blocks=1)
+        cache.write(5)
+        assert not cache.read(6)
+        assert cache.write_backs == 1
+        assert cache.sync() == [5]
+        assert cache.sync() == []
+
+    def test_write_eviction_follows_the_dirty_set(self):
+        cache = BufferCache(capacity_blocks=2)
+        cache.write(1)
+        cache.write(2)
+        assert cache.write(3) == 1
+        assert cache.sync() == [2, 3, 1]
+        assert cache.write_backs == 3
+
+    def test_read_with_eviction_leaves_the_block_to_the_caller(self):
+        cache = BufferCache(capacity_blocks=1)
+        cache.write(5)
+        assert cache.read_with_eviction(6) == (False, 5)
+        assert cache.sync() == []
+
+    def test_sync_keeps_lru_order_after_read_hits(self):
+        cache = BufferCache(capacity_blocks=8)
+        cache.write_many([1, 2, 3])
+        cache.read(1)
+        cache.write(2)
+        assert cache.dirty_blocks() == [3, 1, 2]
+        assert cache.sync() == [3, 1, 2]
+
     def test_dirty_dedup_within_interval(self):
         """Multiple writes to one block between syncs yield one write-back:
         the mechanism that makes bursts sets of *distinct* blocks."""
