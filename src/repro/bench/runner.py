@@ -150,7 +150,9 @@ class BenchReport:
         }
 
 
-def _measure_peak_memory(scenario: Scenario, quick: bool, digest: str) -> int:
+def _measure_peak_memory(
+    scenario: Scenario, quick: bool, fast: bool, digest: str
+) -> int:
     """Peak traced allocation of one extra scenario run.
 
     Runs *outside* the timed repetitions: ``tracemalloc`` hooks every
@@ -162,7 +164,7 @@ def _measure_peak_memory(scenario: Scenario, quick: bool, digest: str) -> int:
 
     tracemalloc.start()
     try:
-        result = scenario.run(quick)
+        result = scenario.run(quick, fast)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -180,6 +182,7 @@ def run_scenario(
     repeat: int = 1,
     calibration: float | None = None,
     measure_memory: bool = True,
+    fast: bool = True,
 ) -> BenchReport:
     """Time ``scenario`` ``repeat`` times; keep the best wall-clock.
 
@@ -189,6 +192,8 @@ def run_scenario(
 
     With ``measure_memory`` (the default) a final untimed repetition runs
     under ``tracemalloc`` and records the peak traced allocation.
+    ``fast`` (the batch simulation kernel) is handed to every run,
+    including the memory pass.
     """
     # Imported here: repro.sim reaches repro.traces (replay) at package
     # init, which imports this package through the analysis layer.
@@ -205,7 +210,7 @@ def run_scenario(
     for _ in range(repeat):
         _engine.reset_run_wall()
         start = time.perf_counter()
-        result = scenario.run(quick)
+        result = scenario.run(quick, fast)
         walls.append(time.perf_counter() - start)
         sim_walls.append(_engine.run_wall_s())
         this_digest = metrics_digest(result.payload)
@@ -218,7 +223,7 @@ def run_scenario(
             )
     assert result is not None and digest is not None
     peak_mem = (
-        _measure_peak_memory(scenario, quick, digest)
+        _measure_peak_memory(scenario, quick, fast, digest)
         if measure_memory
         else None
     )
@@ -250,8 +255,13 @@ def run_suite(
     quick: bool = False,
     repeat: int = 1,
     measure_memory: bool = True,
+    fast: bool = True,
 ) -> list[BenchReport]:
-    """Run several scenarios with one shared calibration measurement."""
+    """Run several scenarios with one shared calibration measurement.
+
+    ``fast=False`` runs every scenario on the scalar engine (the bench
+    CLI's ``--no-fast``); digests must not move either way.
+    """
     calibration = calibration_score()
     return [
         run_scenario(
@@ -260,6 +270,7 @@ def run_suite(
             repeat=repeat,
             calibration=calibration,
             measure_memory=measure_memory,
+            fast=fast,
         )
         for s in scenarios
     ]

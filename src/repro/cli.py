@@ -24,8 +24,9 @@ and ``fleet`` commands accept ``--policy nightly|online|off`` (plus
 ``--idle-ms`` for online migration; see ``docs/online.md``).  ``onoff`` and
 ``replay`` accept ``--trace FILE`` to record every request-lifecycle
 event as JSONL; the ``trace`` subcommand reduces such a file back to
-per-device day metrics.  ``policies`` and ``sweep`` accept ``--workers``
-to fan their independent campaigns across processes.
+per-device day metrics.  ``policies`` accepts ``--workers`` to fan its
+independent campaigns across processes; ``sweep`` always chains its days
+through one campaign, as the paper's Figure 8 did.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .sim.experiment import (
     Experiment,
     ExperimentConfig,
     run_block_count_sweep,
-    run_block_count_sweep_parallel,
     run_campaigns_parallel,
     run_onoff_campaign,
 )
@@ -185,14 +185,8 @@ def cmd_policies(args) -> int:
 
 def cmd_sweep(args) -> int:
     counts = [int(c) for c in args.counts.split(",")]
-    if args.workers is not None and args.workers != 1:
-        points = run_block_count_sweep_parallel(
-            _config(args), counts, workers=args.workers
-        )
-    else:
-        points = run_block_count_sweep(_config(args), counts)
     rows = []
-    for count, day in points:
+    for count, day in run_block_count_sweep(_config(args), counts):
         m = day.metrics.all
         rows.append(
             (
@@ -518,19 +512,13 @@ def cmd_bench(args) -> int:
         scenarios = get_scenarios(names)
     except KeyError as exc:
         raise SystemExit(str(exc.args[0]))
-    if args.no_fast:
-        # Force every simulation the scenarios construct out of the
-        # batch kernel.  Fleet workers started with fork (the default
-        # wherever it exists) inherit the override; workers started with
-        # spawn re-import the engine and lose it.
-        from .sim import engine as _engine
-
-        _engine.FAST_OVERRIDE = False
+    fast = not args.no_fast
     reports = run_suite(
         scenarios,
         quick=args.quick,
         repeat=args.repeat,
         measure_memory=not args.no_memory,
+        fast=fast,
     )
     for report in reports:
         print(render_report_line(report))
@@ -547,7 +535,7 @@ def cmd_bench(args) -> int:
         for scenario in scenarios:
             profiler = cProfile.Profile()
             profiler.enable()
-            scenario.run(args.quick)
+            scenario.run(args.quick, fast)
             profiler.disable()
             path = out_dir / f"BENCH_{scenario.name}.pstats"
             profiler.dump_stats(path)
@@ -622,12 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="blocks-rearranged sweep (Fig. 8)")
     _add_common(sweep)
     sweep.add_argument("--counts", default="10,25,50,100,200,400,1018")
-    sweep.add_argument(
-        "--workers", type=int, default=1,
-        help="processes for the sweep; 1 (default) chains days exactly as "
-        "the paper did, >1 runs each count as an independent two-day "
-        "experiment concurrently (same curve, points differ slightly)",
-    )
     sweep.set_defaults(func=cmd_sweep)
 
     workload = sub.add_parser(

@@ -13,22 +13,17 @@ This module models both the in-memory table and its on-disk copy; writing
 the disk copy is an explicit step (:meth:`BlockTable.write_to_disk`) so the
 crash-recovery semantics can be exercised by tests.
 
-Two implementations share the same contract:
-
-* :class:`BlockTable` — the default, array-backed.  The forward map
-  (original physical block → reserved block) is a flat ``array('i')``
-  indexed by block number with ``-1`` meaning "absent", so the
-  per-request lookup is a bounds check plus one array index.  It is the
-  only structure that spans the address space (4 bytes per block, filled
-  by a C-level repeat).  Everything else — the reverse map, the dirty
-  bits, insertion order and the disk-copy shadow — lives in dicts and
-  sets bounded by the number of *rearranged* blocks (the paper's table
-  lists only those), never by the size of the disk.
-* :class:`DictBlockTable` — the original dict-of-entries implementation,
-  kept as the executable specification.  The equivalence test in
-  ``tests/test_blocktable.py`` drives both through randomized
-  add/remove/dirty/flush/crash/recover interleavings and requires
-  identical observable state after every step.
+:class:`BlockTable` keeps every map in dicts and sets bounded by the
+number of *rearranged* blocks (the paper's table lists only those),
+never by the size of the disk: the forward map (original physical block
+→ reserved block, one ``dict.get`` per request), the reverse map, the
+dirty bits, insertion order and the disk-copy shadow.  A table therefore
+costs nothing to set up on a multi-million-block device.  The original
+dict-of-entries implementation lives on as ``DictBlockTable`` in
+``tests/test_blocktable.py``, the executable specification: the
+equivalence test there drives both through randomized
+add/remove/dirty/flush/crash/recover interleavings and requires
+identical observable state after every step.
 
 Because the driver rewrites the on-disk copy after *every* block move, a
 full O(entries) snapshot per flush would make the nightly cycle quadratic
@@ -41,8 +36,7 @@ O(changes) per flush.
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _ABSENT = -1
 
@@ -57,12 +51,10 @@ class BlockTableEntry:
 
 
 class BlockTable:
-    """In-memory block table plus its on-disk shadow (array-backed).
+    """In-memory block table plus its on-disk shadow.
 
     ``capacity`` bounds the number of entries (the reserved area's data
-    capacity); ``None`` means unbounded.  The forward map grows on
-    demand; callers that know the device size can :meth:`reserve` it up
-    front so :meth:`add` never grows it piecemeal.
+    capacity); ``None`` means unbounded.
 
     :meth:`entries` and :meth:`lookup` materialize fresh
     :class:`BlockTableEntry` snapshots — mutating a returned entry does
@@ -71,11 +63,11 @@ class BlockTable:
 
     def __init__(self, capacity: int | None = None) -> None:
         self.capacity = capacity
-        self._forward = array("i")  # original block -> reserved block
-        # The rest is bounded by the number of rearranged blocks (the
-        # reserved area's capacity): reserved -> original, the originals
-        # whose reserved copy is dirty, and insertion-ordered original ->
-        # sequence number.
+        # Every map is bounded by the number of rearranged blocks (the
+        # reserved area's capacity): original -> reserved, reserved ->
+        # original, the originals whose reserved copy is dirty, and
+        # insertion-ordered original -> sequence number.
+        self._forward: dict[int, int] = {}
         self._reverse: dict[int, int] = {}
         self._dirty: set[int] = set()
         self._order: dict[int, int] = {}
@@ -87,25 +79,13 @@ class BlockTable:
         self._disk_seq: dict[int, int] = {}
         self._unflushed: set[int] = set()
 
-    # ------------------------------------------------------------------
-    # Sizing
-    # ------------------------------------------------------------------
-
     def reserve(self, num_blocks: int) -> None:
-        """Pre-size the forward map for a ``num_blocks`` device."""
-        self._grow(num_blocks)
+        """Nothing to pre-size: every map holds only rearranged blocks.
 
-    def _grow(self, size: int) -> None:
-        missing = size - len(self._forward)
-        if missing > 0:
-            # A C-level repeat, never an n-element Python list.  An empty
-            # map takes the new array as is, so reserving a device peaks
-            # at one copy of it.
-            tail = array("i", [_ABSENT]) * missing
-            if self._forward:
-                self._forward += tail
-            else:
-                self._forward = tail
+        :class:`~repro.driver.driver.AdaptiveDiskDriver` still announces
+        its device size here once at set-up, the call perfbench times as
+        its ``setup.blocktable`` layer.
+        """
 
     # ------------------------------------------------------------------
     # In-memory operations
@@ -115,18 +95,11 @@ class BlockTable:
         return len(self._order)
 
     def __contains__(self, original_block: int) -> bool:
-        forward = self._forward
-        return (
-            0 <= original_block < len(forward)
-            and forward[original_block] != _ABSENT
-        )
+        return original_block in self._forward
 
     def reserved_of(self, original_block: int) -> int:
         """Reserved-area home of ``original_block``, or ``-1`` (hot path)."""
-        forward = self._forward
-        if 0 <= original_block < len(forward):
-            return forward[original_block]
-        return _ABSENT
+        return self._forward.get(original_block, _ABSENT)
 
     def lookup(self, original_block: int) -> BlockTableEntry | None:
         """Entry for ``original_block``, or None if it is not rearranged."""
@@ -153,7 +126,6 @@ class BlockTable:
             )
         if self.capacity is not None and len(self) >= self.capacity:
             raise ValueError("block table is full")
-        self._grow(original_block + 1)
         self._forward[original_block] = reserved_block
         self._reverse[reserved_block] = original_block
         self._order[original_block] = self._next_seq
@@ -171,7 +143,7 @@ class BlockTable:
         entry = BlockTableEntry(
             original_block, reserved, original_block in self._dirty
         )
-        self._forward[original_block] = _ABSENT
+        del self._forward[original_block]
         del self._reverse[reserved]
         self._dirty.discard(original_block)
         del self._order[original_block]
@@ -210,9 +182,7 @@ class BlockTable:
         self._drop_memory()
 
     def _drop_memory(self) -> None:
-        forward = self._forward
-        for block in self._order:
-            forward[block] = _ABSENT
+        self._forward.clear()
         self._unflushed.update(self._order)
         self._order.clear()
         self._reverse.clear()
@@ -279,7 +249,6 @@ class BlockTable:
         self._drop_memory()
         self._unflushed.clear()
         for original, (reserved, __) in self._disk_map.items():
-            self._grow(original + 1)
             self._forward[original] = reserved
             self._reverse[reserved] = original
             self._dirty.add(original)
@@ -290,119 +259,3 @@ class BlockTable:
             # updates dirty bits in place without reordering.
             self._disk_seq[original] = seq
             self._unflushed.add(original)
-
-
-@dataclass
-class DictBlockTable:
-    """The original dict-of-entries block table (reference implementation).
-
-    Semantically identical to :class:`BlockTable`; kept as the executable
-    specification for the equivalence tests.  Unlike the array-backed
-    table, :meth:`entries`/:meth:`lookup` return the *live* entry objects.
-    """
-
-    capacity: int | None = None
-    _by_original: dict[int, BlockTableEntry] = field(default_factory=dict)
-    _by_reserved: dict[int, int] = field(default_factory=dict)
-    _disk_copy: dict[int, tuple[int, bool]] = field(default_factory=dict)
-
-    def reserve(self, num_blocks: int) -> None:
-        """No-op: the dicts hold only rearranged blocks."""
-
-    # ------------------------------------------------------------------
-    # In-memory operations
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._by_original)
-
-    def __contains__(self, original_block: int) -> bool:
-        return original_block in self._by_original
-
-    def reserved_of(self, original_block: int) -> int:
-        entry = self._by_original.get(original_block)
-        return _ABSENT if entry is None else entry.reserved_block
-
-    def lookup(self, original_block: int) -> BlockTableEntry | None:
-        """Entry for ``original_block``, or None if it is not rearranged."""
-        return self._by_original.get(original_block)
-
-    def original_of(self, reserved_block: int) -> int | None:
-        """Original home of the block stored at ``reserved_block``."""
-        return self._by_reserved.get(reserved_block)
-
-    def add(self, original_block: int, reserved_block: int) -> BlockTableEntry:
-        """Register a block just copied into the reserved area (clean)."""
-        if original_block in self._by_original:
-            raise ValueError(f"block {original_block} is already rearranged")
-        if reserved_block in self._by_reserved:
-            raise ValueError(
-                f"reserved block {reserved_block} is already occupied"
-            )
-        if self.capacity is not None and len(self) >= self.capacity:
-            raise ValueError("block table is full")
-        entry = BlockTableEntry(original_block, reserved_block)
-        self._by_original[original_block] = entry
-        self._by_reserved[reserved_block] = original_block
-        return entry
-
-    def remove(self, original_block: int) -> BlockTableEntry:
-        """Drop the entry for a block moved back to its original home."""
-        try:
-            entry = self._by_original.pop(original_block)
-        except KeyError:
-            raise KeyError(
-                f"block {original_block} is not in the block table"
-            ) from None
-        del self._by_reserved[entry.reserved_block]
-        return entry
-
-    def mark_dirty(self, original_block: int) -> None:
-        """Record that the reserved-area copy has been updated."""
-        entry = self._by_original.get(original_block)
-        if entry is None:
-            raise KeyError(f"block {original_block} is not in the block table")
-        entry.dirty = True
-
-    def entries(self) -> list[BlockTableEntry]:
-        """All entries, in insertion order."""
-        return list(self._by_original.values())
-
-    def dirty_entries(self) -> list[BlockTableEntry]:
-        return [entry for entry in self._by_original.values() if entry.dirty]
-
-    def occupied_reserved_blocks(self) -> set[int]:
-        return set(self._by_reserved)
-
-    def clear(self) -> None:
-        self._by_original.clear()
-        self._by_reserved.clear()
-
-    # ------------------------------------------------------------------
-    # On-disk copy and crash recovery
-    # ------------------------------------------------------------------
-
-    def write_to_disk(self) -> None:
-        """Flush the current table to its reserved-area disk copy."""
-        self._disk_copy = {
-            entry.original_block: (entry.reserved_block, entry.dirty)
-            for entry in self._by_original.values()
-        }
-
-    def disk_copy(self) -> dict[int, tuple[int, bool]]:
-        """A snapshot view of the on-disk table (for tests/inspection)."""
-        return dict(self._disk_copy)
-
-    def crash(self) -> None:
-        """Simulate a system crash: the in-memory table is lost."""
-        self._by_original.clear()
-        self._by_reserved.clear()
-
-    def recover(self) -> None:
-        """Rebuild the in-memory table from the disk copy after a crash."""
-        self._by_original.clear()
-        self._by_reserved.clear()
-        for original, (reserved, __) in self._disk_copy.items():
-            entry = BlockTableEntry(original, reserved, dirty=True)
-            self._by_original[original] = entry
-            self._by_reserved[reserved] = original

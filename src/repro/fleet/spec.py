@@ -47,9 +47,6 @@ class FleetSpec:
     counter: str = "spacesaving"
     """Analyzer counter strategy; the bounded sketch by default, so
     per-device analyzer state stays O(capacity) on large disks."""
-    analyzer_capacity: int | None = None
-    placement_policy: str = "organ-pipe"
-    queue_policy: str = "scan"
     policy: RearrangementPolicy | str | None = None
     """Per-device rearrangement policy (instance or ``"nightly"`` /
     ``"online"`` / ``"off"`` shorthand).  ``None`` keeps the nightly

@@ -48,19 +48,6 @@ _WORK_EVENTS = (JobStart, StepIssue, DeviceComplete)
 """Event kinds that represent outstanding workload (periodic daemon fires
 do not keep the simulation alive by themselves)."""
 
-FAST_OVERRIDE: bool | None = None
-"""Process-wide override for :class:`Simulation`'s ``fast`` flag.
-
-``None`` (the default) leaves each constructor's ``fast`` argument in
-charge.  Setting ``True``/``False`` forces every subsequently constructed
-simulation into or out of the batch kernel — the hook behind the bench
-CLI's ``--no-fast`` flag, which must flip the whole scenario suite
-without threading a knob through every config type.  Worker *processes*
-started with fork (the default wherever it exists) inherit the override;
-under spawn they re-import this module fresh and keep their configured
-``fast`` value.
-"""
-
 _RUN_WALL_NS = 0
 
 
@@ -131,7 +118,7 @@ class Simulation:
         self.events = events if events is not None else EventQueue()
         self.bus = EventBus()
         self.tracer = tracer
-        self.fast = fast if FAST_OVERRIDE is None else FAST_OVERRIDE
+        self.fast = fast
         """Enable the batch kernel (:mod:`repro.sim.vector`): homogeneous
         event stretches are absorbed in a fused loop with bit-identical
         metrics, falling back to scalar dispatch at interaction points."""

@@ -27,7 +27,7 @@ from typing import Sequence
 from ..parallel import fan_out, spawn_seeds
 from ..parallel import resolve_workers as resolve_workers  # re-export
 from ..core.analyzer import ReferenceStreamAnalyzer
-from ..core.counters import COUNTER_STRATEGIES, DEFAULT_FADING
+from ..core.counters import COUNTER_STRATEGIES
 from ..core.arranger import BlockArranger
 from ..core.controller import RearrangementController
 from ..core.placement import make_policy
@@ -66,16 +66,11 @@ class ExperimentConfig:
     num_blocks: int | None = None  # blocks rearranged nightly; default: paper
     placement_policy: str = "organ-pipe"
     queue_policy: str = "scan"
-    analyzer_capacity: int | None = None
-    analyzer_heuristic: str = "space-saving"
     counter: str = "exact"
     """Analyzer counter strategy: ``"exact"`` (the paper's full per-block
-    counts) or ``"spacesaving"`` (bounded top-k sketch with day-to-day
-    count fading; see :mod:`repro.core.counters`)."""
-    counter_fading: float | None = None
-    """Day-to-day count-aging factor for the ``spacesaving`` counter;
-    ``None`` uses the default (:data:`repro.core.counters.DEFAULT_FADING`).
-    Ignored by the ``exact`` counter."""
+    counts) or ``"spacesaving"`` (bounded top-k sketch, four times the
+    nightly block count, with day-to-day count fading; see
+    :mod:`repro.core.counters`)."""
     monitor_capacity: int = 65536
     seed: int = 1993
     reserved_center: bool = True  # False: reserved area at the disk edge
@@ -111,29 +106,19 @@ class ExperimentConfig:
         """The :attr:`policy` as a policy instance (``None`` → nightly)."""
         return resolve_policy(self.policy)
 
-    def resolved_analyzer_capacity(self) -> int | None:
-        """The analyzer's list/sketch size.
-
-        The exact counter defaults to unbounded (the paper's setup); the
-        ``spacesaving`` sketch needs a bound, defaulting to four times the
-        nightly rearrangement count (at least ``MIN_SKETCH_CAPACITY``).
-        """
-        return _sketch_capacity(
-            self.counter, self.analyzer_capacity, self.resolved_num_blocks()
-        )
-
 
 def _paper(table: dict[str, int], disk: str, value: int | None) -> int:
     """``value``, or the paper's choice for ``disk`` when it is ``None``."""
     return table[disk] if value is None else value
 
 
-def _sketch_capacity(
-    counter: str, capacity: int | None, num_blocks: int
-) -> int | None:
-    if capacity is None and counter == "spacesaving":
+def _sketch_capacity(counter: str, num_blocks: int) -> int | None:
+    """The analyzer's list size: unbounded for the exact counter (the
+    paper's setup); for the ``spacesaving`` sketch four times the nightly
+    block count, at least :data:`MIN_SKETCH_CAPACITY`."""
+    if counter == "spacesaving":
         return max(MIN_SKETCH_CAPACITY, 4 * num_blocks)
-    return capacity
+    return None
 
 
 def make_partition(label: DiskLabel, profile: WorkloadProfile):
@@ -197,9 +182,6 @@ def build_rig(
     placement_policy: str = "organ-pipe",
     queue_policy: str = "scan",
     counter: str = "exact",
-    analyzer_capacity: int | None = None,
-    analyzer_heuristic: str = "space-saving",
-    counter_fading: float | None = None,
     policy: RearrangementPolicy | str | None = None,
     faults: FaultPlan | None = None,
     monitor_capacity: int | None = None,
@@ -234,10 +216,7 @@ def build_rig(
         ioctl=ioctl,
         policy=resolve_policy(policy),
         analyzer=ReferenceStreamAnalyzer(
-            capacity=_sketch_capacity(counter, analyzer_capacity, blocks),
-            heuristic=analyzer_heuristic,
-            counter=counter,
-            fading=DEFAULT_FADING if counter_fading is None else counter_fading,
+            capacity=_sketch_capacity(counter, blocks), counter=counter
         ),
         arranger=BlockArranger(ioctl, policy=make_policy(placement_policy)),
         max_error_rate=faults.degrade_threshold if faults is not None else None,
@@ -343,9 +322,6 @@ class Experiment:
             placement_policy=config.placement_policy,
             queue_policy=config.queue_policy,
             counter=config.counter,
-            analyzer_capacity=config.analyzer_capacity,
-            analyzer_heuristic=config.analyzer_heuristic,
-            counter_fading=config.counter_fading,
             policy=config.policy,
             faults=config.faults,
             monitor_capacity=config.monitor_capacity,

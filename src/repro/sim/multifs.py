@@ -66,10 +66,7 @@ class MultiFSExperiment:
         self,
         specs: list[FileSystemSpec],
         disk: str = "toshiba",
-        reserved_cylinders: int | None = None,
         num_blocks: int | None = None,
-        placement_policy: str = "organ-pipe",
-        queue_policy: str = "scan",
         tracer: Tracer = NULL_TRACER,
         fast: bool = True,
     ) -> None:
@@ -79,13 +76,7 @@ class MultiFSExperiment:
             raise ValueError("need at least one file system")
         if sum(spec.fraction for spec in specs) > 1.0 + 1e-9:
             raise ValueError("partition fractions exceed the disk")
-        rig = self.rig = build_rig(
-            disk,
-            reserved_cylinders=reserved_cylinders,
-            num_blocks=num_blocks,
-            placement_policy=placement_policy,
-            queue_policy=queue_policy,
-        )
+        rig = self.rig = build_rig(disk, num_blocks=num_blocks)
         self.model, self.label = rig.model, rig.label
         self.driver, self.controller = rig.driver, rig.controller
         self.num_blocks = rig.num_blocks
@@ -174,18 +165,11 @@ class DiskSpec:
     profile: WorkloadProfile
     name: str | None = None  # device name; default "<model><index>"
     seed: int = 1993
-    reserved_cylinders: int | None = None  # default: the paper's choice
     num_blocks: int | None = None  # rearranged nightly; default: paper
-    placement_policy: str = "organ-pipe"
-    queue_policy: str = "scan"
     counter: str = "exact"
     """Analyzer counter strategy (``"exact"`` or ``"spacesaving"``); the
     fleet runner uses the bounded sketch so per-device analyzer state does
     not scale with the multi-million-block device size."""
-    analyzer_capacity: int | None = None
-    """Sketch size for ``counter="spacesaving"``; default is four times
-    the nightly rearrangement count (see
-    :func:`~repro.sim.experiment.build_rig`)."""
     shared_hot: SharedHotSet | None = None
     """Fleet-wide shared hot content overlaid on the device's private
     popularity draw (see :class:`repro.workload.tenancy.SharedHotSet`)."""
@@ -234,12 +218,8 @@ class MultiDiskExperiment:
             rig = build_rig(
                 spec.disk,
                 name=name,
-                reserved_cylinders=spec.reserved_cylinders,
                 num_blocks=spec.num_blocks,
-                placement_policy=spec.placement_policy,
-                queue_policy=spec.queue_policy,
                 counter=spec.counter,
-                analyzer_capacity=spec.analyzer_capacity,
                 policy=spec.policy,
             )
             partition = rig.label.add_partition(

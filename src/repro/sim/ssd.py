@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..core.counters import DEFAULT_FADING, SpaceSavingSketch
+from ..core.counters import SpaceSavingSketch
 from ..disk.label import DiskLabel
 from ..disk.models import PAPER_RESERVED_CYLINDERS, DiskModel, disk_model
 from ..driver.ftl import GC_POLICIES, FtlDriver, flash_model
@@ -35,6 +35,11 @@ from .engine import Simulation
 from .experiment import make_partition
 
 __all__ = ["SsdConfig", "SsdDayResult", "SsdExperiment"]
+
+SEPARATION_SKETCH_CAPACITY = 4096
+"""Space-Saving sketch size for hot/cold separation.  Must comfortably
+exceed the day's distinct written pages: a saturated sketch inherits
+evicted counts, classifying cold pages as hot and erasing the benefit."""
 
 
 @dataclass(frozen=True)
@@ -53,20 +58,10 @@ class SsdConfig:
     nightly) enables adaptive separation from the frequency sketch."""
     cmt_capacity: int = 8192
     gc_policy: str = "greedy"
-    gc_low_blocks: int = 8
-    gc_high_blocks: int = 16
     hot_threshold: int = 2
-    sketch_capacity: int = 4096
-    """Space-Saving sketch size for separation.  Must comfortably exceed
-    the day's distinct written pages: a saturated sketch inherits evicted
-    counts, classifying cold pages as hot and erasing the benefit."""
-    counter_fading: float | None = None
-    """Day-to-day count-aging factor for the separation sketch; ``None``
-    uses :data:`repro.core.counters.DEFAULT_FADING`."""
     precondition: bool = True
     """Age the drive before day 0 so the measured days garbage-collect
     (a fresh drive never GCs inside a short window)."""
-    precondition_free_blocks: int | None = None
 
     def __post_init__(self) -> None:
         flash_model(self.flash)
@@ -87,7 +82,7 @@ class SsdConfig:
         return self.resolved_policy().kind != "off"
 
     def payload(self) -> dict:
-        """Canonical JSON-ready form for digests."""
+        """Canonical JSON-ready form of the settings."""
         return {
             "profile": self.profile.name,
             "flash": self.flash,
@@ -97,10 +92,7 @@ class SsdConfig:
             "separation": self.separation,
             "cmt_capacity": self.cmt_capacity,
             "gc_policy": self.gc_policy,
-            "gc_low_blocks": self.gc_low_blocks,
-            "gc_high_blocks": self.gc_high_blocks,
             "hot_threshold": self.hot_threshold,
-            "sketch_capacity": self.sketch_capacity,
         }
 
 
@@ -173,21 +165,12 @@ class SsdExperiment:
         partition = make_partition(self.label, profile)
         sketch = None
         if config.separation:
-            sketch = SpaceSavingSketch(
-                capacity=config.sketch_capacity,
-                fading=(
-                    config.counter_fading
-                    if config.counter_fading is not None
-                    else DEFAULT_FADING
-                ),
-            )
+            sketch = SpaceSavingSketch(capacity=SEPARATION_SKETCH_CAPACITY)
         self.driver = FtlDriver(
             geometry=flash_model(config.flash),
             logical_pages=self.label.virtual_total_blocks,
             cmt_capacity=config.cmt_capacity,
             gc_policy=config.gc_policy,
-            gc_low_blocks=config.gc_low_blocks,
-            gc_high_blocks=config.gc_high_blocks,
             separation=config.separation,
             hot_threshold=config.hot_threshold,
             sketch=sketch,
@@ -195,10 +178,7 @@ class SsdExperiment:
         )
         self.driver.attach()
         if config.precondition:
-            self.driver.precondition(
-                seed=config.seed,
-                target_free_blocks=config.precondition_free_blocks,
-            )
+            self.driver.precondition(seed=config.seed)
         self.generator = WorkloadGenerator(
             profile=profile,
             partition=partition,

@@ -22,8 +22,10 @@ from repro.disk.models import (
     TOSHIBA_MK156F,
     disk_model,
 )
-from repro.sim import ExperimentConfig, Simulation, run_onoff_campaign
-from repro.sim.multifs import DiskSpec
+from repro.fleet import FleetSpec
+from repro.sim import ExperimentConfig, Simulation, engine, run_onoff_campaign
+from repro.sim.experiment import build_rig
+from repro.sim.multifs import DiskSpec, FileSystemSpec, MultiFSExperiment
 from repro.workload.profiles import SYSTEM_FS_PROFILE, profile_for_disk
 
 
@@ -143,7 +145,59 @@ REMOVED_NAMES = {
         AttributeError,
         lambda: DiskSpec(disk="toshiba", profile=SYSTEM_FS_PROFILE).num_rearranged,
     ),
+    "config.resolved_analyzer_capacity": (
+        AttributeError,
+        lambda: ExperimentConfig(
+            profile=SYSTEM_FS_PROFILE
+        ).resolved_analyzer_capacity(),
+    ),
+    "engine.FAST_OVERRIDE": (AttributeError, lambda: engine.FAST_OVERRIDE),
 }
+
+# Run knobs that no caller ever set to anything but their default: each
+# is now the constant every caller used, and its keyword is gone.
+_DEAD_KNOBS = {
+    "ExperimentConfig": (
+        lambda **kw: ExperimentConfig(profile=SYSTEM_FS_PROFILE, **kw),
+        {"analyzer_heuristic": "lru", "counter_fading": 0.5,
+         "analyzer_capacity": 64},
+    ),
+    "build_rig": (
+        lambda **kw: build_rig("toshiba", **kw),
+        {"analyzer_heuristic": "lru", "counter_fading": 0.5,
+         "analyzer_capacity": 64},
+    ),
+    "DiskSpec": (
+        lambda **kw: DiskSpec(disk="toshiba", profile=SYSTEM_FS_PROFILE, **kw),
+        {"reserved_cylinders": 10, "placement_policy": "serial",
+         "queue_policy": "fcfs", "analyzer_capacity": 64},
+    ),
+    "MultiFSExperiment": (
+        lambda **kw: MultiFSExperiment(
+            [FileSystemSpec(SYSTEM_FS_PROFILE, 1.0)], **kw
+        ),
+        {"reserved_cylinders": 10, "placement_policy": "serial",
+         "queue_policy": "fcfs"},
+    ),
+    "FleetSpec": (
+        lambda **kw: FleetSpec(**kw),
+        {"analyzer_capacity": 64, "placement_policy": "serial",
+         "queue_policy": "fcfs"},
+    ),
+    "SsdConfig": (
+        lambda **kw: SsdConfig(profile=SYSTEM_FS_PROFILE, **kw),
+        {"gc_low_blocks": 4, "gc_high_blocks": 12, "sketch_capacity": 512,
+         "counter_fading": 0.5, "precondition_free_blocks": 20},
+    ),
+}
+for _owner, (_build, _knobs) in _DEAD_KNOBS.items():
+    for _name, _value in _knobs.items():
+        REMOVED_NAMES[f"{_owner}-{_name}"] = (
+            TypeError,
+            lambda build=_build, name=_name, value=_value: build(
+                **{name: value}
+            ),
+        )
 
 
 class TestRemovedAliases:

@@ -12,15 +12,17 @@ from repro.bench.runner import (
     compare_reports,
     load_baseline,
     run_scenario,
+    run_suite,
     write_baseline,
 )
 from repro.bench.scenarios import SCENARIOS, Scenario, ScenarioResult
+from repro.cli import main
 
 BASELINE_PATH = Path(__file__).parent.parent / "benchmarks/results/baseline.json"
 
 
 def tiny_scenario(name="tiny", payload=None):
-    def run(quick):
+    def run(quick, fast=True):
         return ScenarioResult(
             payload=payload or {"value": 7}, events=10, requests=5
         )
@@ -77,7 +79,7 @@ class TestRunScenario:
     def test_nondeterminism_in_memory_pass_is_caught(self):
         payloads = iter([{"value": 1}, {"value": 2}])
 
-        def run(quick):
+        def run(quick, fast=True):
             return ScenarioResult(
                 payload=next(payloads), events=1, requests=1
             )
@@ -85,6 +87,38 @@ class TestRunScenario:
         scenario = Scenario("flaky", "changes output", run)
         with pytest.raises(BenchError, match="nondeterministic"):
             run_scenario(scenario, quick=True, calibration=1.0)
+
+
+class TestFastSwitch:
+    """``--no-fast`` is an argument handed to every scenario run, not
+    process state."""
+
+    def test_suite_hands_fast_to_timed_and_memory_runs(self):
+        seen = []
+
+        def run(quick, fast=True):
+            seen.append(fast)
+            return ScenarioResult(payload={"value": 7}, events=1, requests=1)
+
+        run_suite(
+            [Scenario("probe", "records fast", run)],
+            quick=True,
+            repeat=2,
+            fast=False,
+        )
+        assert seen == [False, False, False]  # two timed runs + memory pass
+
+    @pytest.mark.parametrize("flag, fast", [([], True), (["--no-fast"], False)])
+    def test_cli_flag_becomes_the_argument(self, monkeypatch, tmp_path, flag, fast):
+        import repro.bench
+
+        calls = []
+        monkeypatch.setattr(
+            repro.bench, "run_suite", lambda *a, **kw: calls.append(kw) or []
+        )
+        argv = ["bench", "--quick", "--scenarios", "standard_day"]
+        assert main(argv + ["--out", str(tmp_path)] + flag) == 0
+        assert [kw["fast"] for kw in calls] == [fast]
 
 
 class TestCompareGate:

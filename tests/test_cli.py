@@ -53,6 +53,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "time reduction" in out
 
+    def test_sweep_has_no_workers_option(self):
+        """``sweep`` always chains its days through one campaign (the
+        paper's Figure 8 method); independent two-day points would print
+        different numbers, so no worker count may select them."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--workers", "2"])
+
     def test_workload_and_replay_roundtrip(self, capsys, tmp_path):
         trace = tmp_path / "day.trace"
         code = main(

@@ -279,11 +279,10 @@ class TestRunFleet:
             seed=bad_task.seed,
             specs=tuple(
                 type(s)(
-                    disk="toshiba",
+                    disk="floppy",  # invalid: construction fails
                     profile=s.profile,
                     name=s.name,
                     seed=s.seed,
-                    reserved_cylinders=-1,  # invalid: construction fails
                 )
                 for s in bad_task.specs
             ),
