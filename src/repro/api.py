@@ -276,6 +276,7 @@ def run_fleet(
     on_error: str = "raise",
     chaos=None,
     chunk_size: int | None = None,
+    fast: bool = True,
     **overrides: object,
 ) -> FleetResult:
     """Run a multi-device fleet experiment; see ``docs/fleet.md``.
@@ -296,7 +297,9 @@ def run_fleet(
     retries, seeded backoff); ``on_error`` is ``"raise"``/``"skip"``/
     ``"degrade"``; ``chaos`` injects a
     :class:`~repro.faults.ChaosPlan` of worker-level faults.  See
-    ``docs/resilience.md``.  Remaining keywords pass through to
+    ``docs/resilience.md``.  ``fast=False`` runs every device on the
+    scalar engine; the digest is the same.  Remaining keywords pass
+    through to
     :class:`FleetSpec` (``num_blocks=``, ``counter=``, ``schedule=``,
     ``tenancy=`` for a full
     :class:`~repro.workload.tenancy.TenancySpec`, ...).
@@ -331,6 +334,7 @@ def run_fleet(
         on_error=on_error,
         chaos=chaos,
         chunk_size=chunk_size,
+        fast=fast,
     )
 
 
@@ -340,6 +344,7 @@ def run_bench(
     quick: bool = False,
     repeat: int = 1,
     measure_memory: bool = True,
+    fast: bool = True,
 ) -> list[BenchReport]:
     """Run the benchmark suite; one :class:`BenchReport` per scenario.
 
@@ -348,9 +353,15 @@ def run_bench(
     best wall-clock of N runs and verifies the metrics digest does not
     change between them.  ``measure_memory`` adds one untimed run per
     scenario under ``tracemalloc`` and records the peak allocation in
-    :attr:`BenchReport.peak_mem_bytes`.  See ``docs/benchmarking.md``.
+    :attr:`BenchReport.peak_mem_bytes`.  ``fast=False`` runs every
+    scenario on the scalar engine (the bench CLI's ``--no-fast``); the
+    digests are the same.  See ``docs/benchmarking.md``.
     """
     selected = get_scenarios(list(scenarios) if scenarios else None)
     return run_suite(
-        selected, quick=quick, repeat=repeat, measure_memory=measure_memory
+        selected,
+        quick=quick,
+        repeat=repeat,
+        measure_memory=measure_memory,
+        fast=fast,
     )

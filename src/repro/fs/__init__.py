@@ -5,6 +5,7 @@ from .allocator import (
     AllocationError,
     CylinderGroup,
     FFSAllocator,
+    FreeMap,
 )
 from .buffercache import BufferCache
 from .ufs import (
@@ -23,6 +24,7 @@ __all__ = [
     "FFSAllocator",
     "FileSystem",
     "FileSystemError",
+    "FreeMap",
     "INODES_PER_BLOCK",
     "Inode",
 ]

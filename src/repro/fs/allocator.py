@@ -24,6 +24,8 @@ system layer (:mod:`repro.fs.ufs`) shifts them by the partition offset.
 
 from __future__ import annotations
 
+import mmap
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 DEFAULT_CYLINDERS_PER_GROUP = 16
@@ -35,6 +37,17 @@ class AllocationError(Exception):
     """Raised when the allocator cannot satisfy a request."""
 
 
+_FREE = b"\x00"
+
+
+def _zeroed_map(size: int) -> mmap.mmap:
+    """``size`` zero bytes in an anonymous memory map that a forked child
+    copies on write, as it does ordinary memory."""
+    if hasattr(mmap, "MAP_PRIVATE"):
+        return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    return mmap.mmap(-1, size)  # Windows: no fork, and the map is private
+
+
 class FreeMap:
     """Byte-per-block free map for one group's data area.
 
@@ -42,18 +55,36 @@ class FreeMap:
     and remove stay O(1), but the footprint is one byte per block instead
     of a hashed ``int`` object — the difference between ~150 MB and ~2 MB
     of allocator state on a two-million-block device.
+
+    The map is a window (first block, size, free count) onto a byte
+    buffer in which 0 marks a free block and 1 a used one.
+    :class:`FFSAllocator` gives every group a window onto one buffer over
+    the whole partition, indexed by partition block number; a map built
+    on its own gets a buffer of its own.  A new window is all free.
     """
 
-    __slots__ = ("_first", "_bits", "count")
+    __slots__ = ("_bits", "_base", "_lo", "_hi", "count")
 
-    def __init__(self, first_block: int, size: int) -> None:
-        self._first = first_block
-        self._bits = bytearray(b"\x01" * size)
+    def __init__(
+        self,
+        first_block: int,
+        size: int,
+        bits: bytearray | mmap.mmap | None = None,
+    ) -> None:
+        if bits is None:
+            bits = bytearray(size)
+            base = first_block
+        else:
+            base = 0
+        self._bits = bits
+        self._base = base  # block number of bits[0]
+        self._lo = first_block - base
+        self._hi = self._lo + size
         self.count = size
 
     def __contains__(self, block: int) -> bool:
-        index = block - self._first
-        return 0 <= index < len(self._bits) and bool(self._bits[index])
+        index = block - self._base
+        return self._lo <= index < self._hi and self._bits[index] == 0
 
     def __len__(self) -> int:
         return self.count
@@ -62,11 +93,11 @@ class FreeMap:
         return self.count > 0
 
     def remove(self, block: int) -> None:
-        self._bits[block - self._first] = 0
+        self._bits[block - self._base] = 1
         self.count -= 1
 
     def add(self, block: int) -> None:
-        self._bits[block - self._first] = 1
+        self._bits[block - self._base] = 0
         self.count += 1
 
     def next_free_index(self, start: int, stop: int | None = None) -> int:
@@ -75,37 +106,74 @@ class FreeMap:
 
         Runs as a C-level byte search, which is what keeps the forward
         scan of ``allocate_near`` affordable on million-block groups."""
-        if stop is None:
-            stop = len(self._bits)
-        return self._bits.find(1, start, stop)
+        lo = self._lo
+        index = self._bits.find(
+            _FREE, lo + start, self._hi if stop is None else lo + stop
+        )
+        return index - lo if index >= 0 else -1
+
+    def take_run(self, count: int, step: int) -> int:
+        """Claim the first free block and the ``count - 1`` slots ``step``
+        apart after it, if all of them lie in the window and are free.
+
+        Returns the first block, or -1 having claimed nothing.  These are
+        the blocks ``count`` calls of :meth:`CylinderGroup.allocate_near`
+        take for a new file: each call finds the slot one rotational gap
+        on free, so the per-block scan reduces to one strided slice."""
+        if self.count < count:
+            return -1
+        bits = self._bits
+        first = bits.find(_FREE, self._lo, self._hi)
+        stop = first + (count - 1) * step + 1
+        if stop > self._hi:
+            return -1
+        run = slice(first, stop, step)
+        if 1 in bits[run]:
+            return -1
+        bits[run] = b"\x01" * count
+        self.count -= count
+        return first + self._base
 
 
-@dataclass
 class CylinderGroup:
     """One cylinder group: an inode area followed by a data area."""
 
-    index: int
-    first_block: int
-    num_blocks: int
-    inode_blocks: int
+    __slots__ = (
+        "index",
+        "first_block",
+        "num_blocks",
+        "inode_blocks",
+        "data_first_block",
+        "end_block",
+        "free",
+    )
 
-    free: FreeMap = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.inode_blocks >= self.num_blocks:
+    def __init__(
+        self,
+        index: int,
+        first_block: int,
+        num_blocks: int,
+        inode_blocks: int,
+        free: FreeMap | None = None,
+    ) -> None:
+        if inode_blocks >= num_blocks:
             raise ValueError("inode area must leave room for data blocks")
-        if self.free is None:
-            self.free = FreeMap(
-                self.data_first_block, self.num_blocks - self.inode_blocks
-            )
+        self.index = index
+        self.first_block = first_block
+        self.num_blocks = num_blocks
+        self.inode_blocks = inode_blocks
+        self.data_first_block = first_block + inode_blocks
+        self.end_block = first_block + num_blocks
+        if free is None:
+            free = FreeMap(self.data_first_block, num_blocks - inode_blocks)
+        self.free = free
 
-    @property
-    def data_first_block(self) -> int:
-        return self.first_block + self.inode_blocks
-
-    @property
-    def end_block(self) -> int:
-        return self.first_block + self.num_blocks
+    def __repr__(self) -> str:
+        return (
+            f"CylinderGroup(index={self.index}, "
+            f"first_block={self.first_block}, num_blocks={self.num_blocks}, "
+            f"inode_blocks={self.inode_blocks}, free_count={self.free_count})"
+        )
 
     @property
     def free_count(self) -> int:
@@ -148,51 +216,63 @@ class CylinderGroup:
 
 @dataclass
 class FFSAllocator:
-    """Cylinder-group allocator over a partition of ``total_blocks``."""
+    """Cylinder-group allocator over a partition of ``total_blocks``.
+
+    One free map covers the partition, and every group's :class:`FreeMap`
+    is a window onto it; the inode areas and a tail too short to be a
+    group lie in no window.  The map is an anonymous private memory map
+    rather than a ``bytearray``: a ``bytearray`` is written in full when
+    it is made, which commits every page of a two-million-block device,
+    while a fresh map reads as zeros (all free) and commits a page only
+    when a block on it is first allocated.
+    """
 
     total_blocks: int
     blocks_per_cylinder: int
     cylinders_per_group: int = DEFAULT_CYLINDERS_PER_GROUP
     inode_blocks_per_group: int = DEFAULT_INODE_BLOCKS_PER_GROUP
     interleave: int = DEFAULT_INTERLEAVE
-    groups: list[CylinderGroup] = field(default_factory=list)
+    groups: list[CylinderGroup] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.total_blocks <= 0:
             raise ValueError("partition must contain at least one block")
-        if self.groups:
-            return
         group_blocks = self.blocks_per_cylinder * self.cylinders_per_group
-        if group_blocks <= self.inode_blocks_per_group:
+        inode_blocks = self.inode_blocks_per_group
+        if group_blocks <= inode_blocks:
             raise ValueError("cylinder group too small for its inode area")
-        first = 0
-        index = 0
-        while first < self.total_blocks:
-            size = min(group_blocks, self.total_blocks - first)
-            if size <= self.inode_blocks_per_group:
-                break  # tail too small to be a group; leave unallocated
-            self.groups.append(
-                CylinderGroup(
-                    index=index,
-                    first_block=first,
-                    num_blocks=size,
-                    inode_blocks=self.inode_blocks_per_group,
-                )
-            )
-            first += size
-            index += 1
-        if not self.groups:
+        full, tail = divmod(self.total_blocks, group_blocks)
+        sizes = [group_blocks] * full
+        if tail > inode_blocks:  # a shorter tail is left unallocated
+            sizes.append(tail)
+        if not sizes:
             raise ValueError("partition too small for any cylinder group")
+        bits = _zeroed_map(self.total_blocks)
+        self.groups = [
+            CylinderGroup(
+                index,
+                index * group_blocks,
+                size,
+                inode_blocks,
+                FreeMap(
+                    index * group_blocks + inode_blocks,
+                    size - inode_blocks,
+                    bits,
+                ),
+            )
+            for index, size in enumerate(sizes)
+        ]
+        self._group_blocks = group_blocks
+        self._end_block = self.groups[-1].end_block
 
     @property
     def num_groups(self) -> int:
         return len(self.groups)
 
     def group_of_block(self, block: int) -> CylinderGroup:
-        for group in self.groups:
-            if group.first_block <= block < group.end_block:
-                return group
-        raise ValueError(f"block {block} is outside every cylinder group")
+        if not 0 <= block < self._end_block:
+            raise ValueError(f"block {block} is outside every cylinder group")
+        return self.groups[block // self._group_blocks]
 
     def _group_with_space(self, preferred: int, needed: int) -> CylinderGroup:
         """Preferred group if it has room, else the next group that does."""
@@ -208,11 +288,36 @@ class FFSAllocator:
     ) -> list[int]:
         """Allocate ``num_blocks`` for a new file, interleaved, preferring
         the hinted cylinder group and spilling to later groups when full."""
-        if num_blocks <= 0:
-            raise ValueError("num_blocks must be positive")
+        return next(self.allocate_files((num_blocks,), group_hint))
+
+    def allocate_files(
+        self, sizes: Iterable[int], group_hint: int = 0
+    ) -> Iterator[list[int]]:
+        """Blocks for new files of ``sizes`` blocks in one directory, one
+        list per file, each claimed as it is yielded.
+
+        The same blocks, in the same order, as one
+        :meth:`allocate_file_blocks` call per file.  A file whose run
+        from the head of the hinted group's data area is all free is
+        taken with one strided slice (:meth:`FreeMap.take_run`); any
+        other walks :meth:`CylinderGroup.allocate_near` block by block.
+        """
+        group = self.groups[group_hint % self.num_groups]
+        take_run = group.free.take_run
+        step = 1 + self.interleave
+        for size in sizes:
+            if size <= 0:
+                raise ValueError("num_blocks must be positive")
+            first = take_run(size, step)
+            if first >= 0:
+                yield list(range(first, first + size * step, step))
+            else:
+                yield self._allocate_near_each(size, group.index)
+
+    def _allocate_near_each(self, num_blocks: int, hint: int) -> list[int]:
+        """:meth:`allocate_file_blocks` one ``allocate_near`` at a time."""
         blocks: list[int] = []
         remaining = num_blocks
-        hint = group_hint % self.num_groups
         position: int | None = None
         while remaining > 0:
             group = self._group_with_space(hint, 1)

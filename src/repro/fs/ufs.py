@@ -19,6 +19,7 @@ All block numbers exposed by :class:`FileSystem` are *logical device*
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..disk.label import Partition
@@ -107,9 +108,8 @@ class FileSystem:
         blocks as the group fills.
         """
         group = self._allocator.groups[group_hint % self._allocator.num_groups]
-        inode_blocks = group.inode_block_numbers()
-        slot = (inumber // INODES_PER_BLOCK) % len(inode_blocks)
-        return self._to_logical(inode_blocks[slot])
+        slot = (inumber // INODES_PER_BLOCK) % group.inode_blocks
+        return self._to_logical(group.first_block + slot)
 
     # ------------------------------------------------------------------
     # Namespace operations
@@ -130,10 +130,8 @@ class FileSystem:
         if self.directory_placement == "first-fit":
             # The emptiest group, lowest index first: young file systems
             # cluster near the start of the partition.
-            hint = max(
-                range(groups),
-                key=lambda g: (self._allocator.groups[g].free_count, -g),
-            )
+            free = [group.free.count for group in self._allocator.groups]
+            hint = free.index(max(free))
         else:
             hint = int(
                 ((self._next_group * 0.6180339887498949) % 1.0) * groups
@@ -157,11 +155,50 @@ class FileSystem:
         """Create a file ignoring the read-only flag (initial mkfs load)."""
         return self._create(directory, name, num_blocks)
 
-    def _create(self, directory: str, name: str, num_blocks: int) -> Inode:
+    def populate_directory(
+        self, directory: str, files: Iterable[tuple[str, int]]
+    ) -> list[Inode]:
+        """Create ``(name, num_blocks)`` files in ``directory``, ignoring
+        the read-only flag (initial mkfs load).
+
+        The same inodes and blocks as one :meth:`populate_file` per file
+        in order, from one batched allocator call.  A name that is taken
+        (or given twice) fails before any file is created.
+        """
+        dir_entry = self._directory(directory)
+        files = list(files)
+        names = [name for name, __ in files]
+        seen = set(dir_entry.files)
+        for name in names:
+            if name in seen:
+                raise FileSystemError(f"file {directory}/{name} exists")
+            seen.add(name)
+        hint = dir_entry.group_hint
+        start = self.partition.start_block
+        runs = self._allocator.allocate_files(
+            [num_blocks for __, num_blocks in files], group_hint=hint
+        )
+        created: list[Inode] = []
+        for name in names:
+            inumber = self._next_inumber
+            self._next_inumber = inumber + 1
+            inode = Inode(
+                inumber,
+                self._inode_block_for(inumber, hint),
+                [start + block for block in next(runs)],
+            )
+            dir_entry.files[name] = inode
+            created.append(inode)
+        return created
+
+    def _directory(self, name: str) -> Directory:
         try:
-            dir_entry = self.directories[directory]
+            return self.directories[name]
         except KeyError:
-            raise FileSystemError(f"no directory {directory!r}") from None
+            raise FileSystemError(f"no directory {name!r}") from None
+
+    def _create(self, directory: str, name: str, num_blocks: int) -> Inode:
+        dir_entry = self._directory(directory)
         if name in dir_entry.files:
             raise FileSystemError(f"file {directory}/{name} exists")
         inumber = self._next_inumber
@@ -240,14 +277,11 @@ class FileSystem:
         block = self._dir_inode_cache.get(name)
         if block is not None:
             return block
-        try:
-            directory = self.directories[name]
-        except KeyError:
-            raise FileSystemError(f"no directory {name!r}") from None
+        directory = self._directory(name)
         group = self._allocator.groups[
             directory.group_hint % self._allocator.num_groups
         ]
-        block = self._to_logical(group.inode_block_numbers()[0])
+        block = self._to_logical(group.first_block)
         self._dir_inode_cache[name] = block
         return block
 

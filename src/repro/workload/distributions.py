@@ -24,14 +24,29 @@ def zipf_weights(n: int, exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def geometric_run_length(rng: np.random.Generator, mean: float, cap: int) -> int:
-    """A run length >= 1 with the given mean, capped at ``cap``."""
+def _run_length_p(mean: float, cap: int) -> float:
     if mean < 1:
         raise ValueError("mean run length must be at least 1")
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    p = 1.0 / mean
-    return int(min(rng.geometric(p), cap))
+    return 1.0 / mean
+
+
+def geometric_run_length(rng: np.random.Generator, mean: float, cap: int) -> int:
+    """A run length >= 1 with the given mean, capped at ``cap``."""
+    return int(min(rng.geometric(_run_length_p(mean, cap)), cap))
+
+
+def geometric_run_lengths(
+    rng: np.random.Generator, mean: float, cap: int, size: int
+) -> list[int]:
+    """``size`` draws of :func:`geometric_run_length` in one numpy call.
+
+    numpy fills the array one variate at a time with the sampler a
+    scalar call uses, so the values and the generator's state afterwards
+    are those of ``size`` scalar draws."""
+    p = _run_length_p(mean, cap)
+    return np.minimum(rng.geometric(p, size=size), cap).tolist()
 
 
 def top_k_share(counts: list[int] | np.ndarray, k: int) -> float:

@@ -44,6 +44,7 @@ from ..fs.ufs import FileSystem, FileSystemError, Inode
 from ..sim.jobs import Job, Step
 from .distributions import (
     geometric_run_length,
+    geometric_run_lengths,
     poisson_arrivals,
     zipf_weights,
 )
@@ -152,16 +153,23 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------
 
     def _build_initial_tree(self) -> None:
-        for d in range(self.profile.num_directories):
+        """Lay out the directories and files the day starts with.
+
+        Each directory draws its file sizes in one call and is laid out
+        in one call; both give what one draw and one file at a time
+        would, and the generator state matches at every directory."""
+        profile = self.profile
+        names = [f"file{f:03d}" for f in range(profile.files_per_directory)]
+        for d in range(profile.num_directories):
             name = f"dir{d:03d}"
             self.fs.make_directory(name)
-            for f in range(self.profile.files_per_directory):
-                size = geometric_run_length(
-                    self.rng,
-                    self.profile.mean_file_blocks,
-                    self.profile.max_file_blocks,
-                )
-                self.fs.populate_file(name, f"file{f:03d}", size)
+            sizes = geometric_run_lengths(
+                self.rng,
+                profile.mean_file_blocks,
+                profile.max_file_blocks,
+                len(names),
+            )
+            self.fs.populate_directory(name, zip(names, sizes))
 
     def _create_log_file(self) -> Inode:
         """A system log whose blocks receive the cron-spike writes."""

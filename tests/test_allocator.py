@@ -1,5 +1,7 @@
 """Tests for repro.fs.allocator — cylinder groups and interleave."""
 
+import multiprocessing
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +44,24 @@ class TestGroupLayout:
         assert allocator.group_of_block(336).index == 1
         with pytest.raises(ValueError):
             allocator.group_of_block(10**9)
+
+    @pytest.mark.parametrize("tail", [0, 2, 3, 200])
+    def test_group_of_block_matches_a_scan_of_the_groups(self, tail):
+        """The O(1) lookup against a linear scan, on every block of a
+        partition with no tail, a tail too short to be a group (dropped)
+        and a short last group."""
+        allocator = make_allocator(total_blocks=3 * 336 + tail)
+        assert allocator.num_groups == 3 + (tail > 2)
+        for block in range(-2, allocator.total_blocks + 5):
+            owners = [
+                group for group in allocator.groups
+                if group.first_block <= block < group.end_block
+            ]
+            if owners:
+                assert allocator.group_of_block(block) is owners[0]
+            else:
+                with pytest.raises(ValueError, match="outside every"):
+                    allocator.group_of_block(block)
 
 
 class TestInterleave:
@@ -151,6 +171,29 @@ def test_no_block_is_ever_double_allocated(sizes, hints):
         g.num_blocks - g.inode_blocks for g in allocator.groups
     )
     assert allocator.free_blocks + len(allocated) == data_total
+
+
+def _fill(allocator):
+    allocator.allocate_file_blocks(allocator.free_blocks)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs fork",
+)
+def test_forked_child_writes_do_not_reach_the_parent_map():
+    """The partition-wide map is process-private memory: a forked child
+    that fills the file system leaves the parent's map untouched."""
+    allocator = make_allocator(interleave=0)
+    child = multiprocessing.get_context("fork").Process(
+        target=_fill, args=(allocator,)
+    )
+    child.start()
+    child.join(timeout=60)
+    assert not child.is_alive()
+    assert child.exitcode == 0
+    blocks = allocator.allocate_file_blocks(3)
+    assert blocks == [2, 3, 4]
 
 
 class TestCylinderGroupValidation:

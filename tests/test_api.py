@@ -13,6 +13,7 @@ from repro.api import (
     make_config,
     run_bench,
     run_campaign,
+    run_fleet,
     simulate_day,
 )
 from repro.disk.disk import Disk
@@ -103,6 +104,22 @@ class TestFacade:
     def test_run_bench_unknown_scenario(self):
         with pytest.raises(KeyError, match="unknown scenario"):
             run_bench(["warp_drive"], quick=True)
+
+    def test_run_bench_scalar_engine_keeps_the_digest(self):
+        fast, scalar = (
+            run_bench(["fault_stress"], quick=True, measure_memory=False,
+                      fast=mode)[0]
+            for mode in (True, False)
+        )
+        assert scalar.metrics_digest == fast.metrics_digest
+
+    def test_run_fleet_scalar_engine_keeps_the_digest(self):
+        fast, scalar = (
+            run_fleet(devices=2, disk="toshiba", days=2, hours=0.05,
+                      devices_per_shard=2, tenants=4, workers=1, fast=mode)
+            for mode in (True, False)
+        )
+        assert scalar.digest() == fast.digest()
 
 
 def _add_device_with_name():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.workload.distributions import (
     geometric_run_length,
+    geometric_run_lengths,
     poisson_arrivals,
     sorted_counts,
     top_k_share,
@@ -83,6 +84,24 @@ class TestGeometricRunLength:
             geometric_run_length(rng, 0.5, 10)
         with pytest.raises(ValueError):
             geometric_run_length(rng, 2.0, 0)
+
+    @pytest.mark.parametrize("mean", [12.0, 6.0, 1 / 0.33, 1 / 0.34, 2.0, 1 / 0.9])
+    def test_batched_draws_match_scalar_draws(self, mean):
+        """numpy's geometric sampler searches for p >= 1/3 and inverts
+        below; either way one batched call gives the scalar values and
+        leaves the generator where the scalar calls do."""
+        scalar_rng = np.random.default_rng(7)
+        batch_rng = np.random.default_rng(7)
+        scalar = [geometric_run_length(scalar_rng, mean, 9) for __ in range(500)]
+        assert geometric_run_lengths(batch_rng, mean, 9, 500) == scalar
+        assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    def test_batched_validation(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            geometric_run_lengths(rng, 0.5, 10, 3)
+        with pytest.raises(ValueError):
+            geometric_run_lengths(rng, 2.0, 0, 3)
 
 
 class TestPoissonArrivals:

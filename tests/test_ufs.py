@@ -171,6 +171,40 @@ class TestReadOnly:
             fs.rename("bin", "ls", "ls2")
 
 
+class TestPopulateDirectory:
+    def test_matches_one_populate_file_per_file(self):
+        files = [("a", 3), ("b", 1), ("c", 7), ("d", 400)]
+        one_by_one = make_fs(interleave=2)
+        batched = make_fs(interleave=2)
+        for fs in (one_by_one, batched):
+            fs.make_directory("bin")
+        expected = [one_by_one.populate_file("bin", n, k) for n, k in files]
+        assert batched.populate_directory("bin", files) == expected
+        assert batched.all_files() == one_by_one.all_files()
+        assert batched.free_blocks == one_by_one.free_blocks
+
+    def test_ignores_read_only(self):
+        fs = make_fs(read_only=True)
+        fs.make_directory("bin")
+        (inode,) = fs.populate_directory("bin", [("ls", 2)])
+        assert fs.lookup("bin", "ls") is inode
+
+    @pytest.mark.parametrize("names", [["ls", "ls"], ["cat", "old"]])
+    def test_taken_name_creates_nothing(self, names):
+        fs = make_fs()
+        fs.make_directory("bin")
+        fs.populate_file("bin", "old", 1)
+        free = fs.free_blocks
+        with pytest.raises(FileSystemError, match="exists"):
+            fs.populate_directory("bin", [(name, 2) for name in names])
+        assert [name for __, name, __ in fs.all_files()] == ["old"]
+        assert fs.free_blocks == free
+
+    def test_missing_directory_rejected(self):
+        with pytest.raises(FileSystemError):
+            make_fs().populate_directory("nope", [("x", 1)])
+
+
 class TestIntrospection:
     def test_all_files(self):
         fs = make_fs()
