@@ -227,7 +227,9 @@ def run_scenario(
         if measure_memory
         else None
     )
-    machine = machine_metadata()
+    # The engine is recorded like the width: the scalar engine is slower
+    # by design, so its costs must not gate against the kernel's.
+    machine = {**machine_metadata(), "engine": "kernel" if fast else "scalar"}
     if "workers" in result.detail:
         # Multi-process scenarios (the fleet): wall-clock depends on the
         # worker count, so the execution width is machine metadata — a
@@ -311,11 +313,11 @@ def write_baseline(
                 "metrics_digest": report.metrics_digest,
                 "calibration": report.calibration,
                 "peak_mem_bytes": report.peak_mem_bytes,
-                **(
-                    {"workers": report.machine["workers"]}
-                    if "workers" in report.machine
-                    else {}
-                ),
+                **{
+                    key: report.machine[key]
+                    for key in ("engine", "workers")
+                    if key in report.machine
+                },
             }
             for report in reports
         },
@@ -356,6 +358,11 @@ def compare_reports(
     5. peak traced memory has not grown by more than ``mem_threshold``
        (skipped when either side lacks a memory measurement, e.g. a
        baseline written before memory profiling existed).
+
+    Checks 4 and 5 are skipped, with a printed note, when the run and the
+    baseline used different engines (``"kernel"`` or ``"scalar"``; an
+    entry without one was written by the kernel): the digest and event
+    gates stay exact across engines, their costs are not comparable.
 
     Normalization: ``wall * (baseline_calibration / current_calibration)``
     — i.e. "how long would this run have taken on the baseline machine".
@@ -416,6 +423,15 @@ def compare_reports(
                 f"timed with {base_workers} worker(s), run used "
                 f"{run_workers}) — wall-clock is not comparable; rerun "
                 "with matching --workers or regenerate the baseline"
+            )
+            continue
+        base_engine = entry.get("engine", "kernel")
+        run_engine = report.machine.get("engine", "kernel")
+        if base_engine != run_engine:
+            print(
+                f"note: {report.scenario}: wall-clock and memory gates "
+                f"skipped (baseline ran the {base_engine} engine, this run "
+                f"the {run_engine})"
             )
             continue
         base_cal = float(entry.get("calibration") or 0.0)

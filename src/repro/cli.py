@@ -53,7 +53,7 @@ from .stats.report import (
     render_onoff_table,
     render_sweep,
 )
-from .workload.profiles import PROFILES
+from .workload.profiles import PROFILES, WorkloadProfile
 from .workload.trace import load_trace, save_trace
 
 
@@ -117,10 +117,15 @@ def _policy_of(args):
     return policy
 
 
-def _config(args) -> ExperimentConfig:
+def _profile(args) -> WorkloadProfile:
+    """The ``--profile`` preset, its day shortened to ``--hours``."""
     profile = PROFILES[args.profile]
     if args.hours is not None:
         profile = profile.scaled(hours=args.hours)
+    return profile
+
+
+def _config(args) -> ExperimentConfig:
     faults = None
     if getattr(args, "faults", None):
         try:
@@ -128,7 +133,7 @@ def _config(args) -> ExperimentConfig:
         except FaultSpecError as exc:
             raise SystemExit(f"bad --faults spec: {exc}")
     return ExperimentConfig(
-        profile=profile,
+        profile=_profile(args),
         disk=args.disk,
         seed=args.seed,
         faults=faults,
@@ -437,12 +442,9 @@ def cmd_ssd(args) -> int:
     from .driver.errors import DriverError
     from .sim.ssd import SsdConfig, SsdExperiment
 
-    profile = PROFILES[args.profile]
-    if args.hours is not None:
-        profile = profile.scaled(hours=args.hours)
     try:
         config = SsdConfig(
-            profile=profile,
+            profile=_profile(args),
             flash=args.flash,
             reference_disk=args.disk,
             seed=args.seed,

@@ -29,7 +29,8 @@ from ..parallel import (
     resolve_workers,
     spawn_seeds,
 )
-from ..sim.multifs import DiskSpec, MultiDiskExperiment
+from ..sim.experiment import ExperimentConfig
+from ..sim.multifs import MultiDiskExperiment
 from ..stats.streaming import LogHistogram
 from ..workload.tenancy import SharedHotSet, device_profiles
 from .checkpoint import FleetJournal
@@ -47,17 +48,14 @@ class ShardTask:
     seed: int
     """The shard's own spawned seed (reported in error context and
     results so a failing shard can be re-run serially)."""
-    specs: tuple[DiskSpec, ...]
+    configs: tuple[ExperimentConfig, ...]
+    """One per device.  Each carries ``fast`` (the batch kernel), so the
+    engine choice reaches every worker whatever its start method."""
     schedule: tuple[bool, ...]
-    fast: bool = True
-    """Run the shard's days through the batch kernel.  Carried in the
-    task, not read from the worker's process state, so it reaches every
-    worker whatever its start method; like ``workers`` it never changes
-    results, so it stays out of :class:`FleetSpec`."""
 
     @property
     def device_names(self) -> tuple[str, ...]:
-        return tuple(spec.name or "" for spec in self.specs)
+        return tuple(config.name or "" for config in self.configs)
 
 
 def _seed_of(sequence: np.random.SeedSequence) -> int:
@@ -74,7 +72,8 @@ def build_shard_tasks(
     the last child seeds the fleet-wide :class:`SharedHotSet`.  Nothing
     here depends on the worker count, so the expansion — and therefore
     the whole run — is identical at any parallelism.  ``fast`` is copied
-    onto every task.
+    into every device's config; like ``workers`` it never changes
+    results, so it stays out of :class:`FleetSpec`.
     """
     schedule = spec.resolved_schedule()
     profiles = device_profiles(spec.tenancy, spec.devices, hours=spec.hours)
@@ -89,16 +88,17 @@ def build_shard_tasks(
     for shard, sequence in enumerate(children[: spec.num_shards]):
         indices = spec.shard_devices(shard)
         device_seeds = spawn_seeds(sequence, len(indices))
-        specs = tuple(
-            DiskSpec(
-                disk=spec.disk,
+        configs = tuple(
+            ExperimentConfig(
                 profile=profiles[device],
+                disk=spec.disk,
                 name=spec.device_name(device),
                 seed=device_seeds[offset],
                 num_blocks=spec.num_blocks,
                 counter=spec.counter,
                 shared_hot=shared_hot,
                 policy=spec.policy,
+                fast=fast,
             )
             for offset, device in enumerate(indices)
         )
@@ -106,9 +106,8 @@ def build_shard_tasks(
             ShardTask(
                 index=shard,
                 seed=_seed_of(sequence),
-                specs=specs,
+                configs=configs,
                 schedule=schedule,
-                fast=fast,
             )
         )
     return tasks
@@ -121,7 +120,7 @@ def _run_shard(task: ShardTask) -> ShardResult:
     mergeable (histograms + scalars), since a fleet run ships one of
     these per shard back to the parent.
     """
-    experiment = MultiDiskExperiment(list(task.specs), fast=task.fast)
+    experiment = MultiDiskExperiment(list(task.configs))
     service_on = LogHistogram()
     service_off = LogHistogram()
     device_requests: Counter[str] = Counter()
@@ -180,10 +179,10 @@ def run_fleet(
     fleets want ``1`` for smooth progress and early failure detection),
     ``retry`` (per-shard timeouts, bounded retries, seeded backoff),
     ``chaos`` (injected worker faults, for testing) and ``fast`` (the
-    batch simulation kernel, carried to every worker inside its
-    :class:`ShardTask`) — never change the digest: a retried or
-    chaos-ridden run that completes is bit-identical to a clean serial
-    one.  Attaching ``chaos`` forces pool execution
+    batch simulation kernel, carried to every worker inside the device
+    configs of its :class:`ShardTask`) — never change the digest: a
+    retried or chaos-ridden run that completes is bit-identical to a
+    clean serial one.  Attaching ``chaos`` forces pool execution
     even at ``workers=1``, since injected hard exits must kill a child
     process, not the caller.
 

@@ -38,7 +38,6 @@ _EXPERIMENT_NAMES = {
     "run_policy_campaign",
 }
 _MULTIFS_NAMES = {
-    "DiskSpec",
     "FileSystemSpec",
     "MultiDiskDayResult",
     "MultiDiskExperiment",
@@ -77,7 +76,6 @@ __all__ = [
     "DayResult",
     "DeviceComplete",
     "DeviceState",
-    "DiskSpec",
     "EventBus",
     "EventQueue",
     "Experiment",

@@ -47,7 +47,8 @@ from ..obs.tracer import NULL_TRACER, Tracer
 from ..policy import RearrangementPolicy, resolve_policy
 from ..stats.metrics import DayMetrics
 from ..workload.generator import DayWorkload, WorkloadGenerator
-from ..workload.profiles import WorkloadProfile, profile_for_disk
+from ..workload.profiles import SYSTEM_FS_PROFILE, WorkloadProfile, profile_for_disk
+from ..workload.tenancy import SharedHotSet
 from .engine import DEFAULT_DEVICE, Simulation
 
 # Default Space-Saving sketch size: generously above the number of blocks
@@ -58,10 +59,15 @@ MIN_SKETCH_CAPACITY = 4096
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything that defines a campaign."""
+    """Everything that defines one simulated disk and the workload it
+    serves: the single-disk campaign's config, one device of a
+    multi-disk run, and the rig of a trace replay."""
 
-    profile: WorkloadProfile
+    profile: WorkloadProfile = SYSTEM_FS_PROFILE
     disk: str = "toshiba"
+    name: str | None = None
+    """Device name; ``None`` is :data:`~repro.sim.engine.DEFAULT_DEVICE`
+    on a single disk and ``"<disk><index>"`` in a multi-disk run."""
     reserved_cylinders: int | None = None  # default: the paper's choice
     num_blocks: int | None = None  # blocks rearranged nightly; default: paper
     placement_policy: str = "organ-pipe"
@@ -81,6 +87,9 @@ class ExperimentConfig:
     """*When* rearrangement runs: a :class:`~repro.policy
     .RearrangementPolicy` instance or shorthand (``"nightly"``,
     ``"online"``, ``"off"``).  ``None`` means the paper's nightly cycle."""
+    shared_hot: SharedHotSet | None = None
+    """Fleet-wide shared hot content overlaid on the device's private
+    popularity draw (see :class:`repro.workload.tenancy.SharedHotSet`)."""
     fast: bool = True
     """Run each day through the batch simulation kernel
     (:mod:`repro.sim.vector`).  Metrics are bit-identical either way —
@@ -97,19 +106,18 @@ class ExperimentConfig:
         resolve_policy(self.policy)  # validate early; resolved per use
 
     def resolved_reserved_cylinders(self) -> int:
-        return _paper(PAPER_RESERVED_CYLINDERS, self.disk, self.reserved_cylinders)
+        if self.reserved_cylinders is None:
+            return PAPER_RESERVED_CYLINDERS[self.disk]
+        return self.reserved_cylinders
 
     def resolved_num_blocks(self) -> int:
-        return _paper(PAPER_REARRANGED_BLOCKS, self.disk, self.num_blocks)
+        if self.num_blocks is None:
+            return PAPER_REARRANGED_BLOCKS[self.disk]
+        return self.num_blocks
 
     def resolved_policy(self) -> RearrangementPolicy:
         """The :attr:`policy` as a policy instance (``None`` → nightly)."""
         return resolve_policy(self.policy)
-
-
-def _paper(table: dict[str, int], disk: str, value: int | None) -> int:
-    """``value``, or the paper's choice for ``disk`` when it is ``None``."""
-    return table[disk] if value is None else value
 
 
 def _sketch_capacity(counter: str, num_blocks: int) -> int | None:
@@ -172,57 +180,66 @@ class DiskRig:
     adds them once it has laid its partitions out on :attr:`label`."""
 
 
-def build_rig(
-    disk: str,
-    *,
-    name: str = DEFAULT_DEVICE,
-    reserved_cylinders: int | None = None,
-    reserved_center: bool = True,
-    num_blocks: int | None = None,
-    placement_policy: str = "organ-pipe",
-    queue_policy: str = "scan",
-    counter: str = "exact",
-    policy: RearrangementPolicy | str | None = None,
-    faults: FaultPlan | None = None,
-    monitor_capacity: int | None = None,
-) -> DiskRig:
-    """Assemble the adaptive stack of one ``disk`` preset.
+def build_rig(config: ExperimentConfig) -> DiskRig:
+    """Assemble the adaptive stack of ``config``'s disk.
 
-    The one place the paper's defaults are filled in: a ``None`` reserved
-    area or block count takes the paper's choice for ``disk``, and a
-    ``spacesaving`` counter a sketch four times the block count.
+    Reads only the device fields of ``config`` (never its workload): a
+    ``None`` reserved area or block count takes the paper's choice for
+    the disk, and a ``spacesaving`` counter a sketch four times the
+    block count.  The rig serves no workload until the caller lays out
+    partitions and adds generators (see :func:`build_disk`).
     """
-    model = disk_model(disk)
+    model = disk_model(config.disk)
     geometry = model.geometry
-    reserved = _paper(PAPER_RESERVED_CYLINDERS, disk, reserved_cylinders)
-    blocks = _paper(PAPER_REARRANGED_BLOCKS, disk, num_blocks)
-    start = None if reserved_center else geometry.cylinders - reserved
+    reserved = config.resolved_reserved_cylinders()
+    blocks = config.resolved_num_blocks()
+    start = None if config.reserved_center else geometry.cylinders - reserved
     label = DiskLabel(
         geometry, reserved_cylinders=reserved, reserved_start_cylinder=start
     )
+    faults = config.faults
     if faults is not None and faults.is_empty:
         faults = None
+    name = config.name or DEFAULT_DEVICE
     driver = AdaptiveDiskDriver(
         disk=Disk(model),
         label=label,
-        queue=make_queue(queue_policy),
+        queue=make_queue(config.queue_policy),
         faults=faults.injector() if faults is not None else None,
         name=name,
     )
-    if monitor_capacity is not None:
-        driver.request_monitor.capacity = monitor_capacity
+    driver.request_monitor.capacity = config.monitor_capacity
     ioctl = IoctlInterface(driver)
     controller = RearrangementController(
         ioctl=ioctl,
-        policy=resolve_policy(policy),
+        policy=config.resolved_policy(),
         analyzer=ReferenceStreamAnalyzer(
-            capacity=_sketch_capacity(counter, blocks), counter=counter
+            capacity=_sketch_capacity(config.counter, blocks),
+            counter=config.counter,
         ),
-        arranger=BlockArranger(ioctl, policy=make_policy(placement_policy)),
+        arranger=BlockArranger(ioctl, policy=make_policy(config.placement_policy)),
         max_error_rate=faults.degrade_threshold if faults is not None else None,
         degrade_action=faults.degrade_action if faults is not None else "clean",
     )
     return DiskRig(name, model, label, driver, ioctl, controller, blocks)
+
+
+def build_disk(config: ExperimentConfig) -> DiskRig:
+    """:func:`build_rig`, plus ``config``'s file system laid out per its
+    profile's band (:func:`make_partition`) and the workload generator
+    that serves it."""
+    rig = build_rig(config)
+    profile = profile_for_disk(config.profile, config.disk)
+    rig.generators.append(
+        WorkloadGenerator(
+            profile,
+            make_partition(rig.label, profile),
+            rig.model.geometry.blocks_per_cylinder,
+            seed=config.seed,
+            shared_hot=config.shared_hot,
+        )
+    )
+    return rig
 
 
 @dataclass
@@ -314,28 +331,10 @@ class Experiment:
     ) -> None:
         self.config = config
         self.tracer = tracer
-        rig = self.rig = build_rig(
-            config.disk,
-            reserved_cylinders=config.reserved_cylinders,
-            reserved_center=config.reserved_center,
-            num_blocks=config.num_blocks,
-            placement_policy=config.placement_policy,
-            queue_policy=config.queue_policy,
-            counter=config.counter,
-            policy=config.policy,
-            faults=config.faults,
-            monitor_capacity=config.monitor_capacity,
-        )
+        rig = self.rig = build_disk(config)
         self.model, self.label = rig.model, rig.label
         self.driver, self.controller = rig.driver, rig.controller
-        profile = profile_for_disk(config.profile, config.disk)
-        self.generator = WorkloadGenerator(
-            profile=profile,
-            partition=make_partition(self.label, profile),
-            blocks_per_cylinder=self.model.geometry.blocks_per_cylinder,
-            seed=config.seed,
-        )
-        rig.generators.append(self.generator)
+        (self.generator,) = rig.generators
         self._day_index = 0
         self.events_dispatched = 0
         """Simulation events processed across every day run so far."""

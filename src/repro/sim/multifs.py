@@ -17,23 +17,23 @@ Two configurations from the paper's measured server live here:
   :class:`~repro.sim.engine.Simulation` clocks all of them concurrently,
   producing per-device metrics.
 
-Both assemble their stacks with :func:`~repro.sim.experiment.build_rig`
-and run their days through :func:`~repro.sim.experiment.run_rig_day`,
-like the single-disk :class:`~repro.sim.experiment.Experiment`.
+Both assemble their stacks from an
+:class:`~repro.sim.experiment.ExperimentConfig` with
+:func:`~repro.sim.experiment.build_rig` and run their days through
+:func:`~repro.sim.experiment.run_rig_day`, like the single-disk
+:class:`~repro.sim.experiment.Experiment`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..disk.label import Partition
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..policy import RearrangementPolicy
 from ..stats.metrics import DayMetrics
 from ..workload.generator import WorkloadGenerator
-from ..workload.profiles import WorkloadProfile, profile_for_disk
-from ..workload.tenancy import SharedHotSet
-from .experiment import DiskRig, build_rig, run_rig_day
+from ..workload.profiles import WorkloadProfile
+from .experiment import DiskRig, ExperimentConfig, build_disk, build_rig, run_rig_day
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,9 @@ class MultiFSExperiment:
             raise ValueError("need at least one file system")
         if sum(spec.fraction for spec in specs) > 1.0 + 1e-9:
             raise ValueError("partition fractions exceed the disk")
-        rig = self.rig = build_rig(disk, num_blocks=num_blocks)
+        rig = self.rig = build_rig(
+            ExperimentConfig(disk=disk, num_blocks=num_blocks)
+        )
         self.model, self.label = rig.model, rig.label
         self.driver, self.controller = rig.driver, rig.controller
         self.num_blocks = rig.num_blocks
@@ -157,27 +159,6 @@ class MultiFSExperiment:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiskSpec:
-    """One physical disk in a multi-device simulation."""
-
-    disk: str  # "toshiba", "fujitsu", or "modern"
-    profile: WorkloadProfile
-    name: str | None = None  # device name; default "<model><index>"
-    seed: int = 1993
-    num_blocks: int | None = None  # rearranged nightly; default: paper
-    counter: str = "exact"
-    """Analyzer counter strategy (``"exact"`` or ``"spacesaving"``); the
-    fleet runner uses the bounded sketch so per-device analyzer state does
-    not scale with the multi-million-block device size."""
-    shared_hot: SharedHotSet | None = None
-    """Fleet-wide shared hot content overlaid on the device's private
-    popularity draw (see :class:`repro.workload.tenancy.SharedHotSet`)."""
-    policy: RearrangementPolicy | str | None = None
-    """Rearrangement policy for this device (instance or shorthand);
-    ``None`` keeps the nightly cycle."""
-
-
 @dataclass
 class MultiDiskDayResult:
     """One day of a multi-disk run, attributed per device."""
@@ -194,47 +175,30 @@ class MultiDiskDayResult:
 class MultiDiskExperiment:
     """N adaptive disks clocked concurrently by one simulation engine.
 
-    Each spec builds an independent disk + driver + analyzer/arranger
+    Each config builds an independent disk + driver + analyzer/arranger
     stack (its own reserved area, its own nightly cycle), mirroring the
-    paper's two-disk server.  A single event loop interleaves their
-    completions; a single tracer, if given, observes every device.
+    paper's two-disk server, and built exactly as the single-disk
+    :class:`~repro.sim.experiment.Experiment` builds its disk.  A single
+    event loop interleaves their completions, on the batch kernel when
+    every config asks for it; a single tracer, if given, observes every
+    device.
     """
 
     def __init__(
         self,
-        specs: list[DiskSpec],
+        configs: list[ExperimentConfig],
         tracer: Tracer = NULL_TRACER,
-        fast: bool = True,
     ) -> None:
-        if not specs:
+        if not configs:
             raise ValueError("need at least one disk")
         self.tracer = tracer
-        self.fast = fast
+        self.fast = all(config.fast for config in configs)
         self.rigs: dict[str, DiskRig] = {}
-        for index, spec in enumerate(specs):
-            name = spec.name or f"{spec.disk}{index}"
+        for index, config in enumerate(configs):
+            name = config.name or f"{config.disk}{index}"
             if name in self.rigs:
                 raise ValueError(f"duplicate device name {name!r}")
-            rig = build_rig(
-                spec.disk,
-                name=name,
-                num_blocks=spec.num_blocks,
-                counter=spec.counter,
-                policy=spec.policy,
-            )
-            partition = rig.label.add_partition(
-                f"{name}-fs", rig.label.virtual_total_blocks
-            )
-            rig.generators.append(
-                WorkloadGenerator(
-                    profile_for_disk(spec.profile, spec.disk),
-                    partition,
-                    rig.model.geometry.blocks_per_cylinder,
-                    seed=spec.seed,
-                    shared_hot=spec.shared_hot,
-                )
-            )
-            self.rigs[name] = rig
+            self.rigs[name] = build_disk(replace(config, name=name))
         self._day = 0
         self.events_dispatched = 0
         """Simulation events processed across every day run so far."""

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from ..disk.models import DiskModel
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..sim.engine import Simulation
-from ..sim.experiment import build_rig
+from ..sim.experiment import ExperimentConfig, build_rig
 from ..sim.jobs import Job
 from ..stats.metrics import DayMetrics
 from .ingest import IngestResult, default_target_blocks
@@ -135,7 +135,9 @@ def replay_jobs(
         return _replay_jobs_ssd(
             jobs, rearrange=rearrange, tracer=tracer, fast=fast
         )
-    rig = build_rig(disk, queue_policy=queue, num_blocks=num_blocks)
+    rig = build_rig(
+        ExperimentConfig(disk=disk, num_blocks=num_blocks, queue_policy=queue)
+    )
     rearranged_blocks = 0
     if rearrange:
         controller = rig.controller

@@ -25,8 +25,9 @@ from repro.disk.models import (
 )
 from repro.fleet import FleetSpec
 from repro.sim import ExperimentConfig, Simulation, engine, run_onoff_campaign
+from repro.sim import multifs
 from repro.sim.experiment import build_rig
-from repro.sim.multifs import DiskSpec, FileSystemSpec, MultiFSExperiment
+from repro.sim.multifs import FileSystemSpec, MultiFSExperiment
 from repro.workload.profiles import SYSTEM_FS_PROFILE, profile_for_disk
 
 
@@ -152,16 +153,7 @@ REMOVED_NAMES = {
         lambda: profile_for_disk(base=SYSTEM_FS_PROFILE, disk="fujitsu"),
     ),
     "add_device-name": (TypeError, _add_device_with_name),
-    "DiskSpec-num_rearranged": (
-        TypeError,
-        lambda: DiskSpec(
-            disk="toshiba", profile=SYSTEM_FS_PROFILE, num_rearranged=7
-        ),
-    ),
-    "DiskSpec.num_rearranged": (
-        AttributeError,
-        lambda: DiskSpec(disk="toshiba", profile=SYSTEM_FS_PROFILE).num_rearranged,
-    ),
+    "repro.sim.multifs.DiskSpec": (AttributeError, lambda: multifs.DiskSpec),
     "config.resolved_analyzer_capacity": (
         AttributeError,
         lambda: ExperimentConfig(
@@ -180,14 +172,9 @@ _DEAD_KNOBS = {
          "analyzer_capacity": 64},
     ),
     "build_rig": (
-        lambda **kw: build_rig("toshiba", **kw),
+        lambda **kw: build_rig(ExperimentConfig(), **kw),
         {"analyzer_heuristic": "lru", "counter_fading": 0.5,
          "analyzer_capacity": 64},
-    ),
-    "DiskSpec": (
-        lambda **kw: DiskSpec(disk="toshiba", profile=SYSTEM_FS_PROFILE, **kw),
-        {"reserved_cylinders": 10, "placement_policy": "serial",
-         "queue_policy": "fcfs", "analyzer_capacity": 64},
     ),
     "MultiFSExperiment": (
         lambda **kw: MultiFSExperiment(

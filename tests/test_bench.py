@@ -204,6 +204,53 @@ class TestCompareGate:
         path = write_baseline([report], tmp_path / "baseline.json")
         assert load_baseline(path)["scenarios"]["tiny"]["workers"] == 3
 
+    def test_reports_and_baselines_record_the_engine(self, tmp_path):
+        for fast, engine in [(True, "kernel"), (False, "scalar")]:
+            report = run_scenario(
+                tiny_scenario(), quick=True, calibration=1.0,
+                measure_memory=False, fast=fast,
+            )
+            assert report.machine["engine"] == engine
+            path = write_baseline([report], tmp_path / f"{engine}.json")
+            entry = load_baseline(path)["scenarios"]["tiny"]
+            assert entry["engine"] == engine
+
+    def test_cross_engine_run_skips_only_the_cost_gates(self, capsys):
+        """A scalar run against a kernel baseline (or one written before
+        engines were recorded): far slower and larger, still passes, with
+        a note saying why."""
+        report = make_report(
+            machine={"engine": "scalar"}, wall_s=50.0, peak_mem_bytes=10**9
+        )
+        for baseline in (
+            baseline_for(make_report(), engine="kernel"),
+            baseline_for(make_report()),
+        ):
+            assert compare_reports([report], baseline) == []
+            note = capsys.readouterr().out
+            assert "gates skipped" in note
+            assert "baseline ran the kernel engine" in note
+
+    def test_cross_engine_run_keeps_the_exact_gates(self):
+        scalar = {"engine": "scalar"}
+        baseline = baseline_for(make_report())
+        (problem,) = compare_reports(
+            [make_report(machine=scalar, metrics_digest="sha256:def")],
+            baseline,
+        )
+        assert "metrics digest changed" in problem
+        (problem,) = compare_reports(
+            [make_report(machine=scalar, events=11)], baseline
+        )
+        assert "event count changed" in problem
+
+    def test_same_engine_keeps_the_cost_gates(self, capsys):
+        report = make_report(machine={"engine": "scalar"}, wall_s=2.0)
+        baseline = baseline_for(make_report(), engine="scalar")
+        (problem,) = compare_reports([report], baseline)
+        assert "slowed beyond" in problem
+        assert capsys.readouterr().out == ""
+
     def test_baseline_roundtrip_carries_memory(self, tmp_path):
         report = make_report()
         path = write_baseline([report], tmp_path / "baseline.json")

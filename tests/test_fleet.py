@@ -1,5 +1,7 @@
 """The fleet layer: tenancy, shard construction, parallel determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from repro.fleet import (
     run_fleet,
 )
 from repro.fleet.runner import _run_shard
-from repro.sim.multifs import DiskSpec, MultiDiskExperiment
+from repro.sim.experiment import ExperimentConfig
+from repro.sim.multifs import MultiDiskExperiment
 from repro.workload import (
     PROFILES,
     SharedHotSet,
@@ -153,12 +156,12 @@ class TestShardTasks:
 
     def test_every_device_gets_a_distinct_seed(self):
         tasks = build_shard_tasks(TINY_SPEC)
-        seeds = [spec.seed for task in tasks for spec in task.specs]
+        seeds = [config.seed for task in tasks for config in task.configs]
         assert len(set(seeds)) == TINY_SPEC.devices
 
     def test_shared_hot_set_is_fleet_wide(self):
         tasks = build_shard_tasks(TINY_SPEC)
-        hots = {spec.shared_hot for task in tasks for spec in task.specs}
+        hots = {config.shared_hot for task in tasks for config in task.configs}
         assert len(hots) == 1
         (hot,) = hots
         assert hot is not None
@@ -171,7 +174,7 @@ class TestShardTasks:
             tenancy=TenancySpec(tenants=4, hot_set_overlap=0.0),
         )
         (task,) = build_shard_tasks(spec)
-        assert all(s.shared_hot is None for s in task.specs)
+        assert all(c.shared_hot is None for c in task.configs)
 
     def test_fleet_seed_changes_every_device_seed(self):
         other = build_shard_tasks(
@@ -186,8 +189,8 @@ class TestShardTasks:
             )
         )
         base = build_shard_tasks(TINY_SPEC)
-        base_seeds = {s.seed for t in base for s in t.specs}
-        other_seeds = {s.seed for t in other for s in t.specs}
+        base_seeds = {c.seed for t in base for c in t.configs}
+        other_seeds = {c.seed for t in other for c in t.configs}
         assert not base_seeds & other_seeds
 
 
@@ -277,14 +280,9 @@ class TestRunFleet:
         broken = type(bad_task)(
             index=bad_task.index,
             seed=bad_task.seed,
-            specs=tuple(
-                type(s)(
-                    disk="floppy",  # invalid: construction fails
-                    profile=s.profile,
-                    name=s.name,
-                    seed=s.seed,
-                )
-                for s in bad_task.specs
+            configs=tuple(
+                replace(config, disk="floppy")  # invalid: building fails
+                for config in bad_task.configs
             ),
             schedule=bad_task.schedule,
         )
@@ -304,11 +302,11 @@ class TestMultiDiskAggregation:
 
     def test_per_device_totals_sum_to_fleet_totals(self):
         profile = PROFILES["system"].scaled(hours=0.05)
-        specs = [
-            DiskSpec(disk="toshiba", profile=profile, name=f"d{i}", seed=7 + i)
+        configs = [
+            ExperimentConfig(profile=profile, name=f"d{i}", seed=7 + i)
             for i in range(3)
         ]
-        result = MultiDiskExperiment(specs).run_day(
+        result = MultiDiskExperiment(configs).run_day(
             rearranged=False, rearrange_tomorrow=False
         )
         assert set(result.per_device) == {"d0", "d1", "d2"}

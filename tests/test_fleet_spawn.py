@@ -1,9 +1,9 @@
 """``fast`` reaches fleet workers whatever their start method.
 
-The batch-kernel switch travels inside each :class:`ShardTask`, so a
-worker started with ``spawn`` — which re-imports every module fresh and
-inherits none of the parent's process state — runs exactly the engine
-the caller asked for.  The probe below runs in the worker: it counts the
+The batch-kernel switch travels inside each device's config in a
+:class:`ShardTask`, so a worker started with ``spawn`` — which
+re-imports every module fresh and inherits none of the parent's process
+state — runs exactly the engine the caller asked for.  The probe below runs in the worker: it counts the
 :class:`~repro.sim.vector.BatchPlanner` objects that shard's simulations
 build, which is zero exactly when every day ran on the scalar engine.
 """

@@ -19,8 +19,9 @@ from repro.driver.protocol import DeviceDriver
 from repro.driver.request import Op
 from repro.obs import NULL_TRACER, JsonlTraceWriter, replay_day_metrics
 from repro.sim.engine import Simulation
+from repro.sim.experiment import ExperimentConfig
 from repro.sim.jobs import batch_job, sequential_job
-from repro.sim.multifs import DiskSpec, MultiDiskExperiment
+from repro.sim.multifs import MultiDiskExperiment
 from repro.workload.profiles import SYSTEM_FS_PROFILE
 
 
@@ -253,17 +254,15 @@ SHORT_PROFILE = SYSTEM_FS_PROFILE.scaled(hours=0.2)
 
 class TestMultiDiskExperiment:
     def make_experiment(self, tracer=NULL_TRACER):
-        specs = [
-            DiskSpec(
-                disk="toshiba", profile=SHORT_PROFILE,
-                name="toshiba0", seed=11,
+        configs = [
+            ExperimentConfig(
+                profile=SHORT_PROFILE, disk="toshiba", name="toshiba0", seed=11
             ),
-            DiskSpec(
-                disk="fujitsu", profile=SHORT_PROFILE,
-                name="fujitsu0", seed=12,
+            ExperimentConfig(
+                profile=SHORT_PROFILE, disk="fujitsu", name="fujitsu0", seed=12
             ),
         ]
-        return MultiDiskExperiment(specs, tracer=tracer)
+        return MultiDiskExperiment(configs, tracer=tracer)
 
     def test_per_device_metrics_end_to_end(self):
         experiment = self.make_experiment()

@@ -20,7 +20,7 @@ from repro.policy import (
 )
 from repro.api import make_config, simulate_day
 from repro.sim.experiment import ExperimentConfig
-from repro.sim.multifs import DiskSpec
+from repro.sim.multifs import MultiDiskExperiment
 from repro.workload.profiles import SYSTEM_FS_PROFILE
 
 
@@ -110,12 +110,10 @@ class TestConfigThreading:
         assert config.resolved_policy() == NoRearrangement()
 
     def test_disk_spec_carries_a_policy(self):
-        spec = DiskSpec(
-            disk="toshiba",
-            profile=SYSTEM_FS_PROFILE,
-            policy=OnlinePolicy(idle_ms=80.0),
-        )
-        assert resolve_policy(spec.policy) == OnlinePolicy(idle_ms=80.0)
+        """A multi-disk device's config carries its policy to its rig."""
+        config = ExperimentConfig(policy=OnlinePolicy(idle_ms=80.0))
+        (rig,) = MultiDiskExperiment([config]).rigs.values()
+        assert rig.controller.policy == OnlinePolicy(idle_ms=80.0)
 
     def test_fleet_spec_validates_policy_early(self):
         with pytest.raises(ValueError):

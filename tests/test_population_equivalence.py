@@ -455,9 +455,9 @@ def test_files_larger_than_a_group_spill_and_wrap():
                          ids=lambda p: p.name)
 @pytest.mark.parametrize("disk", ["toshiba", "fujitsu"])
 def test_paper_profiles_match_the_scalar_population(profile, disk):
-    from repro.sim.experiment import build_rig
+    from repro.sim.experiment import ExperimentConfig, build_rig
 
-    rig = build_rig(disk, name="d")
+    rig = build_rig(ExperimentConfig(disk=disk, name="d"))
     partition = rig.label.add_partition("fs", rig.label.virtual_total_blocks)
     assert assert_same_population(
         profile_for_disk(profile, disk),
@@ -469,9 +469,9 @@ def test_paper_profiles_match_the_scalar_population(profile, disk):
 
 
 def test_a_fleet_device_matches_the_scalar_population():
-    from repro.sim.experiment import build_rig
+    from repro.sim.experiment import ExperimentConfig, build_rig
 
-    rig = build_rig("modern", name="m0")
+    rig = build_rig(ExperimentConfig(disk="modern", name="m0"))
     partition = rig.label.add_partition("fs", rig.label.virtual_total_blocks)
     profile = device_profiles(TenancySpec(), 16, hours=0.1)[0]
     assert assert_same_population(
