@@ -16,7 +16,7 @@ import dataclasses
 import sys
 
 from repro import SYSTEM_FS_PROFILE, USERS_FS_PROFILE
-from repro.sim import FileSystemSpec, MultiFSExperiment
+from repro.sim import ExperimentConfig, FileSystemSpec, MultiFSExperiment
 from repro.stats import render_day
 
 
@@ -34,7 +34,7 @@ def main() -> None:
             FileSystemSpec(SYSTEM_FS_PROFILE.scaled(hours=hours), fraction=0.6),
             FileSystemSpec(users, fraction=0.4, seed=77),
         ],
-        disk="toshiba",
+        ExperimentConfig(disk="toshiba"),
     )
     print("Partitions on the shared disk:")
     for partition in experiment.partitions:

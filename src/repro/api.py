@@ -7,6 +7,15 @@ Scripts and notebooks should import from here::
     day = simulate_day(hours=0.25, policy="nightly")
     print(day.metrics.all.mean_seek_time_ms)
 
+Each entry point runs from one spec, and each spec class is the only
+place its defaults live: :func:`make_config` builds an
+:class:`ExperimentConfig` or :class:`SsdConfig` from short names plus
+fields, :func:`simulate_day` and :func:`run_campaign` take a config or
+forward their shorthand keywords to :func:`make_config`,
+:func:`replay_trace` forwards its ingest options to
+:func:`~repro.traces.ingest.ingest_trace`, and :func:`run_fleet` is
+:func:`repro.fleet.run_fleet`, which takes a :class:`FleetSpec`.
+
 Deep imports (``repro.sim.experiment`` and friends) keep working, but
 their layout may shift between releases; renamed keywords get one release
 of :class:`DeprecationWarning` and are then removed, after which passing
@@ -24,13 +33,11 @@ Every function returns the library's typed result objects —
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 from typing import Sequence
 
-from pathlib import Path
-
 from .bench import BenchReport, get_scenarios, run_suite
-from .fleet import FleetResult, FleetSpec
-from .fleet import run_fleet as _run_fleet
+from .fleet import FleetResult, FleetSpec, run_fleet
 from .obs.tracer import NULL_TRACER, Tracer
 from .policy import (
     NightlyPolicy,
@@ -49,7 +56,6 @@ from .sim.experiment import run_campaign as _run_campaign
 from .sim.ssd import SsdConfig, SsdDayResult, SsdExperiment
 from .traces.ingest import ingest_trace
 from .traces.replay import SsdReplayResult, TraceReplayResult, replay_jobs
-from .traces.rescale import DEFAULT_GAP_MS
 from .workload.profiles import PROFILES, WorkloadProfile
 
 __all__ = [
@@ -76,27 +82,27 @@ __all__ = [
     "simulate_day",
 ]
 
+
 def make_config(
-    profile: str | WorkloadProfile = "system",
-    disk: str = "toshiba",
+    profile: str | WorkloadProfile | None = None,
+    disk: str | None = None,
     *,
     hours: float | None = None,
-    seed: int = 1993,
-    **overrides: object,
+    **fields: object,
 ) -> ExperimentConfig | SsdConfig:
     """Build an :class:`ExperimentConfig` (or :class:`SsdConfig`) from
-    short names.
+    short names; whatever is not given keeps the config class's default.
 
     ``profile`` is a preset name (``"system"`` or ``"users"``) or a full
     :class:`WorkloadProfile`; ``disk`` is ``"toshiba"``, ``"fujitsu"``,
     the ~8 GB ``"modern"`` scale-testing drive, or ``"ssd"`` for the
     page-mapped flash backend (``docs/ftl.md``); ``hours`` shortens the
     simulated day (the paper's days are 15 h — 0.1 to 0.25 keeps a day
-    under a second).  Any remaining keywords pass through to the config
-    class unchanged — :class:`ExperimentConfig` takes ``num_blocks=``,
+    under a second).  Any remaining keywords are fields of the config
+    class — :class:`ExperimentConfig` takes ``seed=``, ``num_blocks=``,
     ``placement_policy=``, ``faults=``, ``counter="spacesaving"`` for the
     bounded top-k sketch of ``docs/scaling.md``, ...; with ``disk="ssd"``
-    the FTL knobs apply instead (``cmt_capacity=``, ``gc_policy=``,
+    the FTL fields apply instead (``cmt_capacity=``, ``gc_policy=``,
     ``hot_threshold=``, ``reference_disk=``, ...).
     """
     if isinstance(profile, str):
@@ -107,22 +113,37 @@ def make_config(
             raise KeyError(
                 f"unknown profile {profile!r}; known: {known}"
             ) from None
-    if hours is not None:
-        profile = profile.scaled(hours)
+    if profile is not None:
+        fields["profile"] = profile
     if disk == "ssd":
-        return SsdConfig(profile=profile, seed=seed, **overrides)
-    return ExperimentConfig(profile=profile, disk=disk, seed=seed, **overrides)
+        config = SsdConfig(**fields)
+    else:
+        if disk is not None:
+            fields["disk"] = disk
+        config = ExperimentConfig(**fields)
+    if hours is not None:
+        config = replace(config, profile=config.profile.scaled(hours))
+    return config
+
+
+def _config_or_fields(config, config_fields: dict):
+    """``config``, or one built by :func:`make_config` from the
+    shorthand fields when none is given (never both)."""
+    if config is None:
+        return make_config(**config_fields)
+    if config_fields:
+        raise TypeError(
+            f"pass a config or its fields, not both: {', '.join(config_fields)}"
+        )
+    return config
 
 
 def simulate_day(
     config: ExperimentConfig | SsdConfig | None = None,
     *,
     policy: RearrangementPolicy | str | None = None,
-    profile: str | WorkloadProfile = "system",
-    disk: str = "toshiba",
-    hours: float | None = None,
-    seed: int = 1993,
     tracer: Tracer = NULL_TRACER,
+    **config_fields: object,
 ) -> DayResult | SsdDayResult:
     """Simulate one measurement day and return its :class:`DayResult`.
 
@@ -137,17 +158,15 @@ def simulate_day(
       the analyzer's live counts drive the moves).
     * ``"off"`` / :class:`NoRearrangement` — one day, monitoring only.
 
-    Pass a ``config`` for full control, or the ``profile``/``disk``/
-    ``hours``/``seed`` shorthand.  With ``disk="ssd"`` (or an
-    :class:`SsdConfig`) the day runs through the page-mapped FTL instead
-    and returns an :class:`SsdDayResult`; there ``policy`` decides
-    hot/cold write separation, not block moves (``docs/ftl.md``).  The
-    removed ``rearranged=`` boolean is an unknown keyword now: passing it
-    raises ``TypeError: simulate_day() got an unexpected keyword argument
-    'rearranged'``; use ``policy=``.
+    Pass a ``config`` for full control, or :func:`make_config`'s
+    shorthand (``profile``, ``disk``, ``hours``, ``seed``, ...).  With
+    ``disk="ssd"`` (or an :class:`SsdConfig`) the day runs through the
+    page-mapped FTL instead and returns an :class:`SsdDayResult`; there
+    ``policy`` decides hot/cold write separation, not block moves
+    (``docs/ftl.md``).  The removed ``rearranged=`` boolean is an unknown
+    keyword now: passing it raises ``TypeError``; use ``policy=``.
     """
-    if config is None:
-        config = make_config(profile, disk, hours=hours, seed=seed)
+    config = _config_or_fields(config, config_fields)
     if isinstance(config, SsdConfig):
         if policy is not None:
             config = replace(config, policy=policy)
@@ -171,20 +190,18 @@ def run_campaign(
     *,
     days: int = 4,
     schedule: Sequence[bool] | None = None,
-    profile: str | WorkloadProfile = "system",
-    disk: str = "toshiba",
-    hours: float | None = None,
-    seed: int = 1993,
     tracer: Tracer = NULL_TRACER,
+    **config_fields: object,
 ) -> CampaignResult:
     """Run a multi-day campaign and return its :class:`CampaignResult`.
 
     Without an explicit ``schedule`` the campaign alternates off/on days
     over ``days`` days (the paper's Tables 2–6 shape).  ``schedule`` is a
     per-day list of "rearranged today" flags; day 0 must be ``False``.
+    The config is ``config`` or built from :func:`make_config`'s
+    shorthand, as for :func:`simulate_day`.
     """
-    if config is None:
-        config = make_config(profile, disk, hours=hours, seed=seed)
+    config = _config_or_fields(config, config_fields)
     if schedule is None:
         schedule = alternating_schedule(days)
     return _run_campaign(config, list(schedule), tracer=tracer)
@@ -193,32 +210,27 @@ def run_campaign(
 def replay_trace(
     source: str | Path,
     *,
-    format: str = "auto",
-    mapping: str = "compact",
     disk: str = "toshiba",
-    time_scale: float = 1.0,
-    loop: str = "open",
-    gap_ms: float = DEFAULT_GAP_MS,
     queue: str = "scan",
     rearrange: bool = False,
     num_blocks: int | None = None,
-    limit: int | None = None,
-    target_blocks: int | None = None,
-    source_span: int | None = None,
     tracer: Tracer = NULL_TRACER,
     fast: bool = True,
+    **ingest_options: object,
 ) -> TraceReplayResult | SsdReplayResult:
     """Ingest a raw block trace and replay it through the driver.
 
-    ``source`` is a blkparse text file or an MSR-Cambridge-style CSV
-    (``format="auto"`` sniffs).  The trace's addresses are mapped onto
-    ``disk`` with the given ``mapping`` strategy, its timing is rescaled
-    by ``time_scale`` and converted per ``loop``, and the resulting jobs
-    run through a fresh adaptive driver.  With ``rearrange=True`` the
-    replay is pre-trained on the trace itself first.  The returned
-    :class:`TraceReplayResult` carries the day's
-    :class:`~repro.stats.metrics.DayMetrics` plus the ingest stage's
-    output (``.ingest`` — jobs, trace character, mapping facts).
+    ``source`` is a blkparse text file or an MSR-Cambridge-style CSV;
+    ``ingest_options`` go to :func:`~repro.traces.ingest.ingest_trace`
+    (``format=``, ``mapping=``, ``time_scale=``, ``loop=``, ``gap_ms=``,
+    ``limit=``, ...), which maps the trace's addresses onto ``disk`` and
+    rescales its timing.  The resulting jobs run through a fresh adaptive
+    driver (:func:`~repro.traces.replay.replay_jobs`, which takes the
+    other keywords).  With ``rearrange=True`` the replay is pre-trained
+    on the trace itself first.  The returned :class:`TraceReplayResult`
+    carries the day's :class:`~repro.stats.metrics.DayMetrics` plus the
+    ingest stage's output (``.ingest`` — jobs, trace character, mapping
+    facts).
 
     ``disk="ssd"`` replays the trace through the page-mapped FTL backend
     (``docs/ftl.md``) and returns an :class:`SsdReplayResult` — write
@@ -231,18 +243,7 @@ def replay_trace(
     Deterministic end to end: the same file and options produce
     bit-identical metrics on every run.  See ``docs/traces.md``.
     """
-    ingested = ingest_trace(
-        source,
-        format=format,
-        mapping=mapping,
-        disk=disk,
-        target_blocks=target_blocks,
-        source_span=source_span,
-        time_scale=time_scale,
-        loop=loop,
-        gap_ms=gap_ms,
-        limit=limit,
-    )
+    ingested = ingest_trace(source, disk=disk, **ingest_options)
     result = replay_jobs(
         ingested.jobs,
         disk=disk,
@@ -254,88 +255,6 @@ def replay_trace(
     )
     result.ingest = ingested
     return result
-
-
-def run_fleet(
-    spec: FleetSpec | None = None,
-    *,
-    devices: int = 64,
-    disk: str = "fujitsu",
-    days: int = 3,
-    hours: float | None = None,
-    devices_per_shard: int = 8,
-    tenants: int = 256,
-    tenant_skew: float = 1.1,
-    hot_set_overlap: float = 0.5,
-    seed: int = 1993,
-    workers: int | None = None,
-    on_shard=None,
-    checkpoint=None,
-    resume: bool = False,
-    retry=None,
-    on_error: str = "raise",
-    chaos=None,
-    chunk_size: int | None = None,
-    fast: bool = True,
-    **overrides: object,
-) -> FleetResult:
-    """Run a multi-device fleet experiment; see ``docs/fleet.md``.
-
-    Pass a full :class:`FleetSpec` for every knob, or use the keyword
-    shorthand: ``devices`` disks of model ``disk``, serving ``tenants``
-    users (Zipf-skewed by ``tenant_skew``) whose hot content overlaps
-    across devices by ``hot_set_overlap``.  Devices are grouped into
-    shards of ``devices_per_shard`` and fanned out to ``workers``
-    processes (``None`` = one per shard up to the CPU count).
-
-    The result's percentiles, on/off delta, and digest depend only on
-    the spec — never on ``workers`` nor the resilience knobs — so runs
-    are reproducible at any parallelism.  ``checkpoint`` journals each
-    completed shard to a JSONL file (``resume=True`` skips journaled
-    shards on restart); ``retry`` takes a
-    :class:`~repro.parallel.RetryPolicy` (per-shard timeouts, bounded
-    retries, seeded backoff); ``on_error`` is ``"raise"``/``"skip"``/
-    ``"degrade"``; ``chaos`` injects a
-    :class:`~repro.faults.ChaosPlan` of worker-level faults.  See
-    ``docs/resilience.md``.  ``fast=False`` runs every device on the
-    scalar engine; the digest is the same.  Remaining keywords pass
-    through to
-    :class:`FleetSpec` (``num_blocks=``, ``counter=``, ``schedule=``,
-    ``tenancy=`` for a full
-    :class:`~repro.workload.tenancy.TenancySpec`, ...).
-    """
-    if spec is None:
-        from .workload.tenancy import TenancySpec
-
-        tenancy = overrides.pop("tenancy", None)
-        if tenancy is None:
-            tenancy = TenancySpec(
-                tenants=tenants,
-                tenant_skew=tenant_skew,
-                hot_set_overlap=hot_set_overlap,
-            )
-        spec = FleetSpec(
-            devices=devices,
-            disk=disk,
-            days=days,
-            hours=hours,
-            devices_per_shard=devices_per_shard,
-            tenancy=tenancy,
-            seed=seed,
-            **overrides,
-        )
-    return _run_fleet(
-        spec,
-        workers=workers,
-        on_shard=on_shard,
-        checkpoint=checkpoint,
-        resume=resume,
-        retry=retry,
-        on_error=on_error,
-        chaos=chaos,
-        chunk_size=chunk_size,
-        fast=fast,
-    )
 
 
 def run_bench(

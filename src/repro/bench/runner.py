@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import platform
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -520,6 +519,3 @@ def render_trajectory_lines(
         lines.append("  ".join(parts))
     return lines
 
-
-def main_check(message: str) -> None:  # pragma: no cover - CLI glue
-    print(message, file=sys.stderr)

@@ -33,12 +33,30 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .analysis.characterize import characterize, render_character
-from .disk.models import disk_model
+from .api import make_config
+from .bench.runner import DEFAULT_MEM_THRESHOLD, DEFAULT_THRESHOLD
+from .core.counters import COUNTER_STRATEGIES
+from .core.placement import PLACEMENT_POLICIES
+from .disk.models import DISK_MODELS, disk_model
+from .driver.errors import DriverError
+from .driver.ftl import GC_POLICIES
+from .driver.queue import QUEUE_POLICIES
+from .faults.chaos import ChaosSpecError, parse_chaos_spec
 from .faults.spec import FaultSpecError, parse_fault_spec
-from .obs import NULL_TRACER, JsonlTraceWriter, replay_day_metrics
+from .fleet import CheckpointError, FleetSpec, render_fleet, run_fleet
+from .obs import (
+    NULL_TRACER,
+    JsonlTraceWriter,
+    ShardProgress,
+    TraceScanStats,
+    replay_day_metrics,
+    replay_monitors,
+)
+from .parallel import ON_ERROR_POLICIES, RetryPolicy, WorkerTaskError
+from .policy import POLICY_SHORTHANDS, OnlinePolicy
 from .sim.experiment import (
     Experiment,
     ExperimentConfig,
@@ -46,6 +64,7 @@ from .sim.experiment import (
     run_campaigns_parallel,
     run_onoff_campaign,
 )
+from .sim.ssd import SsdConfig, SsdExperiment
 from .stats.metrics import seek_time_reduction_vs_fcfs, summarize_on_off
 from .stats.report import (
     render_day,
@@ -53,63 +72,90 @@ from .stats.report import (
     render_onoff_table,
     render_sweep,
 )
-from .workload.profiles import PROFILES, WorkloadProfile
+from .traces import (
+    TraceParseError,
+    ingest_trace,
+    matching_profile,
+    render_trace_character,
+    replay_jobs,
+    write_ingested,
+)
+from .traces.formats import FORMATS
+from .traces.mapping import MAPPING_STRATEGIES
+from .traces.rescale import LOOPS
+from .workload.profiles import PROFILES
+from .workload.tenancy import TenancySpec
 from .workload.trace import load_trace, save_trace
 
-
-DISK_CHOICES = ("toshiba", "fujitsu", "modern")
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--disk", choices=DISK_CHOICES, default="toshiba"
-    )
-    parser.add_argument(
-        "--profile", choices=sorted(PROFILES), default="system"
-    )
-    parser.add_argument(
-        "--hours", type=float, default=None,
-        help="length of a measurement day (default: the profile's 15h)",
-    )
-    parser.add_argument("--seed", type=int, default=1993)
-    parser.add_argument(
-        "--counter", choices=("exact", "spacesaving"), default="exact",
-        help="analyzer counter strategy: exact per-block counts (the "
-        "paper's setup) or a bounded Space-Saving top-k sketch "
-        "(see docs/scaling.md)",
-    )
-    parser.add_argument(
-        "--faults", default=None, metavar="SPEC",
-        help="deterministic fault injection, e.g. "
-        "'seed=7,transient=0.001,retries=3,crash=copy100,crash=day1@2h' "
-        "(grammar in docs/faults.md)",
-    )
-    _add_policy(parser)
+UNSET = argparse.SUPPRESS
+"""Default of every flag that sets a library value: an unset flag is
+absent from the parsed namespace, so the spec or function it feeds keeps
+its own default."""
 
 
-def _add_policy(parser: argparse.ArgumentParser) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser,
+    *,
+    disk: str = "disk",
+    skip: tuple[str, ...] = (),
+    **help_text: str,
+) -> None:
+    """The run flags the experiment, ``fleet`` and ``ssd`` commands
+    share.  ``disk`` is the field ``--disk`` sets; ``skip`` names the
+    flags a command lacks and ``help_text`` replaces a flag's help
+    text, both keyed by field."""
     parser.add_argument(
-        "--policy", choices=("nightly", "online", "off"), default=None,
+        "--disk", dest=disk, choices=DISK_MODELS, default=UNSET,
+        help=help_text.get(disk),
+    )
+    parser.add_argument(
+        "--profile", choices=sorted(PROFILES), default=UNSET,
+        help=help_text.get("profile"),
+    )
+    parser.add_argument(
+        "--hours", type=float, default=UNSET,
+        help=help_text.get(
+            "hours", "length of a measurement day (default: the profile's 15h)"
+        ),
+    )
+    parser.add_argument("--seed", type=int, default=UNSET)
+    if "counter" not in skip:
+        parser.add_argument(
+            "--counter", choices=COUNTER_STRATEGIES, default=UNSET,
+            help=help_text.get(
+                "counter",
+                "analyzer counter strategy: exact per-block counts (the "
+                "paper's setup) or a bounded Space-Saving top-k sketch "
+                "(see docs/scaling.md)",
+            ),
+        )
+    if "faults" not in skip:
+        parser.add_argument(
+            "--faults", default=UNSET, metavar="SPEC",
+            help="deterministic fault injection, e.g. "
+            "'seed=7,transient=0.001,retries=3,crash=copy100,crash=day1@2h' "
+            "(grammar in docs/faults.md)",
+        )
+    parser.add_argument(
+        "--policy", choices=POLICY_SHORTHANDS, default=UNSET,
         help="when rearrangement runs: the nightly batch cycle (default), "
         "online incremental migration during idle windows "
         "(docs/online.md), or never",
     )
     parser.add_argument(
-        "--idle-ms", type=float, default=None, metavar="MS",
+        "--idle-ms", type=float, default=UNSET, metavar="MS",
         help="idle-gap length that opens a migration window "
         "(--policy online only; default 250)",
     )
 
 
 def _policy_of(args):
-    """Resolve --policy/--idle-ms into what ExperimentConfig expects."""
+    """Resolve --policy/--idle-ms into what the run specs expect."""
     policy = getattr(args, "policy", None)
     idle_ms = getattr(args, "idle_ms", None)
     if idle_ms is not None and policy != "online":
         raise SystemExit("--idle-ms only applies with --policy online")
     if policy == "online" and idle_ms is not None:
-        from .policy import OnlinePolicy
-
         try:
             return OnlinePolicy(idle_ms=idle_ms)
         except ValueError as exc:
@@ -117,47 +163,71 @@ def _policy_of(args):
     return policy
 
 
-def _profile(args) -> WorkloadProfile:
-    """The ``--profile`` preset, its day shortened to ``--hours``."""
-    profile = PROFILES[args.profile]
-    if args.hours is not None:
-        profile = profile.scaled(hours=args.hours)
-    return profile
-
-
-def _config(args) -> ExperimentConfig:
-    faults = None
-    if getattr(args, "faults", None):
+def _options(args, *names: str) -> dict:
+    """The flags among ``names`` (their dests) that the user set, ready
+    to pass on as keywords.  A ``policy`` takes ``--idle-ms`` into
+    account and a ``faults`` spec is parsed."""
+    options = {name: getattr(args, name) for name in names if name in args}
+    if "policy" in names:
+        policy = _policy_of(args)
+        if policy is not None:
+            options["policy"] = policy
+    if "faults" in options:
         try:
-            faults = parse_fault_spec(args.faults)
+            options["faults"] = parse_fault_spec(options["faults"])
         except FaultSpecError as exc:
             raise SystemExit(f"bad --faults spec: {exc}")
-    return ExperimentConfig(
-        profile=_profile(args),
-        disk=args.disk,
-        seed=args.seed,
-        faults=faults,
-        counter=getattr(args, "counter", "exact"),
-        policy=_policy_of(args),
-    )
+    return options
+
+
+def _fields(spec) -> list[str]:
+    return [field.name for field in fields(spec)]
+
+
+def experiment_config(args) -> ExperimentConfig:
+    """The config an experiment command runs: the flags the user set,
+    :class:`ExperimentConfig`'s defaults for the rest."""
+    return make_config(**_options(args, "hours", *_fields(ExperimentConfig)))
+
+
+def fleet_spec(args) -> FleetSpec:
+    """The ``fleet`` command's spec: the flags the user set, the
+    :class:`FleetSpec` and :class:`TenancySpec` defaults for the rest."""
+    try:
+        return FleetSpec(
+            tenancy=TenancySpec(**_options(args, *_fields(TenancySpec))),
+            **_options(args, *_fields(FleetSpec)),
+        )
+    except ValueError as exc:
+        raise SystemExit(f"bad fleet spec: {exc}")
+
+
+def ssd_config(args) -> SsdConfig:
+    """The ``ssd`` command's config: the flags the user set, the
+    :class:`SsdConfig` defaults for the rest."""
+    try:
+        return make_config(disk="ssd", **_options(args, "hours", *_fields(SsdConfig)))
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(f"bad ssd config: {exc}")
 
 
 def cmd_onoff(args) -> int:
+    config = experiment_config(args)
     tracer = JsonlTraceWriter(args.trace) if args.trace else NULL_TRACER
     try:
-        result = run_onoff_campaign(_config(args), days=args.days, tracer=tracer)
+        result = run_onoff_campaign(config, days=args.days, tracer=tracer)
     finally:
         tracer.close()
     if args.trace:
         print(f"wrote {tracer.events_written} trace events -> {args.trace}\n")
     for day in result.days:
-        print(render_day(day.metrics, args.disk))
+        print(render_day(day.metrics, config.disk))
     for scope in ("all", "read"):
         summary = summarize_on_off(result.metrics(), scope)
         print()
         print(
             render_onoff_table(
-                [(args.disk.capitalize(), scope, summary)],
+                [(config.disk.capitalize(), scope, summary)],
                 f"On/Off summary ({scope} requests)",
             )
         )
@@ -165,11 +235,11 @@ def cmd_onoff(args) -> int:
 
 
 def cmd_policies(args) -> int:
-    config = _config(args)
+    config = experiment_config(args)
     schedule = [False] + [True] * (args.days - 1)
     tasks = [
         (policy, replace(config, placement_policy=policy), schedule)
-        for policy in ("organ-pipe", "interleaved", "serial")
+        for policy in PLACEMENT_POLICIES
     ]
     columns = []
     rows = []
@@ -179,7 +249,8 @@ def cmd_policies(args) -> int:
         rows.append((policy, seek_time_reduction_vs_fcfs(day.all)))
     print(
         render_detail_table(
-            columns, f"Placement policies on {args.disk} ({args.profile} FS)"
+            columns,
+            f"Placement policies on {config.disk} ({config.profile.name} FS)",
         )
     )
     print()
@@ -189,9 +260,10 @@ def cmd_policies(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    config = experiment_config(args)
     counts = [int(c) for c in args.counts.split(",")]
     rows = []
-    for count, day in run_block_count_sweep(_config(args), counts):
+    for count, day in run_block_count_sweep(config, counts):
         m = day.metrics.all
         rows.append(
             (
@@ -200,14 +272,17 @@ def cmd_sweep(args) -> int:
                 1 - m.mean_seek_time_ms / m.fcfs_mean_seek_time_ms,
             )
         )
-    print(render_sweep(rows, f"Seek reduction vs blocks rearranged ({args.disk})"))
+    print(
+        render_sweep(rows, f"Seek reduction vs blocks rearranged ({config.disk})")
+    )
     return 0
 
 
 def cmd_workload(args) -> int:
     # Day 0 exactly as the experiment commands simulate it.
-    workload = Experiment(_config(args)).generator.generate_day()
-    print(render_character(characterize(workload), f"{args.profile} day 0"))
+    config = experiment_config(args)
+    workload = Experiment(config).generator.generate_day()
+    print(render_character(characterize(workload), f"{config.profile.name} day 0"))
     if args.out:
         count = save_trace(workload.jobs, args.out)
         print(f"\nwrote {count} jobs -> {args.out}")
@@ -215,26 +290,13 @@ def cmd_workload(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    from .traces import (
-        TraceParseError,
-        ingest_trace,
-        matching_profile,
-        render_trace_character,
-        write_ingested,
-    )
-
     try:
         result = ingest_trace(
             args.raw,
-            format=args.format,
-            mapping=args.mapping,
-            disk=args.disk,
-            target_blocks=args.target_blocks,
-            source_span=args.source_span,
-            time_scale=args.time_scale,
-            loop=args.loop,
-            gap_ms=args.gap_ms,
-            limit=args.limit,
+            **_options(
+                args, "format", "mapping", "disk", "target_blocks",
+                "source_span", "time_scale", "loop", "gap_ms", "limit",
+            ),
         )
     except (OSError, TraceParseError) as exc:
         raise SystemExit(f"ingest failed: {exc}")
@@ -250,9 +312,9 @@ def cmd_ingest(args) -> int:
             file=sys.stderr,
         )
     if args.show_profile:
-        profile = matching_profile(result.character, args.profile)
+        profile = matching_profile(result.character, **_options(args, "base"))
         print(
-            f"\nmatched profile (base {args.profile!r}): "
+            f"\nmatched profile {profile.name!r}: "
             f"day {profile.day_hours:.2f}h, "
             f"{profile.read_sessions_per_hour:.0f} read sessions/h, "
             f"{profile.open_sessions_per_hour:.0f} open sessions/h, "
@@ -270,18 +332,14 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    from .traces import replay_jobs
-
     jobs = load_trace(args.trace)
     tracer = JsonlTraceWriter(args.out_trace) if args.out_trace else NULL_TRACER
     try:
         result = replay_jobs(
             jobs,
-            disk=args.disk,
-            queue=args.queue,
             rearrange=args.rearrange,
-            num_blocks=args.blocks,
             tracer=tracer,
+            **_options(args, "disk", "queue", "num_blocks"),
         )
     finally:
         tracer.close()
@@ -313,8 +371,6 @@ def cmd_trace(args) -> int:
         return disk_model(models.get(device, args.disk)).seek
 
     # Peek at the devices first so each gets its own geometry's seek model.
-    from .obs import TraceScanStats, replay_monitors
-
     try:
         devices = sorted(replay_monitors(args.jsonl))
     except OSError as exc:
@@ -327,9 +383,9 @@ def cmd_trace(args) -> int:
         per_device = replay_day_metrics(
             args.jsonl,
             {device: seek_model_for(device) for device in devices},
-            day=args.day,
             rearranged=args.rearranged,
             stats=scan,
+            **_options(args, "day"),
         )
     except ValueError as exc:
         raise SystemExit(
@@ -350,32 +406,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_fleet(args) -> int:
-    from .faults.chaos import ChaosSpecError, parse_chaos_spec
-    from .fleet import CheckpointError, FleetSpec, render_fleet, run_fleet
-    from .obs import ShardProgress
-    from .parallel import RetryPolicy, WorkerTaskError
-    from .workload.tenancy import TenancySpec
-
-    try:
-        spec = FleetSpec(
-            devices=args.devices,
-            disk=args.disk,
-            days=args.days,
-            hours=args.hours,
-            devices_per_shard=args.devices_per_shard,
-            num_blocks=args.blocks,
-            counter=args.counter,
-            seed=args.seed,
-            policy=_policy_of(args),
-            tenancy=TenancySpec(
-                tenants=args.tenants,
-                tenant_skew=args.tenant_skew,
-                hot_set_overlap=args.overlap,
-                profile=args.profile,
-            ),
-        )
-    except ValueError as exc:
-        raise SystemExit(f"bad fleet spec: {exc}")
+    spec = fleet_spec(args)
     chaos = None
     if args.chaos:
         try:
@@ -383,18 +414,10 @@ def cmd_fleet(args) -> int:
         except ChaosSpecError as exc:
             raise SystemExit(f"bad chaos spec: {exc}")
     retry = None
-    if (
-        args.retries != 1
-        or args.task_timeout is not None
-        or args.backoff > 0
-    ):
+    retry_options = _options(args, "max_attempts", "timeout_s", "backoff_s")
+    if retry_options != {"max_attempts": 1}:  # a retry flag was set
         try:
-            retry = RetryPolicy(
-                max_attempts=args.retries,
-                timeout_s=args.task_timeout,
-                backoff_s=args.backoff,
-                seed=spec.seed,
-            )
+            retry = RetryPolicy(**retry_options, seed=spec.seed)
         except ValueError as exc:
             raise SystemExit(f"bad retry policy: {exc}")
     if args.resume and args.checkpoint is None:
@@ -412,11 +435,10 @@ def cmd_fleet(args) -> int:
             checkpoint=args.checkpoint,
             resume=args.resume,
             retry=retry,
-            on_error=args.on_error,
             chaos=chaos,
-            chunk_size=args.chunk_size,
             on_retry=progress.note_retry if progress else None,
             on_failure=progress.note_failure if progress else None,
+            **_options(args, "on_error", "chunk_size"),
         )
     except CheckpointError as exc:
         raise SystemExit(f"cannot resume: {exc}")
@@ -435,27 +457,11 @@ def cmd_fleet(args) -> int:
         print(json.dumps(result.payload(), indent=2, sort_keys=True))
     else:
         print(render_fleet(result))
-    return 1 if result.degraded and args.on_error != "skip" else 0
+    return 1 if result.degraded and getattr(args, "on_error", None) != "skip" else 0
 
 
 def cmd_ssd(args) -> int:
-    from .driver.errors import DriverError
-    from .sim.ssd import SsdConfig, SsdExperiment
-
-    try:
-        config = SsdConfig(
-            profile=_profile(args),
-            flash=args.flash,
-            reference_disk=args.disk,
-            seed=args.seed,
-            policy=_policy_of(args),
-            cmt_capacity=args.cmt_capacity,
-            gc_policy=args.gc_policy,
-            hot_threshold=args.hot_threshold,
-            precondition=not args.no_precondition,
-        )
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(f"bad ssd config: {exc}")
+    config = ssd_config(args)
     tracer = JsonlTraceWriter(args.trace) if args.trace else NULL_TRACER
     try:
         try:
@@ -469,8 +475,8 @@ def cmd_ssd(args) -> int:
         print(f"wrote {tracer.events_written} trace events -> {args.trace}\n")
     separation = "on" if config.separation else "off"
     print(
-        f"flash {args.flash} ({args.disk} span), gc {args.gc_policy}, "
-        f"hot/cold separation {separation}"
+        f"flash {config.flash} ({config.reference_disk} span), "
+        f"gc {config.gc_policy}, hot/cold separation {separation}"
     )
     header = (
         f"{'day':>3} {'reqs':>6} {'resp ms':>8} {'WA':>6} {'GC':>5} "
@@ -514,13 +520,12 @@ def cmd_bench(args) -> int:
         scenarios = get_scenarios(names)
     except KeyError as exc:
         raise SystemExit(str(exc.args[0]))
-    fast = not args.no_fast
     reports = run_suite(
         scenarios,
         quick=args.quick,
-        repeat=args.repeat,
-        measure_memory=not args.no_memory,
-        fast=fast,
+        measure_memory=args.measure_memory,
+        fast=args.fast,
+        **_options(args, "repeat"),
     )
     for report in reports:
         print(render_report_line(report))
@@ -537,7 +542,7 @@ def cmd_bench(args) -> int:
         for scenario in scenarios:
             profiler = cProfile.Profile()
             profiler.enable()
-            scenario.run(args.quick, fast)
+            scenario.run(args.quick, args.fast)
             profiler.disable()
             path = out_dir / f"BENCH_{scenario.name}.pstats"
             profiler.dump_stats(path)
@@ -627,48 +632,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ingest.add_argument("raw", help="raw trace file (blkparse text or MSR CSV)")
     ingest.add_argument(
-        "--format", choices=("auto", "blkparse", "msr"), default="auto",
+        "--format", choices=FORMATS, default=UNSET,
         help="input format (default: sniff from the first record)",
     )
     ingest.add_argument(
-        "--mapping", choices=("modulo", "linear", "compact"),
-        default="compact",
+        "--mapping", choices=MAPPING_STRATEGIES, default=UNSET,
         help="address-mapping strategy onto the simulated disk "
         "(see docs/traces.md)",
     )
     ingest.add_argument(
-        "--disk", choices=DISK_CHOICES, default="toshiba",
+        "--disk", choices=DISK_MODELS, default=UNSET,
         help="disk whose virtual size bounds the mapped addresses",
     )
     ingest.add_argument(
-        "--target-blocks", type=int, default=None,
+        "--target-blocks", type=int, default=UNSET,
         help="override the mapped address-space size "
         "(default: the disk's virtual block count)",
     )
     ingest.add_argument(
-        "--source-span", type=int, default=None,
+        "--source-span", type=int, default=UNSET,
         help="source address-space size for --mapping linear "
         "(default: measured with a streaming pre-pass)",
     )
     ingest.add_argument(
-        "--time-scale", type=float, default=1.0,
+        "--time-scale", type=float, default=UNSET,
         help="multiply inter-arrival times (0.1 compresses 10x)",
     )
     ingest.add_argument(
-        "--loop", choices=("open", "closed"), default="open",
+        "--loop", choices=LOOPS, default=UNSET,
         help="open: replay arrivals verbatim; closed: fold bursts into "
         "think-time sessions",
     )
     ingest.add_argument(
-        "--gap-ms", type=float, default=50.0,
+        "--gap-ms", type=float, default=UNSET,
         help="closed-loop session break (scaled inter-arrival gap)",
     )
     ingest.add_argument(
-        "--limit", type=int, default=None,
+        "--limit", type=int, default=UNSET,
         help="ingest only the first N records",
     )
     ingest.add_argument(
-        "--profile", choices=sorted(PROFILES), default="system",
+        "--profile", dest="base", choices=sorted(PROFILES), default=UNSET,
         help="base profile for --show-profile",
     )
     ingest.add_argument(
@@ -680,18 +684,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay = sub.add_parser("replay", help="replay a saved trace")
     replay.add_argument("trace")
-    replay.add_argument(
-        "--disk", choices=DISK_CHOICES, default="toshiba"
-    )
-    replay.add_argument(
-        "--queue", choices=("fcfs", "scan", "cscan", "sstf"), default="scan"
-    )
+    replay.add_argument("--disk", choices=DISK_MODELS, default=UNSET)
+    replay.add_argument("--queue", choices=QUEUE_POLICIES, default=UNSET)
     replay.add_argument(
         "--rearrange", action="store_true",
         help="pre-train rearrangement on the trace itself",
     )
     replay.add_argument(
-        "--blocks", type=int, default=None,
+        "--blocks", dest="num_blocks", type=int, default=UNSET,
+        metavar="BLOCKS",
         help="blocks to rearrange with --rearrange "
         "(default: the paper's count for --disk)",
     )
@@ -706,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("jsonl", help="trace file written by --trace")
     trace.add_argument(
-        "--disk", choices=DISK_CHOICES, default="toshiba",
+        "--disk", choices=DISK_MODELS, default=ExperimentConfig.disk,
         help="disk model whose seek curve converts FCFS distances to times",
     )
     trace.add_argument(
@@ -714,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-device disk models for multi-device traces "
         "(e.g. toshiba0=toshiba,fujitsu0=fujitsu)",
     )
-    trace.add_argument("--day", type=int, default=0)
+    trace.add_argument("--day", type=int, default=UNSET)
     trace.add_argument("--rearranged", action="store_true")
     trace.set_defaults(func=cmd_trace)
 
@@ -723,18 +724,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-device fleet run: sharded, multi-tenant, streaming "
         "aggregation (see docs/fleet.md)",
     )
-    fleet.add_argument("--devices", type=int, default=64)
-    fleet.add_argument("--disk", choices=DISK_CHOICES, default="fujitsu")
+    _add_common(
+        fleet,
+        skip=("faults",),
+        hours="length of each measurement day (default: the profile's 15h)",
+        profile="base preset the per-device tenant profiles derive from",
+        counter="analyzer counter strategy (bounded sketch by default)",
+    )
+    fleet.add_argument("--devices", type=int, default=UNSET)
     fleet.add_argument(
-        "--days", type=int, default=3,
+        "--days", type=int, default=UNSET,
         help="one training (off) day, then rearranged days",
     )
     fleet.add_argument(
-        "--hours", type=float, default=None,
-        help="length of each measurement day (default: the profile's 15h)",
-    )
-    fleet.add_argument(
-        "--devices-per-shard", type=int, default=8,
+        "--devices-per-shard", type=int, default=UNSET,
         help="shard width; part of the spec (affects seeds), unlike "
         "--workers which never changes results",
     )
@@ -743,33 +746,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: one per shard up to the CPU "
         "count; results are identical at any value)",
     )
-    fleet.add_argument("--tenants", type=int, default=256)
+    fleet.add_argument("--tenants", type=int, default=UNSET)
     fleet.add_argument(
-        "--tenant-skew", type=float, default=1.1,
+        "--tenant-skew", type=float, default=UNSET,
         help="Zipf exponent of per-tenant traffic shares",
     )
     fleet.add_argument(
-        "--overlap", type=float, default=0.5,
+        "--overlap", dest="hot_set_overlap", type=float, default=UNSET,
+        metavar="OVERLAP",
         help="fraction of each device's hot set drawn from the "
         "fleet-wide shared hot set",
     )
     fleet.add_argument(
-        "--profile", choices=sorted(PROFILES), default="system",
-        help="base preset the per-device tenant profiles derive from",
-    )
-    fleet.add_argument(
-        "--blocks", type=int, default=None,
+        "--blocks", dest="num_blocks", type=int, default=UNSET,
+        metavar="BLOCKS",
         help="blocks each device rearranges nightly (default: the "
         "paper's per-model choice)",
     )
     fleet.add_argument(
-        "--counter", choices=("exact", "spacesaving"), default="spacesaving",
-        help="analyzer counter strategy (bounded sketch by default)",
-    )
-    fleet.add_argument("--seed", type=int, default=1993)
-    _add_policy(fleet)
-    fleet.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
+        "--chunk-size", type=int, default=UNSET, metavar="N",
         help="shards per dispatch batch (default: tasks/(workers*4); "
         "1 gives the smoothest progress and earliest failure detection)",
     )
@@ -784,22 +779,24 @@ def build_parser() -> argparse.ArgumentParser:
         "finished run's digest is identical to an uninterrupted one",
     )
     fleet.add_argument(
-        "--retries", type=int, default=1, metavar="N",
+        "--retries", dest="max_attempts", type=int, default=1, metavar="N",
         help="attempts per shard before giving up (default: 1 = no "
         "retries); retried attempts re-run the same seeds, so results "
         "never change",
     )
     fleet.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        "--task-timeout", dest="timeout_s", type=float, default=UNSET,
+        metavar="SECONDS",
         help="per-shard deadline; stragglers are killed and re-dispatched "
         "(counts as one attempt)",
     )
     fleet.add_argument(
-        "--backoff", type=float, default=0.0, metavar="SECONDS",
+        "--backoff", dest="backoff_s", type=float, default=UNSET,
+        metavar="SECONDS",
         help="base retry delay, doubled per attempt with seeded jitter",
     )
     fleet.add_argument(
-        "--on-error", choices=("raise", "skip", "degrade"), default="raise",
+        "--on-error", choices=ON_ERROR_POLICIES, default=UNSET,
         help="what exhausted shards do: fail the run, or drop the shard "
         "and return a partial result with a failed-shard manifest",
     )
@@ -824,41 +821,38 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the paper's workloads through the page-mapped FTL: "
         "write amplification, GC, mapping cache, wear (docs/ftl.md)",
     )
-    ssd.add_argument(
-        "--profile", choices=sorted(PROFILES), default="users",
-        help="workload preset (users has the hot/cold write mix that "
+    _add_common(
+        ssd,
+        disk="reference_disk",
+        skip=("counter", "faults"),
+        profile="workload preset (users has the hot/cold write mix that "
         "makes separation interesting)",
+        reference_disk="reference disk whose label defines the logical "
+        "span — the workload stream is identical to a disk run on this "
+        "model",
     )
+    ssd.set_defaults(profile="users")
     ssd.add_argument(
-        "--disk", choices=DISK_CHOICES, default="toshiba",
-        help="reference disk whose label defines the logical span — the "
-        "workload stream is identical to a disk run on this model",
-    )
-    ssd.add_argument(
-        "--flash", default="ssd",
+        "--flash", default=UNSET,
         help="flash geometry preset (default: the 4-channel 'ssd')",
     )
-    ssd.add_argument(
-        "--hours", type=float, default=None,
-        help="length of a measurement day (default: the profile's 15h)",
-    )
-    ssd.add_argument("--seed", type=int, default=1993)
     ssd.add_argument("--days", type=int, default=2)
     ssd.add_argument(
-        "--gc-policy", choices=("greedy", "cost-benefit"), default="greedy",
+        "--gc-policy", choices=GC_POLICIES, default=UNSET,
         help="garbage-collection victim selection",
     )
     ssd.add_argument(
-        "--cmt-capacity", type=int, default=8192, metavar="ENTRIES",
+        "--cmt-capacity", type=int, default=UNSET, metavar="ENTRIES",
         help="cached-mapping-table capacity; misses cost translation-page "
         "reads from flash",
     )
     ssd.add_argument(
-        "--hot-threshold", type=int, default=2, metavar="N",
+        "--hot-threshold", type=int, default=UNSET, metavar="N",
         help="sketch count at which a page writes to the hot frontier",
     )
     ssd.add_argument(
-        "--no-precondition", action="store_true",
+        "--no-precondition", dest="precondition", action="store_false",
+        default=UNSET,
         help="start from a fresh (never-written) drive; short days will "
         "not garbage-collect",
     )
@@ -866,7 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", default=None, metavar="FILE",
         help="write request-lifecycle + GC/mapping/wear events as JSONL",
     )
-    _add_policy(ssd)
     ssd.set_defaults(func=cmd_ssd)
 
     bench = sub.add_parser(
@@ -885,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="subset of scenarios to run (default: the full suite)",
     )
     bench.add_argument(
-        "--repeat", type=int, default=1,
+        "--repeat", type=int, default=UNSET,
         help="repetitions per scenario; best wall-clock is reported",
     )
     bench.add_argument(
@@ -902,16 +895,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the combined baseline document to FILE",
     )
     bench.add_argument(
-        "--threshold", type=float, default=0.15,
+        "--threshold", type=float, default=DEFAULT_THRESHOLD,
         help="fractional slowdown tolerated by --compare (default 0.15)",
     )
     bench.add_argument(
-        "--mem-threshold", type=float, default=0.25,
+        "--mem-threshold", type=float, default=DEFAULT_MEM_THRESHOLD,
         help="fractional peak-memory growth tolerated by --compare "
         "(default 0.25)",
     )
     bench.add_argument(
-        "--no-memory", action="store_true",
+        "--no-memory", dest="measure_memory", action="store_false",
         help="skip the tracemalloc pass (faster; reports lack peak memory "
         "and --compare skips the memory check)",
     )
@@ -922,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
         "artifact",
     )
     bench.add_argument(
-        "--no-fast", action="store_true",
+        "--no-fast", dest="fast", action="store_false",
         help="force the scalar engine (disable the batch simulation "
         "kernel) for every scenario; digests must not change",
     )

@@ -105,14 +105,6 @@ class DiskLabel:
     # Virtual <-> physical mapping
     # ------------------------------------------------------------------
 
-    def virtual_to_physical_cylinder(self, cylinder: int) -> int:
-        if not 0 <= cylinder < self.virtual_cylinders:
-            raise ValueError(f"virtual cylinder {cylinder} out of range")
-        assert self.reserved_start_cylinder is not None
-        if cylinder < self.reserved_start_cylinder:
-            return cylinder
-        return cylinder + self.reserved_cylinders
-
     def physical_to_virtual_cylinder(self, cylinder: int) -> int:
         if self.is_reserved_cylinder(cylinder):
             raise ValueError(f"physical cylinder {cylinder} is reserved")

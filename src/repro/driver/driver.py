@@ -184,10 +184,6 @@ class AdaptiveDiskDriver:
         return self._current is not None
 
     @property
-    def current_request(self) -> DiskRequest | None:
-        return self._current
-
-    @property
     def queued(self) -> int:
         return len(self.queue)
 

@@ -174,9 +174,6 @@ class PerformanceMonitor:
             False: (("all", classes["all"]), ("write", classes["write"])),
         }
 
-    def _scopes(self, is_read: bool) -> tuple[str, str]:
-        return ("all", "read" if is_read else "write")
-
     def note_arrival(self, request: DiskRequest) -> None:
         home = request.home_cylinder
         if home is None:

@@ -31,7 +31,6 @@ _EXPERIMENT_NAMES = {
     "PAPER_RESERVED_CYLINDERS",
     "alternating_schedule",
     "run_block_count_sweep",
-    "run_block_count_sweep_parallel",
     "run_campaign",
     "run_campaigns_parallel",
     "run_onoff_campaign",
@@ -102,7 +101,6 @@ __all__ = [
     "alternating_schedule",
     "batch_job",
     "run_block_count_sweep",
-    "run_block_count_sweep_parallel",
     "run_campaign",
     "run_campaigns_parallel",
     "run_onoff_campaign",

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from ..parallel import fan_out, spawn_seeds
+from ..parallel import fan_out
 from ..parallel import resolve_workers as resolve_workers  # re-export
 from ..core.analyzer import ReferenceStreamAnalyzer
 from ..core.counters import COUNTER_STRATEGIES
@@ -133,9 +133,12 @@ def make_partition(label: DiskLabel, profile: WorkloadProfile):
     """Lay out the file system's partition per the profile's band.
 
     ``"full"`` covers the whole virtual disk.  ``"center"`` is a home
-    partition occupying the middle 40% of the virtual disk — the slice
-    whose physical cylinders bracket the reserved area — with outer
-    dummy partitions standing in for root and swap.
+    partition from two cylinder groups below the middle of the virtual
+    disk to its end, behind a dummy root partition: a first-fit-growing
+    file system then surrounds a centred reserved area.  The anchor is
+    where a centred area starts even when the label puts the area at
+    the disk edge, so the home partition has the same size wherever the
+    reserved cylinders sit.
 
     Shared by the disk :class:`Experiment` and the SSD experiment
     (:mod:`repro.sim.ssd`): both must carve the identical partition from
@@ -145,13 +148,8 @@ def make_partition(label: DiskLabel, profile: WorkloadProfile):
     total = label.virtual_total_blocks
     if profile.partition_band == "center":
         per_cyl = label.geometry.blocks_per_cylinder
-        # Start two cylinder groups below the hidden reserved area so
-        # that a first-fit-growing file system surrounds it.
-        assert label.reserved_start_cylinder is not None
-        start_cyl = max(
-            0,
-            label.reserved_start_cylinder - 2 * profile.cylinders_per_group,
-        )
+        centred_start = (label.geometry.cylinders - label.reserved_cylinders) // 2
+        start_cyl = max(0, centred_start - 2 * profile.cylinders_per_group)
         if start_cyl > 0:
             label.add_partition("root", start_cyl * per_cyl)
         return label.add_partition("home", total - start_cyl * per_cyl)
@@ -503,7 +501,6 @@ def _campaign_worker(task: CampaignTask) -> tuple[str, CampaignResult]:
 def run_campaigns_parallel(
     tasks: Sequence[CampaignTask],
     workers: int | None = None,
-    seed_from: int | None = None,
 ) -> list[tuple[str, CampaignResult]]:
     """Fan independent campaigns across ``multiprocessing`` workers.
 
@@ -515,24 +512,10 @@ def run_campaigns_parallel(
     seed.  Tracers are deliberately not supported here: a tracer is
     process-local state, so traced runs should use :func:`run_campaign`
     directly.
-
-    ``seed_from`` replaces each task's seed with a
-    ``numpy.random.SeedSequence``-spawned child seed (one per task, in
-    task order).  Use it when fanning out *replicas* of one config:
-    spawned children are statistically independent, unlike the ad-hoc
-    ``seed + i`` arithmetic this replaces, and identical at every worker
-    count.
     """
-    tasks = list(tasks)
-    if seed_from is not None:
-        seeds = spawn_seeds(seed_from, len(tasks))
-        tasks = [
-            (key, replace(config, seed=seed), schedule)
-            for (key, config, schedule), seed in zip(tasks, seeds)
-        ]
     return fan_out(
         _campaign_worker,
-        tasks,
+        list(tasks),
         workers,
         label=lambda i, task: (
             f"campaign {task[0]!r} (seed {task[1].seed})"
@@ -540,36 +523,3 @@ def run_campaigns_parallel(
         what="campaign",
     )
 
-
-def _sweep_point_worker(
-    item: tuple[ExperimentConfig, int],
-) -> tuple[int, DayResult]:
-    config, count = item
-    return run_block_count_sweep(config, [count])[0]
-
-
-def run_block_count_sweep_parallel(
-    config: ExperimentConfig,
-    block_counts: list[int],
-    workers: int | None = None,
-) -> list[tuple[int, DayResult]]:
-    """The Figure 8 sweep with mutually independent points.
-
-    Unlike :func:`run_block_count_sweep` — where day *k* is trained on day
-    *k-1*'s workload, chaining every point through one long campaign —
-    each point here is its own two-day experiment (day 0 trains, day 1
-    measures with ``count`` blocks rearranged), so all points share the
-    same training day and can run concurrently.  The curves agree in
-    shape; individual points differ slightly from the chained variant
-    because the training workload is day 0's for every count.
-    """
-    items = [(config, count) for count in block_counts]
-    return fan_out(
-        _sweep_point_worker,
-        items,
-        workers,
-        label=lambda i, item: (
-            f"sweep point count={item[1]} (seed {item[0].seed})"
-        ),
-        what="sweep point",
-    )

@@ -60,25 +60,28 @@ class MultiFSDayResult:
 
 
 class MultiFSExperiment:
-    """One disk, one reserved area, several file systems."""
+    """One disk, one reserved area, several file systems.
+
+    ``config`` describes the disk and its adaptive stack (model, reserved
+    area, block count, placement, queue, counter, faults, policy, engine)
+    exactly as for :class:`~repro.sim.experiment.Experiment`; its
+    workload fields are unused, because each :class:`FileSystemSpec`
+    brings its own profile and seed.
+    """
 
     def __init__(
         self,
         specs: list[FileSystemSpec],
-        disk: str = "toshiba",
-        num_blocks: int | None = None,
+        config: ExperimentConfig = ExperimentConfig(),
         tracer: Tracer = NULL_TRACER,
-        fast: bool = True,
     ) -> None:
         self.tracer = tracer
-        self.fast = fast
+        self.fast = config.fast
         if not specs:
             raise ValueError("need at least one file system")
         if sum(spec.fraction for spec in specs) > 1.0 + 1e-9:
             raise ValueError("partition fractions exceed the disk")
-        rig = self.rig = build_rig(
-            ExperimentConfig(disk=disk, num_blocks=num_blocks)
-        )
+        rig = self.rig = build_rig(config)
         self.model, self.label = rig.model, rig.label
         self.driver, self.controller = rig.driver, rig.controller
         self.num_blocks = rig.num_blocks

@@ -30,7 +30,7 @@ from ..driver.ftl import GC_POLICIES, FtlDriver, flash_model
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..policy import RearrangementPolicy, resolve_policy
 from ..workload.generator import DayWorkload, WorkloadGenerator
-from ..workload.profiles import WorkloadProfile, profile_for_disk
+from ..workload.profiles import SYSTEM_FS_PROFILE, WorkloadProfile, profile_for_disk
 from .engine import Simulation
 from .experiment import make_partition
 
@@ -46,7 +46,7 @@ evicted counts, classifying cold pages as hot and erasing the benefit."""
 class SsdConfig:
     """Everything that defines an SSD campaign."""
 
-    profile: WorkloadProfile
+    profile: WorkloadProfile = SYSTEM_FS_PROFILE
     flash: str = "ssd"
     """Flash geometry preset (:data:`repro.driver.ftl.FLASH_MODELS`)."""
     reference_disk: str = "toshiba"

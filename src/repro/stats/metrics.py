@@ -122,21 +122,6 @@ class DayMetrics:
         }
         return cls(day=day, rearranged=rearranged, scopes=scopes)
 
-    @classmethod
-    def from_monitor(
-        cls,
-        monitor,
-        seek_model: SeekModel,
-        day: int = 0,
-        rearranged: bool = False,
-    ) -> "DayMetrics":
-        """Reduce a :class:`~repro.driver.monitor.PerformanceMonitor`
-        (the driver's own or a tracer's shadow copy) with read-and-clear
-        semantics, mirroring the ``DKIOCREADSTATS`` path."""
-        return cls.from_tables(
-            monitor.read_and_clear(), seek_model, day=day, rearranged=rearranged
-        )
-
 
 @dataclass(frozen=True)
 class MinAvgMax:

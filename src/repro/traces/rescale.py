@@ -38,6 +38,9 @@ from .mapping import AddressMapper
 DEFAULT_GAP_MS = 50.0
 """Closed-loop session break: gaps this long or longer start a new job."""
 
+LOOPS = ("open", "closed")
+"""The timing disciplines :func:`jobs_from_records` accepts."""
+
 
 def rebase_and_scale(
     records: Sequence[BlockIO], time_scale: float = 1.0
@@ -99,7 +102,7 @@ def jobs_from_records(
     module docstring).  Multi-block records expand into one step per
     block, mapped individually so compaction keeps runs contiguous.
     """
-    if loop not in ("open", "closed"):
+    if loop not in LOOPS:
         raise ValueError(f"loop must be 'open' or 'closed', not {loop!r}")
     if gap_ms <= 0:
         raise ValueError("gap_ms must be positive")

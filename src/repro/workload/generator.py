@@ -559,12 +559,6 @@ class WorkloadGenerator:
         if profile.spike_writes > 0:
             self.cache.write(self._log_file.inode_block)
 
-    def _all_data_blocks(self) -> np.ndarray:
-        blocks: list[int] = []
-        for inode in self._inodes:
-            blocks.extend(inode.data_blocks)
-        return np.asarray(blocks, dtype=np.int64)
-
     # -- namespace churn (users profile) --------------------------------
 
     def _emit_create(self, when: float) -> None:

@@ -24,11 +24,18 @@ from repro.disk.models import (
     disk_model,
 )
 from repro.fleet import FleetSpec
-from repro.sim import ExperimentConfig, Simulation, engine, run_onoff_campaign
+from repro.sim import (
+    ExperimentConfig,
+    Simulation,
+    engine,
+    run_campaigns_parallel,
+    run_onoff_campaign,
+)
 from repro.sim import multifs
 from repro.sim.experiment import build_rig
 from repro.sim.multifs import FileSystemSpec, MultiFSExperiment
 from repro.workload.profiles import SYSTEM_FS_PROFILE, profile_for_disk
+from repro.workload.tenancy import TenancySpec
 
 
 def fast_config(**overrides):
@@ -115,12 +122,31 @@ class TestFacade:
         assert scalar.metrics_digest == fast.metrics_digest
 
     def test_run_fleet_scalar_engine_keeps_the_digest(self):
+        spec = FleetSpec(
+            devices=2, disk="toshiba", days=2, hours=0.05,
+            devices_per_shard=2, tenancy=TenancySpec(tenants=4),
+        )
         fast, scalar = (
-            run_fleet(devices=2, disk="toshiba", days=2, hours=0.05,
-                      devices_per_shard=2, tenants=4, workers=1, fast=mode)
-            for mode in (True, False)
+            run_fleet(spec, workers=1, fast=mode) for mode in (True, False)
         )
         assert scalar.digest() == fast.digest()
+
+    def test_run_fleet_is_the_fleet_runner(self):
+        assert run_fleet is repro.fleet.run_fleet
+
+    def test_shorthand_forwards_to_make_config(self):
+        result = run_campaign(profile="users", disk="fujitsu", hours=0.05,
+                              seed=5, days=2)
+        assert result.config == make_config("users", "fujitsu", hours=0.05,
+                                            seed=5)
+
+    def test_config_and_shorthand_are_exclusive(self):
+        with pytest.raises(TypeError, match="not both"):
+            simulate_day(fast_config(), seed=5)
+
+    def test_make_config_keeps_the_spec_defaults(self):
+        assert make_config() == ExperimentConfig()
+        assert make_config(disk="ssd") == SsdConfig()
 
 
 def _add_device_with_name():
@@ -161,6 +187,12 @@ REMOVED_NAMES = {
         ).resolved_analyzer_capacity(),
     ),
     "engine.FAST_OVERRIDE": (AttributeError, lambda: engine.FAST_OVERRIDE),
+    "repro.sim.run_block_count_sweep_parallel": (
+        AttributeError, lambda: repro.sim.run_block_count_sweep_parallel
+    ),
+    "run_campaigns_parallel-seed_from": (
+        TypeError, lambda: run_campaigns_parallel([], seed_from=77)
+    ),
 }
 
 # Run knobs that no caller ever set to anything but their default: each
@@ -194,7 +226,25 @@ _DEAD_KNOBS = {
          "counter_fading": 0.5, "precondition_free_blocks": 20},
     ),
 }
-for _owner, (_build, _knobs) in _DEAD_KNOBS.items():
+# Keywords that restated a spec's fields beside the spec: the spec is
+# now the only way to set them.
+_SPEC_SHORTHAND = {
+    "api.run_fleet": (
+        lambda **kw: run_fleet(FleetSpec(), **kw),
+        {"devices": 2, "disk": "toshiba", "days": 2, "hours": 0.05,
+         "devices_per_shard": 2, "tenants": 4, "tenant_skew": 1.0,
+         "hot_set_overlap": 0.1, "seed": 5},
+    ),
+    "MultiFSExperiment": (
+        lambda **kw: MultiFSExperiment(
+            [FileSystemSpec(SYSTEM_FS_PROFILE, 1.0)], **kw
+        ),
+        {"disk": "fujitsu", "num_blocks": 9, "fast": False},
+    ),
+}
+for _owner, (_build, _knobs) in [
+    *_DEAD_KNOBS.items(), *_SPEC_SHORTHAND.items()
+]:
     for _name, _value in _knobs.items():
         REMOVED_NAMES[f"{_owner}-{_name}"] = (
             TypeError,

@@ -2,10 +2,25 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import (
+    build_parser,
+    experiment_config,
+    fleet_spec,
+    main,
+    ssd_config,
+)
+from repro.faults.spec import parse_fault_spec
+from repro.fleet import FleetSpec
+from repro.policy import OnlinePolicy
 from repro.sim.experiment import Experiment, ExperimentConfig
-from repro.workload.profiles import USERS_FS_PROFILE
+from repro.sim.ssd import SsdConfig
+from repro.workload.profiles import SYSTEM_FS_PROFILE, USERS_FS_PROFILE
+from repro.workload.tenancy import TenancySpec
 from repro.workload.trace import save_trace
+
+
+def parse(*argv):
+    return build_parser().parse_args(list(argv))
 
 
 class TestParser:
@@ -14,14 +29,104 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_defaults(self):
-        args = build_parser().parse_args(["onoff"])
-        assert args.disk == "toshiba"
-        assert args.profile == "system"
+        args = parse("onoff")
+        config = experiment_config(args)
+        assert config.disk == "toshiba"
+        assert config.profile.name == "system"
         assert args.days == 6
 
     def test_invalid_disk_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["onoff", "--disk", "ibm"])
+
+
+class TestSpecs:
+    """The CLI holds no second copy of a spec's defaults: with no flags
+    each command builds the library default, and each flag lands on the
+    field it names."""
+
+    @pytest.mark.parametrize(
+        "command", ["onoff", "policies", "sweep", "workload"]
+    )
+    def test_experiment_commands_default_to_the_config(self, command):
+        assert experiment_config(parse(command)) == ExperimentConfig()
+
+    def test_fleet_defaults_to_the_spec(self):
+        assert fleet_spec(parse("fleet")) == FleetSpec()
+
+    def test_ssd_defaults_to_the_config_on_users(self):
+        assert ssd_config(parse("ssd")) == SsdConfig(profile=USERS_FS_PROFILE)
+
+    @pytest.mark.parametrize(
+        "command", ["onoff", "policies", "sweep", "workload"]
+    )
+    def test_experiment_flags_land_on_their_fields(self, command):
+        faults = "seed=7,transient=0.001"
+        args = parse(
+            command, "--disk", "fujitsu", "--profile", "users",
+            "--hours", "0.5", "--seed", "7", "--counter", "spacesaving",
+            "--faults", faults, "--policy", "online", "--idle-ms", "80",
+        )
+        assert experiment_config(args) == ExperimentConfig(
+            profile=USERS_FS_PROFILE.scaled(hours=0.5),
+            disk="fujitsu",
+            seed=7,
+            counter="spacesaving",
+            faults=parse_fault_spec(faults),
+            policy=OnlinePolicy(idle_ms=80.0),
+        )
+
+    def test_fleet_flags_land_on_their_fields(self):
+        args = parse(
+            "fleet", "--devices", "4", "--disk", "toshiba", "--days", "5",
+            "--hours", "0.5", "--devices-per-shard", "2", "--tenants", "9",
+            "--tenant-skew", "0.7", "--overlap", "0.25", "--profile",
+            "users", "--blocks", "33", "--counter", "exact", "--seed", "5",
+            "--policy", "off",
+        )
+        assert fleet_spec(args) == FleetSpec(
+            devices=4,
+            disk="toshiba",
+            days=5,
+            hours=0.5,
+            devices_per_shard=2,
+            num_blocks=33,
+            counter="exact",
+            policy="off",
+            seed=5,
+            tenancy=TenancySpec(
+                tenants=9, tenant_skew=0.7, hot_set_overlap=0.25,
+                profile="users",
+            ),
+        )
+
+    def test_ssd_flags_land_on_their_fields(self):
+        args = parse(
+            "ssd", "--profile", "system", "--disk", "fujitsu", "--flash",
+            "ssd", "--hours", "0.5", "--seed", "5", "--gc-policy",
+            "cost-benefit", "--cmt-capacity", "512", "--hot-threshold", "3",
+            "--no-precondition", "--policy", "off",
+        )
+        assert ssd_config(args) == SsdConfig(
+            profile=SYSTEM_FS_PROFILE.scaled(hours=0.5),
+            reference_disk="fujitsu",
+            flash="ssd",
+            seed=5,
+            gc_policy="cost-benefit",
+            cmt_capacity=512,
+            hot_threshold=3,
+            precondition=False,
+            policy="off",
+        )
+
+    def test_unset_trace_options_stay_with_the_library(self):
+        replay = parse("replay", "t")
+        assert not {"disk", "queue", "num_blocks"} & set(vars(replay))
+        ingest = parse("ingest", "raw")
+        assert not {"format", "mapping", "loop", "gap_ms"} & set(vars(ingest))
+        bench = parse("bench")
+        assert "repeat" not in bench
+        assert bench.fast and bench.measure_memory
 
 
 class TestCommands:
@@ -111,7 +216,14 @@ class TestCommands:
         assert "mean seek" in out
 
     def test_replay_blocks_default_to_the_disk(self):
-        assert build_parser().parse_args(["replay", "t"]).blocks is None
+        assert "num_blocks" not in parse("replay", "t")
+        assert parse("replay", "t", "--blocks", "9").num_blocks == 9
+
+    def test_ssd(self, capsys):
+        assert main(["ssd", "--hours", "0.05", "--days", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "flash ssd (toshiba span), gc greedy" in out
+        assert "overall write amplification" in out
 
     def test_replay_plain(self, capsys, tmp_path):
         trace = tmp_path / "day.trace"

@@ -141,6 +141,30 @@ class TestPartitionBands:
         label = experiment.label
         assert label.reserved_end_cylinder == label.geometry.cylinders
 
+    @pytest.mark.parametrize("disk", ["toshiba", "fujitsu"])
+    @pytest.mark.parametrize("centred", [True, False], ids=["centre", "edge"])
+    def test_users_runs_beside_either_placement(self, disk, centred):
+        """The home partition is anchored where a centred reserved area
+        starts, so an edge area leaves it the same size and the *users*
+        file system still fits."""
+        config = ExperimentConfig(
+            profile=USERS_FS_PROFILE.scaled(hours=0.1),
+            disk=disk,
+            reserved_center=centred,
+        )
+        experiment = Experiment(config)
+        label = experiment.label
+        centred_start = (label.geometry.cylinders - label.reserved_cylinders) // 2
+        home = label.partition("home")
+        assert home.start_block == label.geometry.blocks_per_cylinder * (
+            centred_start - 2 * experiment.generator.profile.cylinders_per_group
+        )
+        assert home.end_block == label.virtual_total_blocks
+        off = experiment.run_day(rearranged=False, rearrange_tomorrow=True)
+        on = experiment.run_day(rearranged=True, rearrange_tomorrow=False)
+        assert off.metrics.all.requests > 0
+        assert on.rearranged_blocks > 0
+
 
 class TestQueuePolicyOption:
     def test_fcfs_campaign_runs(self):

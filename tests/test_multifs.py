@@ -15,12 +15,12 @@ SMALL_USERS = dataclasses.replace(
 )
 
 
-def make_experiment(**kwargs):
+def make_experiment():
     specs = [
         FileSystemSpec(SYSTEM_FS_PROFILE.scaled(hours=0.5), fraction=0.6, seed=3),
         FileSystemSpec(SMALL_USERS, fraction=0.4, seed=4),
     ]
-    return MultiFSExperiment(specs, disk="toshiba", **kwargs)
+    return MultiFSExperiment(specs)
 
 
 class TestConstruction:

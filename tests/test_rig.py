@@ -141,11 +141,17 @@ def _multidisk_rig(config):
     return rig
 
 
+def _multifs_rig(config):
+    return MultiFSExperiment([FileSystemSpec(config.profile, 1.0)], config).rig
+
+
 class TestEveryFieldReachesTheRig:
     """One config builds the same stack through every entry point."""
 
     @pytest.mark.parametrize(
-        "build", [_experiment_rig, _multidisk_rig], ids=["single", "multi"]
+        "build",
+        [_experiment_rig, _multidisk_rig, _multifs_rig],
+        ids=["single", "multi", "multifs"],
     )
     def test_device_fields(self, build):
         rig = build(REACH)
@@ -248,7 +254,9 @@ def _multidisk(disk, profile=SYSTEM_FS_PROFILE, schedule=SCHEDULE):
 
 def _multifs(disk):
     profile = SYSTEM_FS_PROFILE.scaled(hours=0.2)
-    exp = MultiFSExperiment([FileSystemSpec(profile, 1.0)], disk=disk)
+    exp = MultiFSExperiment(
+        [FileSystemSpec(profile, 1.0)], ExperimentConfig(disk=disk)
+    )
     return _digests(lambda *day: exp.run_day(*day).metrics)
 
 
