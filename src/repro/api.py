@@ -103,7 +103,7 @@ def make_config(
     ``placement_policy=``, ``faults=``, ``counter="spacesaving"`` for the
     bounded top-k sketch of ``docs/scaling.md``, ...; with ``disk="ssd"``
     the FTL fields apply instead (``cmt_capacity=``, ``gc_policy=``,
-    ``hot_threshold=``, ``reference_disk=``, ...).
+    ``hot_threshold=``, ``precondition=``, ...).
     """
     if isinstance(profile, str):
         try:
@@ -215,7 +215,6 @@ def replay_trace(
     rearrange: bool = False,
     num_blocks: int | None = None,
     tracer: Tracer = NULL_TRACER,
-    fast: bool = True,
     **ingest_options: object,
 ) -> TraceReplayResult | SsdReplayResult:
     """Ingest a raw block trace and replay it through the driver.
@@ -236,9 +235,7 @@ def replay_trace(
     (``docs/ftl.md``) and returns an :class:`SsdReplayResult` — write
     amplification, GC and mapping-cache counters instead of seek
     metrics; ``rearrange=True`` there pre-trains hot/cold write
-    separation on the trace.  ``fast`` toggles the batch simulation
-    kernel (:mod:`repro.sim.vector`); metrics are bit-identical either
-    way.
+    separation on the trace.
 
     Deterministic end to end: the same file and options produce
     bit-identical metrics on every run.  See ``docs/traces.md``.
@@ -251,36 +248,24 @@ def replay_trace(
         rearrange=rearrange,
         num_blocks=num_blocks,
         tracer=tracer,
-        fast=fast,
     )
     result.ingest = ingested
     return result
 
 
 def run_bench(
-    scenarios: Sequence[str] | None = None,
-    *,
-    quick: bool = False,
-    repeat: int = 1,
-    measure_memory: bool = True,
-    fast: bool = True,
+    scenarios: Sequence[str] | None = None, **options: object
 ) -> list[BenchReport]:
     """Run the benchmark suite; one :class:`BenchReport` per scenario.
 
-    ``scenarios`` selects by name (``None`` runs the whole suite);
-    ``quick`` shrinks the simulated days for CI; ``repeat`` keeps the
-    best wall-clock of N runs and verifies the metrics digest does not
-    change between them.  ``measure_memory`` adds one untimed run per
-    scenario under ``tracemalloc`` and records the peak allocation in
-    :attr:`BenchReport.peak_mem_bytes`.  ``fast=False`` runs every
-    scenario on the scalar engine (the bench CLI's ``--no-fast``); the
-    digests are the same.  See ``docs/benchmarking.md``.
+    ``scenarios`` selects by name (``None`` runs the whole suite); the
+    ``options`` go to :func:`~repro.bench.runner.run_suite`: ``quick``
+    shrinks the simulated days for CI; ``repeat`` keeps the best
+    wall-clock of N runs and verifies the metrics digest does not change
+    between them; ``measure_memory`` (on by default) adds one untimed
+    run per scenario under ``tracemalloc`` and records the peak
+    allocation in :attr:`BenchReport.peak_mem_bytes`.  See
+    ``docs/benchmarking.md``.
     """
     selected = get_scenarios(list(scenarios) if scenarios else None)
-    return run_suite(
-        selected,
-        quick=quick,
-        repeat=repeat,
-        measure_memory=measure_memory,
-        fast=fast,
-    )
+    return run_suite(selected, **options)

@@ -149,9 +149,7 @@ class BenchReport:
         }
 
 
-def _measure_peak_memory(
-    scenario: Scenario, quick: bool, fast: bool, digest: str
-) -> int:
+def _measure_peak_memory(scenario: Scenario, quick: bool, digest: str) -> int:
     """Peak traced allocation of one extra scenario run.
 
     Runs *outside* the timed repetitions: ``tracemalloc`` hooks every
@@ -163,7 +161,7 @@ def _measure_peak_memory(
 
     tracemalloc.start()
     try:
-        result = scenario.run(quick, fast)
+        result = scenario.run(quick)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -181,7 +179,6 @@ def run_scenario(
     repeat: int = 1,
     calibration: float | None = None,
     measure_memory: bool = True,
-    fast: bool = True,
 ) -> BenchReport:
     """Time ``scenario`` ``repeat`` times; keep the best wall-clock.
 
@@ -191,8 +188,6 @@ def run_scenario(
 
     With ``measure_memory`` (the default) a final untimed repetition runs
     under ``tracemalloc`` and records the peak traced allocation.
-    ``fast`` (the batch simulation kernel) is handed to every run,
-    including the memory pass.
     """
     # Imported here: repro.sim reaches repro.traces (replay) at package
     # init, which imports this package through the analysis layer.
@@ -209,7 +204,7 @@ def run_scenario(
     for _ in range(repeat):
         _engine.reset_run_wall()
         start = time.perf_counter()
-        result = scenario.run(quick, fast)
+        result = scenario.run(quick)
         walls.append(time.perf_counter() - start)
         sim_walls.append(_engine.run_wall_s())
         this_digest = metrics_digest(result.payload)
@@ -222,13 +217,11 @@ def run_scenario(
             )
     assert result is not None and digest is not None
     peak_mem = (
-        _measure_peak_memory(scenario, quick, fast, digest)
+        _measure_peak_memory(scenario, quick, digest)
         if measure_memory
         else None
     )
-    # The engine is recorded like the width: the scalar engine is slower
-    # by design, so its costs must not gate against the kernel's.
-    machine = {**machine_metadata(), "engine": "kernel" if fast else "scalar"}
+    machine = machine_metadata()
     if "workers" in result.detail:
         # Multi-process scenarios (the fleet): wall-clock depends on the
         # worker count, so the execution width is machine metadata — a
@@ -256,13 +249,8 @@ def run_suite(
     quick: bool = False,
     repeat: int = 1,
     measure_memory: bool = True,
-    fast: bool = True,
 ) -> list[BenchReport]:
-    """Run several scenarios with one shared calibration measurement.
-
-    ``fast=False`` runs every scenario on the scalar engine (the bench
-    CLI's ``--no-fast``); digests must not move either way.
-    """
+    """Run several scenarios with one shared calibration measurement."""
     calibration = calibration_score()
     return [
         run_scenario(
@@ -271,7 +259,6 @@ def run_suite(
             repeat=repeat,
             calibration=calibration,
             measure_memory=measure_memory,
-            fast=fast,
         )
         for s in scenarios
     ]
@@ -312,11 +299,11 @@ def write_baseline(
                 "metrics_digest": report.metrics_digest,
                 "calibration": report.calibration,
                 "peak_mem_bytes": report.peak_mem_bytes,
-                **{
-                    key: report.machine[key]
-                    for key in ("engine", "workers")
-                    if key in report.machine
-                },
+                **(
+                    {"workers": report.machine["workers"]}
+                    if "workers" in report.machine
+                    else {}
+                ),
             }
             for report in reports
         },
@@ -357,11 +344,6 @@ def compare_reports(
     5. peak traced memory has not grown by more than ``mem_threshold``
        (skipped when either side lacks a memory measurement, e.g. a
        baseline written before memory profiling existed).
-
-    Checks 4 and 5 are skipped, with a printed note, when the run and the
-    baseline used different engines (``"kernel"`` or ``"scalar"``; an
-    entry without one was written by the kernel): the digest and event
-    gates stay exact across engines, their costs are not comparable.
 
     Normalization: ``wall * (baseline_calibration / current_calibration)``
     — i.e. "how long would this run have taken on the baseline machine".
@@ -422,15 +404,6 @@ def compare_reports(
                 f"timed with {base_workers} worker(s), run used "
                 f"{run_workers}) — wall-clock is not comparable; rerun "
                 "with matching --workers or regenerate the baseline"
-            )
-            continue
-        base_engine = entry.get("engine", "kernel")
-        run_engine = report.machine.get("engine", "kernel")
-        if base_engine != run_engine:
-            print(
-                f"note: {report.scenario}: wall-clock and memory gates "
-                f"skipped (baseline ran the {base_engine} engine, this run "
-                f"the {run_engine})"
             )
             continue
         base_cal = float(entry.get("calibration") or 0.0)

@@ -110,23 +110,20 @@ class Scenario:
 
     name: str
     description: str
-    run: Callable[..., ScenarioResult]
-    """``run(quick, fast=True)``: ``fast`` selects the batch simulation
-    kernel for every simulation the scenario builds, fleet workers
-    included."""
+    run: Callable[[bool], ScenarioResult]
+    """``run(quick)``: ``quick`` shrinks the simulated days."""
 
 
 def _config(
     disk: str,
     hours: float,
-    fast: bool,
     faults: str | None = None,
     counter: str = "exact",
 ) -> ExperimentConfig:
     profile = PROFILES["system"].scaled(hours=hours)
     plan = parse_fault_spec(faults) if faults else None
     return ExperimentConfig(
-        profile=profile, disk=disk, seed=1993, faults=plan, counter=counter, fast=fast
+        profile=profile, disk=disk, seed=1993, faults=plan, counter=counter
     )
 
 
@@ -157,18 +154,18 @@ def _run_days(
     )
 
 
-def _standard_day(quick: bool, fast: bool = True) -> ScenarioResult:
+def _standard_day(quick: bool) -> ScenarioResult:
     hours = 1.0 if quick else 15.0
-    experiment = Experiment(_config("toshiba", hours, fast))
+    experiment = Experiment(_config("toshiba", hours))
     result = _run_days(experiment, [False, True])
     result.detail.update(disk="toshiba", hours=hours, days=2)
     return result
 
 
-def _block_sweep_slice(quick: bool, fast: bool = True) -> ScenarioResult:
+def _block_sweep_slice(quick: bool) -> ScenarioResult:
     hours = 0.25 if quick else 1.0
     counts = [200] if quick else [500, 3500]
-    experiment = Experiment(_config("fujitsu", hours, fast))
+    experiment = Experiment(_config("fujitsu", hours))
     days: list[dict[str, Any]] = []
     requests = 0
 
@@ -210,14 +207,14 @@ def _block_sweep_slice(quick: bool, fast: bool = True) -> ScenarioResult:
     )
 
 
-def _fault_stress(quick: bool, fast: bool = True) -> ScenarioResult:
+def _fault_stress(quick: bool) -> ScenarioResult:
     hours = 0.5 if quick else 1.0
     crash_ms = int(hours * 1_800_000)  # mid-way through day 1
     spec = (
         "seed=7,transient=0.002,retries=3,media=rand:4,"
         f"crash=day1@{crash_ms},crash=copy40"
     )
-    experiment = Experiment(_config("toshiba", hours, fast, faults=spec))
+    experiment = Experiment(_config("toshiba", hours, faults=spec))
     result = _run_days(experiment, [False, True])
     stats = experiment.driver.fault_stats
     result.payload["fault_stats"] = {
@@ -236,11 +233,9 @@ def _fault_stress(quick: bool, fast: bool = True) -> ScenarioResult:
     return result
 
 
-def _large_disk(quick: bool, fast: bool = True) -> ScenarioResult:
+def _large_disk(quick: bool) -> ScenarioResult:
     hours = 0.5 if quick else 15.0
-    experiment = Experiment(
-        _config("modern", hours, fast, counter="spacesaving")
-    )
+    experiment = Experiment(_config("modern", hours, counter="spacesaving"))
     result = _run_days(experiment, [False, True])
     result.detail.update(
         disk="modern",
@@ -252,7 +247,7 @@ def _large_disk(quick: bool, fast: bool = True) -> ScenarioResult:
     return result
 
 
-def _fleet_day(quick: bool, fast: bool = True) -> ScenarioResult:
+def _fleet_day(quick: bool) -> ScenarioResult:
     from ..fleet import FleetSpec, run_fleet
     from ..workload.tenancy import TenancySpec
 
@@ -272,7 +267,7 @@ def _fleet_day(quick: bool, fast: bool = True) -> ScenarioResult:
     # workers=1 keeps the timing machine-comparable (and tracemalloc
     # sees every allocation); the digest is identical at any width —
     # the fleet regression tests pin workers=1 against workers=8.
-    result = run_fleet(spec, workers=1, fast=fast)
+    result = run_fleet(spec, workers=1)
     return ScenarioResult(
         payload=result.payload(),
         events=result.events,
@@ -293,7 +288,7 @@ def _fleet_day(quick: bool, fast: bool = True) -> ScenarioResult:
     )
 
 
-def _fleet_chaos(quick: bool, fast: bool = True) -> ScenarioResult:
+def _fleet_chaos(quick: bool) -> ScenarioResult:
     from ..faults import ChaosPlan
     from ..fleet import FleetSpec, run_fleet
     from ..parallel import RetryPolicy
@@ -331,9 +326,8 @@ def _fleet_chaos(quick: bool, fast: bool = True) -> ScenarioResult:
         chaos=chaos,
         chunk_size=1,
         on_retry=count_retry,
-        fast=fast,
     )
-    clean = run_fleet(spec, workers=1, fast=fast)
+    clean = run_fleet(spec, workers=1)
     if chaotic.digest() != clean.digest():
         raise RuntimeError(
             "chaos run digest diverged from fault-free run: "
@@ -365,12 +359,12 @@ ONLINE_TAIL_SLACK_MS = 2.0
 from 1 ms-resolution histograms, so tiny tails need a floor."""
 
 
-def _online_day(quick: bool, fast: bool = True) -> ScenarioResult:
+def _online_day(quick: bool) -> ScenarioResult:
     from ..policy import NoRearrangement, OnlinePolicy
 
     hours = 0.5 if quick else 15.0
     schedule = [False, True]
-    base = _config("toshiba", hours, fast)
+    base = _config("toshiba", hours)
     runs: dict[str, list] = {}
     day_results: dict[str, list] = {}
     online_stats = None
@@ -455,7 +449,7 @@ def _online_day(quick: bool, fast: bool = True) -> ScenarioResult:
     )
 
 
-def _ssd_day(quick: bool, fast: bool = True) -> ScenarioResult:
+def _ssd_day(quick: bool) -> ScenarioResult:
     from ..sim.ssd import SsdConfig, SsdExperiment
 
     # Compress the clock but keep the full day's file churn: flash cost
@@ -467,7 +461,7 @@ def _ssd_day(quick: bool, fast: bool = True) -> ScenarioResult:
     profile = replace(PROFILES["users"], day_hours=hours)
     # Reference leg: the same generated days through the mechanical disk.
     disk_experiment = Experiment(
-        ExperimentConfig(profile=profile, disk="toshiba", seed=1993, fast=fast)
+        ExperimentConfig(profile=profile, disk="toshiba", seed=1993)
     )
     disk_leg = _run_days(
         disk_experiment, [False] + [True] * (num_days - 1)
@@ -526,7 +520,7 @@ def _ssd_day(quick: bool, fast: bool = True) -> ScenarioResult:
     )
 
 
-def _trace_replay(quick: bool, fast: bool = True) -> ScenarioResult:
+def _trace_replay(quick: bool) -> ScenarioResult:
     from ..traces import fixture_path, ingest_trace, replay_jobs
 
     iterations = 8 if quick else 60
@@ -539,9 +533,7 @@ def _trace_replay(quick: bool, fast: bool = True) -> ScenarioResult:
         blk = ingest_trace(
             blkparse_fixture, mapping="compact", loop="open"
         )
-        blk_replay = replay_jobs(
-            blk.jobs, disk="toshiba", rearrange=True, fast=fast
-        )
+        blk_replay = replay_jobs(blk.jobs, disk="toshiba", rearrange=True)
         msr = ingest_trace(
             msr_fixture,
             mapping="linear",
@@ -549,7 +541,7 @@ def _trace_replay(quick: bool, fast: bool = True) -> ScenarioResult:
             disk="fujitsu",
             time_scale=0.5,
         )
-        msr_replay = replay_jobs(msr.jobs, disk="fujitsu", fast=fast)
+        msr_replay = replay_jobs(msr.jobs, disk="fujitsu")
         events += blk_replay.events + msr_replay.events
         requests += blk_replay.requests + msr_replay.requests
         if index == 0:

@@ -64,7 +64,7 @@ from .sim.experiment import (
     run_campaigns_parallel,
     run_onoff_campaign,
 )
-from .sim.ssd import SsdConfig, SsdExperiment
+from .sim.ssd import REFERENCE_DISK, SsdConfig, SsdExperiment
 from .stats.metrics import seek_time_reduction_vs_fcfs, summarize_on_off
 from .stats.report import (
     render_day,
@@ -96,18 +96,14 @@ its own default."""
 def _add_common(
     parser: argparse.ArgumentParser,
     *,
-    disk: str = "disk",
     skip: tuple[str, ...] = (),
     **help_text: str,
 ) -> None:
     """The run flags the experiment, ``fleet`` and ``ssd`` commands
-    share.  ``disk`` is the field ``--disk`` sets; ``skip`` names the
-    flags a command lacks and ``help_text`` replaces a flag's help
-    text, both keyed by field."""
-    parser.add_argument(
-        "--disk", dest=disk, choices=DISK_MODELS, default=UNSET,
-        help=help_text.get(disk),
-    )
+    share.  ``skip`` names the flags a command lacks and ``help_text``
+    replaces a flag's help text, both keyed by field."""
+    if "disk" not in skip:
+        parser.add_argument("--disk", choices=DISK_MODELS, default=UNSET)
     parser.add_argument(
         "--profile", choices=sorted(PROFILES), default=UNSET,
         help=help_text.get("profile"),
@@ -475,7 +471,7 @@ def cmd_ssd(args) -> int:
         print(f"wrote {tracer.events_written} trace events -> {args.trace}\n")
     separation = "on" if config.separation else "off"
     print(
-        f"flash {config.flash} ({config.reference_disk} span), "
+        f"flash {config.flash} ({REFERENCE_DISK} span), "
         f"gc {config.gc_policy}, hot/cold separation {separation}"
     )
     header = (
@@ -524,7 +520,6 @@ def cmd_bench(args) -> int:
         scenarios,
         quick=args.quick,
         measure_memory=args.measure_memory,
-        fast=args.fast,
         **_options(args, "repeat"),
     )
     for report in reports:
@@ -542,7 +537,7 @@ def cmd_bench(args) -> int:
         for scenario in scenarios:
             profiler = cProfile.Profile()
             profiler.enable()
-            scenario.run(args.quick, args.fast)
+            scenario.run(args.quick)
             profiler.disable()
             path = out_dir / f"BENCH_{scenario.name}.pstats"
             profiler.dump_stats(path)
@@ -823,13 +818,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(
         ssd,
-        disk="reference_disk",
-        skip=("counter", "faults"),
+        skip=("disk", "counter", "faults"),
         profile="workload preset (users has the hot/cold write mix that "
         "makes separation interesting)",
-        reference_disk="reference disk whose label defines the logical "
-        "span — the workload stream is identical to a disk run on this "
-        "model",
     )
     ssd.set_defaults(profile="users")
     ssd.add_argument(
@@ -913,11 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one extra untimed repetition per scenario under "
         "cProfile and dump BENCH_<scenario>.pstats next to the JSON "
         "artifact",
-    )
-    bench.add_argument(
-        "--no-fast", dest="fast", action="store_false",
-        help="force the scalar engine (disable the batch simulation "
-        "kernel) for every scenario; digests must not change",
     )
     bench.set_defaults(func=cmd_bench)
 

@@ -70,10 +70,6 @@ class RequestMonitor:
     def __len__(self) -> int:
         return len(self._table)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._table) >= self.capacity
-
 
 @dataclass
 class ClassStats:
@@ -119,10 +115,6 @@ class FaultStats:
     recoveries: int = 0
     day_requests: int = 0
     day_errors: int = 0
-
-    @property
-    def total_faults(self) -> int:
-        return self.transient_faults + self.media_faults
 
     @property
     def day_error_rate(self) -> float:

@@ -49,8 +49,7 @@ class ShardTask:
     """The shard's own spawned seed (reported in error context and
     results so a failing shard can be re-run serially)."""
     configs: tuple[ExperimentConfig, ...]
-    """One per device.  Each carries ``fast`` (the batch kernel), so the
-    engine choice reaches every worker whatever its start method."""
+    """One per device."""
     schedule: tuple[bool, ...]
 
     @property
@@ -62,18 +61,14 @@ def _seed_of(sequence: np.random.SeedSequence) -> int:
     return int(sequence.generate_state(2, np.uint64)[0])
 
 
-def build_shard_tasks(
-    spec: FleetSpec, *, fast: bool = True
-) -> list[ShardTask]:
+def build_shard_tasks(spec: FleetSpec) -> list[ShardTask]:
     """Deterministically expand a fleet spec into shard tasks.
 
     The seed tree is ``SeedSequence(spec.seed).spawn(num_shards + 1)``:
     child ``i`` seeds shard ``i``'s devices (one grandchild each), and
     the last child seeds the fleet-wide :class:`SharedHotSet`.  Nothing
     here depends on the worker count, so the expansion — and therefore
-    the whole run — is identical at any parallelism.  ``fast`` is copied
-    into every device's config; like ``workers`` it never changes
-    results, so it stays out of :class:`FleetSpec`.
+    the whole run — is identical at any parallelism.
     """
     schedule = spec.resolved_schedule()
     profiles = device_profiles(spec.tenancy, spec.devices, hours=spec.hours)
@@ -98,7 +93,6 @@ def build_shard_tasks(
                 counter=spec.counter,
                 shared_hot=shared_hot,
                 policy=spec.policy,
-                fast=fast,
             )
             for offset, device in enumerate(indices)
         )
@@ -170,21 +164,18 @@ def run_fleet(
     chunk_size: int | None = None,
     on_retry: Callable[[TaskFailure], None] | None = None,
     on_failure: Callable[[TaskFailure], None] | None = None,
-    fast: bool = True,
 ) -> FleetResult:
     """Run a whole fleet and aggregate its shard results.
 
     Execution knobs — ``workers`` (``None`` = one worker per shard up to
     the CPU count), ``chunk_size`` (shards per dispatch message; small
     fleets want ``1`` for smooth progress and early failure detection),
-    ``retry`` (per-shard timeouts, bounded retries, seeded backoff),
-    ``chaos`` (injected worker faults, for testing) and ``fast`` (the
-    batch simulation kernel, carried to every worker inside the device
-    configs of its :class:`ShardTask`) — never change the digest: a
-    retried or chaos-ridden run that completes is bit-identical to a
-    clean serial one.  Attaching ``chaos`` forces pool execution
-    even at ``workers=1``, since injected hard exits must kill a child
-    process, not the caller.
+    ``retry`` (per-shard timeouts, bounded retries, seeded backoff) and
+    ``chaos`` (injected worker faults, for testing) — never change the
+    digest: a retried or chaos-ridden run that completes is
+    bit-identical to a clean serial one.  Attaching ``chaos`` forces pool
+    execution even at ``workers=1``, since injected hard exits must kill
+    a child process, not the caller.
 
     ``checkpoint`` journals each completed shard to a JSONL file as it
     lands; with ``resume=True`` an existing journal's shards are loaded
@@ -202,7 +193,7 @@ def run_fleet(
     order (progress), ``on_retry(TaskFailure)`` per retried attempt,
     ``on_failure(TaskFailure)`` per permanently failed shard.
     """
-    tasks = build_shard_tasks(spec, fast=fast)
+    tasks = build_shard_tasks(spec)
     journaled: dict[int, ShardResult] = {}
     journal: FleetJournal | None = None
     if checkpoint is not None:

@@ -119,9 +119,13 @@ class Simulation:
         self.bus = EventBus()
         self.tracer = tracer
         self.fast = fast
-        """Enable the batch kernel (:mod:`repro.sim.vector`): homogeneous
-        event stretches are absorbed in a fused loop with bit-identical
-        metrics, falling back to scalar dispatch at interaction points."""
+        """Enable the batch kernel (:mod:`repro.sim.vector`) for every
+        device it admits: homogeneous event stretches are absorbed in a
+        fused loop with bit-identical metrics, falling back to scalar
+        dispatch at interaction points.  Absorbed requests are never
+        materialized, so callers that read the requests :meth:`run`
+        returns leave it off; the day-level runs and trace replay turn
+        it on."""
         self.completed: list[DiskRequest] = []
         self.events_dispatched = 0
         """Total events this simulation has processed (all :meth:`run` calls)."""

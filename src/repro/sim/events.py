@@ -122,11 +122,6 @@ class EventQueue:
         self.now_ms = time_ms
         return event
 
-    def peek_time(self) -> float | None:
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
     def pending(
         self,
         kinds: type[SimEvent] | tuple[type[SimEvent], ...] | None = None,

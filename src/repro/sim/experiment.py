@@ -90,12 +90,6 @@ class ExperimentConfig:
     shared_hot: SharedHotSet | None = None
     """Fleet-wide shared hot content overlaid on the device's private
     popularity draw (see :class:`repro.workload.tenancy.SharedHotSet`)."""
-    fast: bool = True
-    """Run each day through the batch simulation kernel
-    (:mod:`repro.sim.vector`).  Metrics are bit-identical either way —
-    the kernel falls back to the scalar engine at every interaction
-    point — so this is purely a throughput knob, on by default and
-    exposed as ``--no-fast`` on the bench CLI for A/B verification."""
 
     def __post_init__(self) -> None:
         if self.counter not in COUNTER_STRATEGIES:
@@ -257,15 +251,16 @@ def run_rig_day(
     day: int,
     rearranged: bool,
     tracer: Tracer = NULL_TRACER,
-    fast: bool = True,
 ) -> RigDay:
     """Serve every rig's generated jobs on one simulation, with each
     controller attached and the fault plans' crashes for ``day`` (offsets
-    from this day's t=0) scheduled.  The night is left to the caller."""
+    from this day's t=0) scheduled.  The night is left to the caller.
+    The batch kernel serves every device whose stack admits it (see
+    :class:`~repro.sim.vector.BatchPlanner`)."""
     simulation = Simulation(
         drivers={rig.name: rig.driver for rig in rigs},
         tracer=tracer,
-        fast=fast,
+        fast=True,
     )
     workloads: dict[str, list[DayWorkload]] = {}
     for rig in rigs:
@@ -363,7 +358,6 @@ class Experiment:
             day=day,
             rearranged=rearranged,
             tracer=self.tracer,
-            fast=self.config.fast,
         )
         self.events_dispatched += simulated.events
         (workload,) = simulated.workloads[self.rig.name]

@@ -63,7 +63,7 @@ class MultiFSExperiment:
     """One disk, one reserved area, several file systems.
 
     ``config`` describes the disk and its adaptive stack (model, reserved
-    area, block count, placement, queue, counter, faults, policy, engine)
+    area, block count, placement, queue, counter, faults, policy)
     exactly as for :class:`~repro.sim.experiment.Experiment`; its
     workload fields are unused, because each :class:`FileSystemSpec`
     brings its own profile and seed.
@@ -76,7 +76,6 @@ class MultiFSExperiment:
         tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.tracer = tracer
-        self.fast = config.fast
         if not specs:
             raise ValueError("need at least one file system")
         if sum(spec.fraction for spec in specs) > 1.0 + 1e-9:
@@ -124,7 +123,6 @@ class MultiFSExperiment:
             day=day,
             rearranged=rearranged,
             tracer=self.tracer,
-            fast=self.fast,
         )
         per_fs_requests = {
             partition.name: workload.num_requests
@@ -182,9 +180,9 @@ class MultiDiskExperiment:
     stack (its own reserved area, its own nightly cycle), mirroring the
     paper's two-disk server, and built exactly as the single-disk
     :class:`~repro.sim.experiment.Experiment` builds its disk.  A single
-    event loop interleaves their completions, on the batch kernel when
-    every config asks for it; a single tracer, if given, observes every
-    device.
+    event loop interleaves their completions, on the batch kernel for
+    every device whose stack admits it; a single tracer, if given,
+    observes every device.
     """
 
     def __init__(
@@ -195,7 +193,6 @@ class MultiDiskExperiment:
         if not configs:
             raise ValueError("need at least one disk")
         self.tracer = tracer
-        self.fast = all(config.fast for config in configs)
         self.rigs: dict[str, DiskRig] = {}
         for index, config in enumerate(configs):
             name = config.name or f"{config.disk}{index}"
@@ -222,7 +219,6 @@ class MultiDiskExperiment:
             day=day,
             rearranged=rearranged,
             tracer=self.tracer,
-            fast=self.fast,
         )
         self.events_dispatched += simulated.events
         per_device_requests = {

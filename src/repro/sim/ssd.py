@@ -34,7 +34,13 @@ from ..workload.profiles import SYSTEM_FS_PROFILE, WorkloadProfile, profile_for_
 from .engine import Simulation
 from .experiment import make_partition
 
-__all__ = ["SsdConfig", "SsdDayResult", "SsdExperiment"]
+__all__ = ["REFERENCE_DISK", "SsdConfig", "SsdDayResult", "SsdExperiment"]
+
+REFERENCE_DISK = "toshiba"
+"""Disk whose label and partition layout define the FTL's logical span,
+which keeps the workload stream identical to a disk run on this model.
+The one :data:`~repro.driver.ftl.FLASH_MODELS` preset is sized for this
+span; the larger disks' spans do not fit on it."""
 
 SEPARATION_SKETCH_CAPACITY = 4096
 """Space-Saving sketch size for hot/cold separation.  Must comfortably
@@ -49,9 +55,6 @@ class SsdConfig:
     profile: WorkloadProfile = SYSTEM_FS_PROFILE
     flash: str = "ssd"
     """Flash geometry preset (:data:`repro.driver.ftl.FLASH_MODELS`)."""
-    reference_disk: str = "toshiba"
-    """Disk whose label/partition layout defines the logical span — this
-    is what keeps the workload stream identical to a disk run."""
     seed: int = 1993
     policy: RearrangementPolicy | str | None = None
     """``"off"`` disables hot/cold separation; anything else (default:
@@ -65,7 +68,6 @@ class SsdConfig:
 
     def __post_init__(self) -> None:
         flash_model(self.flash)
-        disk_model(self.reference_disk)
         if self.gc_policy not in GC_POLICIES:
             raise ValueError(
                 f"unknown gc policy {self.gc_policy!r}; "
@@ -86,7 +88,6 @@ class SsdConfig:
         return {
             "profile": self.profile.name,
             "flash": self.flash,
-            "reference_disk": self.reference_disk,
             "seed": self.seed,
             "policy": self.resolved_policy().payload(),
             "separation": self.separation,
@@ -151,17 +152,15 @@ class SsdExperiment:
     ) -> None:
         self.config = config
         self.tracer = tracer
-        self.model: DiskModel = disk_model(config.reference_disk)
+        self.model: DiskModel = disk_model(REFERENCE_DISK)
         geometry = self.model.geometry
         # The label and partition mirror the disk Experiment exactly so
         # the generator sees the same span and produces the same days.
         self.label = DiskLabel(
             geometry=geometry,
-            reserved_cylinders=PAPER_RESERVED_CYLINDERS[
-                config.reference_disk
-            ],
+            reserved_cylinders=PAPER_RESERVED_CYLINDERS[REFERENCE_DISK],
         )
-        profile = profile_for_disk(config.profile, config.reference_disk)
+        profile = profile_for_disk(config.profile, REFERENCE_DISK)
         partition = make_partition(self.label, profile)
         sketch = None
         if config.separation:

@@ -13,15 +13,16 @@ recurrence, transfer time — so the engine does not need to materialize the
 intermediate events at all.
 
 :class:`BatchPlanner` implements that observation.  Built by
-:meth:`Simulation.run` when ``fast=True``, it peeks at the head of the
-event heap and, when the next event belongs to an eligible device, handles
-it the way the paper's driver serves every request — strategy (map,
-redirect through the block table, record, enqueue), then SCAN pop, access,
-complete — committing *exactly* the state mutations the scalar engine
-would have made: disk head and access counter, the SCAN direction flag,
-track-buffer interval/holes/hit counters, block-table dirty bits, the
-request-monitor table (with its capacity/suspension semantics) and every
-per-scope histogram of the performance monitor.  Float operations are
+:meth:`Simulation.run` when ``fast=True`` (every day-level run and trace
+replay sets it; no run spec or command line does), it peeks at the head of
+the event heap and, when the next event belongs to an eligible device,
+handles it the way the paper's driver serves every request — strategy
+(map, redirect through the block table, record, enqueue), then SCAN pop,
+access, complete — committing *exactly* the state mutations the scalar
+engine would have made: disk head and access counter, the SCAN direction
+flag, track-buffer interval/holes/hit counters, block-table dirty bits,
+the request-monitor table (with its capacity/suspension semantics) and
+every per-scope histogram of the performance monitor.  Float operations are
 performed in the scalar engine's exact order — the metrics digests are
 bit-identical by construction, and the randomized equivalence suite in
 ``tests/test_vector.py`` holds the kernel to that.
@@ -96,6 +97,15 @@ running planner first.  At every drain ``_serve`` pushes the scalar
 engine's ``DeviceIdle`` after any follow-up ``StepIssue`` and, with idle
 events on, never absorbs a follow-up across a drain.  ``_admit`` bumps the
 device's arrivals counter, the idle detector's activity sequence.
+
+The kernel is therefore the engine's own choice, made per device from
+what the engine can observe; nothing above :class:`Simulation` selects
+it.  The scalar loops of :meth:`Simulation.run` stay the reference
+semantics.  Tests reach them by replacing this module's
+:class:`BatchPlanner` with one that finds no eligible device (the
+``scalar_engine`` fixture in ``tests/conftest.py``): the engine then
+runs exactly its ``fast=False`` loops, and forked fleet workers inherit
+the replacement.
 
 Absorbed completions do **not** append to ``Simulation.completed`` (the
 day-level wrappers read metrics from the monitor tables, never from the

@@ -63,10 +63,6 @@ class ScopeMetrics:
         median used to read points off the Figure 4/6 CDFs."""
         return self.service_histogram.percentile(q)
 
-    def service_fraction_below(self, threshold_ms: float) -> float:
-        """Fraction of requests completing under ``threshold_ms``."""
-        return self.service_histogram.fraction_below(threshold_ms)
-
 
 def scope_metrics(stats: ClassStats, seek_model: SeekModel) -> ScopeMetrics:
     """Reduce one of the driver's per-class tables to :class:`ScopeMetrics`."""

@@ -51,12 +51,6 @@ class TraceCharacter:
     """Slope of the log-log rank/frequency line over per-block counts."""
 
     @property
-    def read_fraction(self) -> float:
-        if self.requests == 0:
-            return 0.0
-        return self.reads / self.requests
-
-    @property
     def write_fraction(self) -> float:
         if self.requests == 0:
             return 0.0

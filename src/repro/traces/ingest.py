@@ -33,12 +33,6 @@ from .formats import BLOCK_BYTES, BlockIO, iter_trace
 from .mapping import AddressMapper, make_mapper
 from .rescale import DEFAULT_GAP_MS, jobs_from_records
 
-#: ``disk="ssd"`` replays through the page-mapped FTL, whose logical
-#: span mirrors this reference disk's label — the same convention as
-#: :class:`repro.sim.ssd.SsdExperiment`, so one ingested trace addresses
-#: both backends identically.
-_SSD_REFERENCE_DISK = "toshiba"
-
 
 @dataclass
 class IngestResult:
@@ -90,9 +84,15 @@ def default_target_blocks(disk: str) -> int:
     """Virtual (file-system-visible) blocks of the named disk model,
     with the paper's reserved area hidden — the address space ``repro
     replay`` exposes to a trace.  ``"ssd"`` uses the FTL's reference
-    disk label (the flash backend serves the same logical span)."""
+    disk label (:data:`repro.sim.ssd.REFERENCE_DISK`: the flash backend
+    serves the same logical span, so one ingested trace addresses both
+    backends identically)."""
     if disk == "ssd":
-        disk = _SSD_REFERENCE_DISK
+        # Imported here: repro.sim.ssd imports repro.driver.ftl, which
+        # reaches this module through repro.core at package init.
+        from ..sim.ssd import REFERENCE_DISK
+
+        disk = REFERENCE_DISK
     model = disk_model(disk)
     label = DiskLabel(
         model.geometry, reserved_cylinders=PAPER_RESERVED_CYLINDERS[disk]

@@ -112,11 +112,6 @@ class CompactMapper:
         return virtual
 
     @property
-    def working_set(self) -> int:
-        """Distinct source blocks seen so far."""
-        return len(self._ids)
-
-    @property
     def wrapped(self) -> bool:
         """True when the working set overflowed the target disk."""
         return len(self._ids) > self.target_blocks

@@ -112,15 +112,13 @@ def replay_jobs(
     rearrange: bool = False,
     num_blocks: int | None = None,
     tracer: Tracer = NULL_TRACER,
-    fast: bool = True,
 ) -> TraceReplayResult | SsdReplayResult:
     """Run a job list through a freshly assembled driver.
 
     Fully deterministic: the same jobs, disk and queue produce the same
     metrics on every run (there is no randomness anywhere in the replay
     path), which is what lets the ``trace_replay`` benchmark pin its
-    metrics digest.  ``fast`` enables the batch simulation kernel
-    (:mod:`repro.sim.vector`); metrics are bit-identical either way.
+    metrics digest.
 
     ``disk="ssd"`` replays the jobs through the page-mapped FTL backend
     instead (the trace must have been mapped onto the SSD's logical span
@@ -132,9 +130,7 @@ def replay_jobs(
     """
     jobs = list(jobs)
     if disk == "ssd":
-        return _replay_jobs_ssd(
-            jobs, rearrange=rearrange, tracer=tracer, fast=fast
-        )
+        return _replay_jobs_ssd(jobs, rearrange=rearrange, tracer=tracer)
     rig = build_rig(
         ExperimentConfig(disk=disk, num_blocks=num_blocks, queue_policy=queue)
     )
@@ -150,7 +146,7 @@ def replay_jobs(
         )
         rearranged_blocks = len(plan)
         rig.driver.perf_monitor.read_and_clear()
-    simulation = Simulation(rig.driver, tracer=tracer, fast=fast)
+    simulation = Simulation(rig.driver, tracer=tracer, fast=True)
     simulation.add_jobs(jobs)
     completed = simulation.run()
     metrics = DayMetrics.from_tables(
@@ -180,7 +176,6 @@ def _replay_jobs_ssd(
     *,
     rearrange: bool,
     tracer: Tracer,
-    fast: bool,
     flash: str = "ssd",
 ) -> SsdReplayResult:
     """Replay a job list through a freshly assembled FTL.
@@ -195,13 +190,14 @@ def _replay_jobs_ssd(
     # drags in this module through the analysis layer at package init.
     from ..core.counters import SpaceSavingSketch
     from ..driver.ftl import FtlDriver, flash_model
+    from ..sim.ssd import SEPARATION_SKETCH_CAPACITY
 
     separation = rearrange
     sketch = None
     if separation:
         # The trace-driven analogue of pre-training: the frequency
         # sketch observes the whole trace before any page is written.
-        sketch = SpaceSavingSketch(capacity=4096)
+        sketch = SpaceSavingSketch(capacity=SEPARATION_SKETCH_CAPACITY)
         for job in jobs:
             for step in job.steps:
                 if not step.op.is_read:
@@ -215,7 +211,7 @@ def _replay_jobs_ssd(
     )
     driver.attach()
     driver.precondition(seed=_SSD_PRECONDITION_SEED)
-    simulation = Simulation(driver, tracer=tracer, fast=fast)
+    simulation = Simulation(driver, tracer=tracer)
     simulation.add_jobs(jobs)
     completed = simulation.run()
     events = simulation.events_dispatched

@@ -11,11 +11,14 @@ from repro.api import (
     SsdConfig,
     SsdDayResult,
     make_config,
+    replay_trace,
     run_bench,
     run_campaign,
     run_fleet,
     simulate_day,
 )
+from repro.bench.runner import run_scenario, run_suite
+from repro.bench.scenarios import SCENARIOS
 from repro.disk.disk import Disk
 from repro.disk.models import (
     FUJITSU_M2266,
@@ -23,7 +26,7 @@ from repro.disk.models import (
     TOSHIBA_MK156F,
     disk_model,
 )
-from repro.fleet import FleetSpec
+from repro.fleet import FleetSpec, build_shard_tasks
 from repro.sim import (
     ExperimentConfig,
     Simulation,
@@ -32,8 +35,13 @@ from repro.sim import (
     run_onoff_campaign,
 )
 from repro.sim import multifs
-from repro.sim.experiment import build_rig
-from repro.sim.multifs import FileSystemSpec, MultiFSExperiment
+from repro.sim.experiment import build_rig, run_rig_day
+from repro.sim.multifs import (
+    FileSystemSpec,
+    MultiDiskExperiment,
+    MultiFSExperiment,
+)
+from repro.traces.replay import replay_jobs
 from repro.workload.profiles import SYSTEM_FS_PROFILE, profile_for_disk
 from repro.workload.tenancy import TenancySpec
 
@@ -113,23 +121,28 @@ class TestFacade:
         with pytest.raises(KeyError, match="unknown scenario"):
             run_bench(["warp_drive"], quick=True)
 
-    def test_run_bench_scalar_engine_keeps_the_digest(self):
-        fast, scalar = (
-            run_bench(["fault_stress"], quick=True, measure_memory=False,
-                      fast=mode)[0]
-            for mode in (True, False)
-        )
-        assert scalar.metrics_digest == fast.metrics_digest
+    def test_run_bench_scalar_engine_keeps_the_digest(self, scalar_engine):
+        def bench():
+            (report,) = run_bench(
+                ["standard_day"], quick=True, measure_memory=False
+            )
+            return report
 
-    def test_run_fleet_scalar_engine_keeps_the_digest(self):
+        kernel = bench()
+        with scalar_engine():
+            scalar = bench()
+        assert scalar.metrics_digest == kernel.metrics_digest
+        assert scalar.events == kernel.events
+
+    def test_run_fleet_scalar_engine_keeps_the_digest(self, scalar_engine):
         spec = FleetSpec(
             devices=2, disk="toshiba", days=2, hours=0.05,
             devices_per_shard=2, tenancy=TenancySpec(tenants=4),
         )
-        fast, scalar = (
-            run_fleet(spec, workers=1, fast=mode) for mode in (True, False)
-        )
-        assert scalar.digest() == fast.digest()
+        kernel = run_fleet(spec, workers=1)
+        with scalar_engine():
+            scalar = run_fleet(spec, workers=1)
+        assert scalar.digest() == kernel.digest()
 
     def test_run_fleet_is_the_fleet_runner(self):
         assert run_fleet is repro.fleet.run_fleet
@@ -242,8 +255,45 @@ _SPEC_SHORTHAND = {
         {"disk": "fujitsu", "num_blocks": 9, "fast": False},
     ),
 }
+# The batch kernel is the engine's own choice: ``fast`` is gone from
+# every layer above ``Simulation``.
+_ENGINE_CHOICE = {
+    owner: (build, {"fast": False})
+    for owner, build in {
+        "ExperimentConfig": lambda **kw: ExperimentConfig(**kw),
+        "run_rig_day": lambda **kw: run_rig_day(
+            [], day=0, rearranged=False, **kw
+        ),
+        "replay_jobs": lambda **kw: replay_jobs([], **kw),
+        "api.replay_trace": lambda **kw: replay_trace(
+            "tests/fixtures/sample.blkparse", **kw
+        ),
+        "build_shard_tasks": lambda **kw: build_shard_tasks(FleetSpec(), **kw),
+        "api.run_fleet": lambda **kw: run_fleet(FleetSpec(), **kw),
+        "run_suite": lambda **kw: run_suite([], **kw),
+        "run_scenario": lambda **kw: run_scenario(
+            SCENARIOS["standard_day"], **kw
+        ),
+        "api.run_bench": lambda **kw: run_bench(["standard_day"], **kw),
+        "Scenario.run": lambda **kw: SCENARIOS["standard_day"].run(
+            True, **kw
+        ),
+    }.items()
+}
+# One flash preset fits one disk's span: the reference disk is a constant.
+_ENGINE_CHOICE["SsdConfig"] = (
+    lambda **kw: SsdConfig(**kw), {"reference_disk": "fujitsu"}
+)
+REMOVED_NAMES["MultiDiskExperiment.fast"] = (
+    AttributeError,
+    lambda: MultiDiskExperiment([ExperimentConfig()]).fast,
+)
+REMOVED_NAMES["MultiFSExperiment.fast"] = (
+    AttributeError,
+    lambda: MultiFSExperiment([FileSystemSpec(SYSTEM_FS_PROFILE, 1.0)]).fast,
+)
 for _owner, (_build, _knobs) in [
-    *_DEAD_KNOBS.items(), *_SPEC_SHORTHAND.items()
+    *_DEAD_KNOBS.items(), *_SPEC_SHORTHAND.items(), *_ENGINE_CHOICE.items()
 ]:
     for _name, _value in _knobs.items():
         REMOVED_NAMES[f"{_owner}-{_name}"] = (

@@ -12,17 +12,15 @@ from repro.bench.runner import (
     compare_reports,
     load_baseline,
     run_scenario,
-    run_suite,
     write_baseline,
 )
 from repro.bench.scenarios import SCENARIOS, Scenario, ScenarioResult
-from repro.cli import main
 
 BASELINE_PATH = Path(__file__).parent.parent / "benchmarks/results/baseline.json"
 
 
 def tiny_scenario(name="tiny", payload=None):
-    def run(quick, fast=True):
+    def run(quick):
         return ScenarioResult(
             payload=payload or {"value": 7}, events=10, requests=5
         )
@@ -79,7 +77,7 @@ class TestRunScenario:
     def test_nondeterminism_in_memory_pass_is_caught(self):
         payloads = iter([{"value": 1}, {"value": 2}])
 
-        def run(quick, fast=True):
+        def run(quick):
             return ScenarioResult(
                 payload=next(payloads), events=1, requests=1
             )
@@ -87,38 +85,6 @@ class TestRunScenario:
         scenario = Scenario("flaky", "changes output", run)
         with pytest.raises(BenchError, match="nondeterministic"):
             run_scenario(scenario, quick=True, calibration=1.0)
-
-
-class TestFastSwitch:
-    """``--no-fast`` is an argument handed to every scenario run, not
-    process state."""
-
-    def test_suite_hands_fast_to_timed_and_memory_runs(self):
-        seen = []
-
-        def run(quick, fast=True):
-            seen.append(fast)
-            return ScenarioResult(payload={"value": 7}, events=1, requests=1)
-
-        run_suite(
-            [Scenario("probe", "records fast", run)],
-            quick=True,
-            repeat=2,
-            fast=False,
-        )
-        assert seen == [False, False, False]  # two timed runs + memory pass
-
-    @pytest.mark.parametrize("flag, fast", [([], True), (["--no-fast"], False)])
-    def test_cli_flag_becomes_the_argument(self, monkeypatch, tmp_path, flag, fast):
-        import repro.bench
-
-        calls = []
-        monkeypatch.setattr(
-            repro.bench, "run_suite", lambda *a, **kw: calls.append(kw) or []
-        )
-        argv = ["bench", "--quick", "--scenarios", "standard_day"]
-        assert main(argv + ["--out", str(tmp_path)] + flag) == 0
-        assert [kw["fast"] for kw in calls] == [fast]
 
 
 class TestCompareGate:
@@ -204,53 +170,6 @@ class TestCompareGate:
         path = write_baseline([report], tmp_path / "baseline.json")
         assert load_baseline(path)["scenarios"]["tiny"]["workers"] == 3
 
-    def test_reports_and_baselines_record_the_engine(self, tmp_path):
-        for fast, engine in [(True, "kernel"), (False, "scalar")]:
-            report = run_scenario(
-                tiny_scenario(), quick=True, calibration=1.0,
-                measure_memory=False, fast=fast,
-            )
-            assert report.machine["engine"] == engine
-            path = write_baseline([report], tmp_path / f"{engine}.json")
-            entry = load_baseline(path)["scenarios"]["tiny"]
-            assert entry["engine"] == engine
-
-    def test_cross_engine_run_skips_only_the_cost_gates(self, capsys):
-        """A scalar run against a kernel baseline (or one written before
-        engines were recorded): far slower and larger, still passes, with
-        a note saying why."""
-        report = make_report(
-            machine={"engine": "scalar"}, wall_s=50.0, peak_mem_bytes=10**9
-        )
-        for baseline in (
-            baseline_for(make_report(), engine="kernel"),
-            baseline_for(make_report()),
-        ):
-            assert compare_reports([report], baseline) == []
-            note = capsys.readouterr().out
-            assert "gates skipped" in note
-            assert "baseline ran the kernel engine" in note
-
-    def test_cross_engine_run_keeps_the_exact_gates(self):
-        scalar = {"engine": "scalar"}
-        baseline = baseline_for(make_report())
-        (problem,) = compare_reports(
-            [make_report(machine=scalar, metrics_digest="sha256:def")],
-            baseline,
-        )
-        assert "metrics digest changed" in problem
-        (problem,) = compare_reports(
-            [make_report(machine=scalar, events=11)], baseline
-        )
-        assert "event count changed" in problem
-
-    def test_same_engine_keeps_the_cost_gates(self, capsys):
-        report = make_report(machine={"engine": "scalar"}, wall_s=2.0)
-        baseline = baseline_for(make_report(), engine="scalar")
-        (problem,) = compare_reports([report], baseline)
-        assert "slowed beyond" in problem
-        assert capsys.readouterr().out == ""
-
     def test_baseline_roundtrip_carries_memory(self, tmp_path):
         report = make_report()
         path = write_baseline([report], tmp_path / "baseline.json")
@@ -258,19 +177,36 @@ class TestCompareGate:
         assert entry["peak_mem_bytes"] == report.peak_mem_bytes
 
 
+@pytest.fixture
+def absorbed(monkeypatch):
+    """The completions the batch kernel absorbs in each
+    :meth:`Simulation.run` call of the test (in this process)."""
+    from repro.sim.engine import Simulation
+
+    counts = []
+    run = Simulation.run
+
+    def counted(self, *args, **kwargs):
+        before = self.absorbed_completions
+        try:
+            return run(self, *args, **kwargs)
+        finally:
+            counts.append(self.absorbed_completions - before)
+
+    monkeypatch.setattr(Simulation, "run", counted)
+    return counts
+
+
 class TestCommittedDigests:
-    """Every scenario's quick-mode digest must match the committed
-    baseline bit for bit.  The default ``exact`` counter and every hot
-    path behind it (block table, analyzer, allocator, placement) are
-    pinned by this: an optimization that moves a digest is a behavior
-    change, not an optimization."""
+    """Every scenario's quick-mode digest and event count must match the
+    committed baseline bit for bit, on the batch kernel and on the
+    scalar reference engine alike.  The default ``exact`` counter and
+    every hot path behind it (block table, analyzer, allocator,
+    placement) are pinned by this: an optimization that moves a digest
+    is a behavior change, not an optimization."""
 
-    def committed(self):
-        return json.loads(BASELINE_PATH.read_text())["scenarios"]
-
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_quick_digest_matches_committed_baseline(self, name):
-        committed = self.committed()
+    def run_against_baseline(self, name):
+        committed = json.loads(BASELINE_PATH.read_text())["scenarios"]
         assert name in committed, (
             f"{name} missing from {BASELINE_PATH}; regenerate the "
             "baseline with 'repro bench --quick --write-baseline'"
@@ -279,3 +215,18 @@ class TestCommittedDigests:
         assert metrics_digest(result.payload) == committed[name][
             "metrics_digest"
         ]
+        assert result.events == committed[name]["events"]
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_quick_digest_matches_committed_baseline(self, name, absorbed):
+        self.run_against_baseline(name)
+        # Fault injection keeps fault_stress's device off the kernel.
+        assert (sum(absorbed) > 0) == (name != "fault_stress")
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scalar_reference_matches_committed_baseline(
+        self, name, absorbed, scalar_engine
+    ):
+        with scalar_engine():
+            self.run_against_baseline(name)
+        assert absorbed and sum(absorbed) == 0

@@ -39,6 +39,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["onoff", "--disk", "ibm"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # The batch kernel is the engine's own choice.
+            ["bench", "--no-fast"],
+            # The flash preset fits only the Toshiba span.
+            ["ssd", "--disk", "fujitsu"],
+        ],
+        ids=["bench--no-fast", "ssd--disk"],
+    )
+    def test_removed_flags_are_parse_errors(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestSpecs:
     """The CLI holds no second copy of a spec's defaults: with no flags
@@ -102,14 +116,13 @@ class TestSpecs:
 
     def test_ssd_flags_land_on_their_fields(self):
         args = parse(
-            "ssd", "--profile", "system", "--disk", "fujitsu", "--flash",
+            "ssd", "--profile", "system", "--flash",
             "ssd", "--hours", "0.5", "--seed", "5", "--gc-policy",
             "cost-benefit", "--cmt-capacity", "512", "--hot-threshold", "3",
             "--no-precondition", "--policy", "off",
         )
         assert ssd_config(args) == SsdConfig(
             profile=SYSTEM_FS_PROFILE.scaled(hours=0.5),
-            reference_disk="fujitsu",
             flash="ssd",
             seed=5,
             gc_policy="cost-benefit",
@@ -126,7 +139,7 @@ class TestSpecs:
         assert not {"format", "mapping", "loop", "gap_ms"} & set(vars(ingest))
         bench = parse("bench")
         assert "repeat" not in bench
-        assert bench.fast and bench.measure_memory
+        assert bench.measure_memory
 
 
 class TestCommands:

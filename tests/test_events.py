@@ -63,10 +63,8 @@ class TestOrdering:
 
     def test_peek_and_len(self):
         queue = EventQueue()
-        assert queue.peek_time() is None
         assert not queue
         queue.push(2.0, Ping())
-        assert queue.peek_time() == 2.0
         assert len(queue) == 1
 
     def test_pop_empty_raises(self):

@@ -244,7 +244,8 @@ class TestDriverRetryPath:
     def test_fault_free_run_leaves_fault_stats_untouched(self):
         driver = make_driver()
         serve_one(driver, read_request(3, 0.0))
-        assert driver.fault_stats.total_faults == 0
+        assert driver.fault_stats.transient_faults == 0
+        assert driver.fault_stats.media_faults == 0
         assert driver.fault_stats.day_requests == 0
         assert driver.perf_monitor.stats("all").errors == 0
 

@@ -1,11 +1,11 @@
-"""``fast`` reaches fleet workers whatever their start method.
+"""The batch kernel engages in fleet workers whatever their start method.
 
-The batch-kernel switch travels inside each device's config in a
-:class:`ShardTask`, so a worker started with ``spawn`` — which
-re-imports every module fresh and inherits none of the parent's process
-state — runs exactly the engine the caller asked for.  The probe below runs in the worker: it counts the
-:class:`~repro.sim.vector.BatchPlanner` objects that shard's simulations
-build, which is zero exactly when every day ran on the scalar engine.
+The kernel is the engine's own choice, made per device from the stack
+it serves, so a worker started with ``spawn`` — which re-imports every
+module fresh and inherits none of the parent's process state — runs it
+exactly as the caller's process would.  The probe below runs in the
+worker: it counts the :class:`~repro.sim.vector.BatchPlanner` objects
+that shard's simulations build with an eligible device.
 """
 
 import multiprocessing
@@ -32,8 +32,8 @@ and sees ``None``, a forked one would inherit the parent's value."""
 
 
 def count_planners(task):
-    """Run one shard; return the batch planners built and this process's
-    view of :data:`PARENT_MARK`."""
+    """Run one shard; return the batch planners built with an eligible
+    device and this process's view of :data:`PARENT_MARK`."""
     from repro.sim import vector
 
     built = 0
@@ -41,8 +41,9 @@ def count_planners(task):
 
     def counting(simulation):
         nonlocal built
-        built += 1
-        return planner(simulation)
+        built_planner = planner(simulation)
+        built += bool(built_planner.eligible)
+        return built_planner
 
     vector.BatchPlanner = counting
     try:
@@ -61,14 +62,10 @@ def spawn_only(monkeypatch):
     monkeypatch.setitem(globals(), "PARENT_MARK", "parent")
 
 
-@pytest.mark.parametrize("fast", [False, True], ids=["scalar", "kernel"])
-def test_fast_reaches_spawned_workers(spawn_only, fast):
-    tasks = build_shard_tasks(SPEC, fast=fast)
+def test_kernel_engages_in_spawned_workers(spawn_only):
+    tasks = build_shard_tasks(SPEC)
     assert len(tasks) == 2
     results = fan_out(count_planners, tasks, workers=2)
     assert [mark for __, mark in results] == [None, None]  # really spawned
     counts = [built for built, __ in results]
-    if fast:
-        assert all(count > 0 for count in counts), counts
-    else:
-        assert counts == [0, 0]
+    assert all(count > 0 for count in counts), counts

@@ -162,7 +162,6 @@ class TestServicePercentiles:
             buffer_hits=0,
             service_histogram=hist,
         )
-        assert metrics.service_fraction_below(15.0) == pytest.approx(0.5)
         assert metrics.service_percentile_ms(0.5) == pytest.approx(11.0)
         assert metrics.service_percentile_ms(1.0) == pytest.approx(41.0)
 

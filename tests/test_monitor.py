@@ -49,7 +49,6 @@ class TestRequestMonitor:
             monitor.record(read_request(i, float(i)))
         assert len(monitor) == 2
         assert monitor.suspended_count == 3
-        assert monitor.is_full
 
     def test_recording_resumes_after_clear(self):
         monitor = RequestMonitor(capacity=1)

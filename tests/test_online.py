@@ -390,19 +390,20 @@ class TestDeterminism:
 @pytest.mark.parametrize(
     "profile, disk", [("users", "fujitsu"), ("system", "toshiba")]
 )
-def test_full_size_online_day_fast_matches_scalar(profile, disk):
+def test_full_size_online_day_fast_matches_scalar(profile, disk, scalar_engine):
     """A paper-length (15 h) online day: the batch kernel and the scalar
     engine agree on the day's metrics digest and on every migration
     counter.  Short days can miss divergences that only a long day's
     thousands of idle windows expose."""
 
-    def day(fast):
-        config = make_config(profile, disk, policy="online", fast=fast)
-        experiment = Experiment(config)
+    def day():
+        experiment = Experiment(make_config(profile, disk, policy="online"))
         result = experiment.run_day(rearranged=False, rearrange_tomorrow=False)
         return (
             metrics_digest(day_metrics_payload(result.metrics)),
             experiment.controller.online_stats.payload(),
         )
 
-    assert day(True) == day(False)
+    kernel = day()
+    with scalar_engine():
+        assert day() == kernel

@@ -199,12 +199,6 @@ class TestEveryFieldReachesTheRig:
         assert state[0] == state[1] != state[2]
         assert single.label.partitions == multi.label.partitions
 
-    def test_multidisk_runs_the_kernel_only_when_every_config_asks(self):
-        fast = ExperimentConfig(profile=SYSTEM_FS_PROFILE.scaled(hours=0.02))
-        slow = replace(fast, fast=False)
-        assert MultiDiskExperiment([fast, fast]).fast
-        assert not MultiDiskExperiment([fast, slow]).fast
-
     def test_multifs_rig_has_the_full_request_table(self):
         exp = MultiFSExperiment([FileSystemSpec(SYSTEM_FS_PROFILE, 1.0)])
         assert exp.driver.request_monitor.capacity == 65536

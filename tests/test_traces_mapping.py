@@ -48,7 +48,6 @@ class TestMappers:
         assert mapper.map(9_000_000) == 0
         assert mapper.map(12) == 1
         assert mapper.map(9_000_000) == 0  # re-reference is stable
-        assert mapper.working_set == 2
         assert not mapper.wrapped
 
     def test_compact_wraps_when_working_set_overflows(self):
@@ -57,7 +56,6 @@ class TestMappers:
             mapper.map(block)
         assert mapper.map(40) == 0  # fourth distinct block wrapped
         assert mapper.wrapped
-        assert mapper.working_set == 4
 
     def test_all_mappers_stay_in_range(self):
         target = 37
@@ -171,7 +169,6 @@ class TestCharacterize:
         character = characterize_records([])
         assert character.requests == 0
         assert character.working_set_blocks == 0
-        assert character.read_fraction == 0.0
 
     def test_counts_and_mix(self):
         records = [
@@ -188,7 +185,6 @@ class TestCharacterize:
         assert character.working_set_blocks == 4  # {1, 2, 9, 10}
         assert character.span_blocks == 10  # blocks 1..10
         assert character.duration_ms == pytest.approx(3.0)
-        assert character.read_fraction == pytest.approx(0.75)
 
     def test_sequential_fraction_and_runs(self):
         # 5 -> 6,7 -> 8 is one run; 50 breaks it.

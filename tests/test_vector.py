@@ -2,9 +2,10 @@
 
 The scalar engine is the executable specification; the batch kernel
 (:mod:`repro.sim.vector`) must reproduce its metrics *bit for bit*.
-Every test here runs the same workload twice — ``fast=True`` and
-``fast=False`` — and compares the canonical metrics digest, the same
-sha256 the benchmark suite pins.  A single float added in a different
+Every test here runs the same workload twice — on the kernel and on the
+scalar engine (``Simulation(fast=False)``, or the ``scalar_engine``
+fixture for day-level runs) — and compares the canonical metrics
+digest, the same sha256 the benchmark suite pins.  A single float added in a different
 order changes the digest, so equality is the strongest equivalence
 statement the metrics layer can express.
 """
@@ -30,10 +31,10 @@ from repro.sim.jobs import batch_job, sequential_job
 from repro.stats.metrics import DayMetrics
 
 
-def _experiment_digests(fast: bool, **overrides) -> list:
+def _experiment_digests(**overrides) -> list:
     """Per-day metrics digests of a two-day off/on experiment, then the
     online-migration counters when the policy is online."""
-    config = make_config("system", hours=0.05, fast=fast, **overrides)
+    config = make_config("system", hours=0.05, **overrides)
     experiment = Experiment(config)
     schedule = [False, True]
     digests = []
@@ -47,6 +48,13 @@ def _experiment_digests(fast: bool, **overrides) -> list:
     if stats is not None:
         digests.append(stats.payload())
     return digests
+
+
+def _kernel_and_scalar_digests(scalar_engine, **overrides) -> tuple:
+    kernel = _experiment_digests(**overrides)
+    with scalar_engine():
+        scalar = _experiment_digests(**overrides)
+    return kernel, scalar
 
 
 def _fresh_driver():
@@ -159,15 +167,15 @@ class TestUnitEquivalence:
         # The job start, 20 issue-complete pairs, then the 21st issue.
         assert clock(True) == clock(False) == (middle.arrival_ms, 42)
 
-    def test_fault_mid_batch(self):
-        # Fault injection makes the device ineligible, so fast mode must
+    def test_fault_mid_batch(self, scalar_engine):
+        # Fault injection makes the device ineligible, so the kernel must
         # fall back to scalar dispatch entirely — digests stay identical
         # even with transient retries and media errors mid-burst.
         spec = "seed=5,transient=0.01,retries=3,media=rand:2"
-        overrides = dict(disk="toshiba", faults=parse_fault_spec(spec))
-        assert _experiment_digests(True, **overrides) == _experiment_digests(
-            False, **overrides
+        kernel, scalar = _kernel_and_scalar_digests(
+            scalar_engine, disk="toshiba", faults=parse_fault_spec(spec)
         )
+        assert kernel == scalar
 
 
 def _device_fingerprint(driver) -> tuple:
@@ -298,7 +306,7 @@ if os.environ.get("VECTOR_STRESS_SEED"):
 
 
 @pytest.mark.parametrize("seed", STRESS_SEEDS)
-def test_randomized_equivalence_stress(seed):
+def test_randomized_equivalence_stress(seed, scalar_engine):
     """Seeded sweep: random disk preset, faults on/off, online policy
     on/off, random workload seed — fast and scalar digests must match
     for every drawn configuration."""
@@ -316,9 +324,8 @@ def test_randomized_equivalence_stress(seed):
             )
         if rng.random() < 0.5:
             overrides["policy"] = "online"
-        assert _experiment_digests(True, **overrides) == _experiment_digests(
-            False, **overrides
-        ), f"digest divergence for {overrides}"
+        kernel, scalar = _kernel_and_scalar_digests(scalar_engine, **overrides)
+        assert kernel == scalar, f"digest divergence for {overrides}"
 
 
 def test_finished_run_releases_its_devices():
