@@ -117,6 +117,11 @@ class ReferenceStreamAnalyzer:
     """Bumped on every count change; :meth:`hot_blocks` caches under it."""
     _rank_cache: tuple = field(default=(-1, 0, ()), repr=False, compare=False)
     """``(version, limit, ranking)`` of the last :meth:`hot_blocks` miss."""
+    _touched: set[int] | None = field(default=None, repr=False, compare=False)
+    """Blocks counted since the cached prefix ranking was built, or
+    ``None`` when that ranking cannot be merged: it is a full ranking, or
+    a reset, an eviction or the Space-Saving sketch may have lowered a
+    count since."""
 
     def __post_init__(self) -> None:
         if self.capacity is not None and self.capacity <= 0:
@@ -153,6 +158,9 @@ class ReferenceStreamAnalyzer:
             sketch.observe(block)
             self.replacements = sketch.replacements
             return
+        touched = self._touched
+        if touched is not None:
+            touched.add(block)
         if block in self._counts:
             self._counts[block] += 1
             return
@@ -165,6 +173,7 @@ class ReferenceStreamAnalyzer:
         victim = min(self._counts, key=self._counts.__getitem__)
         floor = self._counts.pop(victim)
         self.replacements += 1
+        self._touched = None
         if self.heuristic == "space-saving":
             self._counts[block] = floor + 1
         else:  # evict-min
@@ -219,8 +228,11 @@ class ReferenceStreamAnalyzer:
         )
         counts = self._counts
         get = counts.get
-        for block, tally in zip(unique.tolist(), tallies.tolist()):
+        unique_blocks = unique.tolist()
+        for block, tally in zip(unique_blocks, tallies.tolist()):
             counts[block] = get(block, 0) + tally
+        if self._touched is not None:
+            self._touched.update(unique_blocks)
         self.observed += len(blocks)
         self._version += 1
         return len(blocks)
@@ -245,17 +257,37 @@ class ReferenceStreamAnalyzer:
         cached prefix instead of a ranking each.  A cached ranking of the
         top ``m`` also answers any ``n <= m``.  Each call returns a fresh
         list, so callers may mutate it freely.
+
+        A poll that changed the counts does not force a whole-table
+        ranking either.  Under the exact counter counts only rise between
+        resets, so a block ranked below all of the cached top ``m`` that
+        was not counted since cannot enter the new top ``m``: the miss
+        re-ranks just the old top ``m`` and the blocks counted since.  A
+        reset, an eviction by the bounded counter, or the Space-Saving
+        sketch (whose counts can fall) takes the whole-table ranking.
         """
         if n is not None and n < 0:
             raise ValueError("n must be non-negative")
         version, limit, ranked = self._rank_cache
-        if version != self._version or not (
+        if version == self._version and (
             limit is None or (n is not None and n <= limit)
         ):
+            return ranked[:n]
+        touched = self._touched
+        if touched is not None and n is not None and n <= limit:
+            counts = self._counts
+            candidates = touched.union([block for block, __ in ranked])
+            ranked = _ranked({block: counts[block] for block in candidates}, limit)
+        else:
             sketch = self._sketch
             counts = self._counts if sketch is None else sketch._counts
             ranked = _ranked(counts, n)
-            self._rank_cache = (self._version, n, ranked)
+            limit = n
+        self._rank_cache = (self._version, limit, ranked)
+        # Start recording the blocks the next merge must look at.
+        self._touched = (
+            set() if limit is not None and self._sketch is None else None
+        )
         return ranked[:n]
 
     def count_of(self, block: int) -> int:
@@ -279,6 +311,7 @@ class ReferenceStreamAnalyzer:
         if sketch is not None:
             sketch.reset()
         self._counts.clear()
+        self._touched = None
         self.replacements = 0
         self.observed = 0
         self._version += 1

@@ -39,10 +39,6 @@ class CylinderShufflePlan:
 
     mapping: dict[int, int]
 
-    @property
-    def moved_cylinders(self) -> int:
-        return sum(1 for src, dst in self.mapping.items() if src != dst)
-
     def is_permutation(self) -> bool:
         targets = list(self.mapping.values())
         return len(set(targets)) == len(targets) and set(targets) == set(

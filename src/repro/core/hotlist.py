@@ -63,9 +63,6 @@ class HotBlockList:
     def contains(self, block: int) -> bool:
         return any(entry.block == block for entry in self.entries)
 
-    def total_references(self) -> int:
-        return sum(entry.count for entry in self.entries)
-
     def coverage_of(self, counts: dict[int, int]) -> float:
         """Fraction of the true reference mass this list's blocks absorb.
 

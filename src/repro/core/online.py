@@ -256,6 +256,12 @@ class IncrementalArranger:
         self._budget_anchor_ms = 0.0
         self._moves_left = 0
         self._move: _ActiveMove | None = None
+        # The last free slot and scan verdict, with the versions they
+        # were computed under (see _next_free_slot and _scan).
+        self._slot_version = -1
+        self._free_slot: int | None = None
+        self._scan_key: tuple[int, int, int] | None = None
+        self._verdict: tuple[tuple[int, int, float] | None, bool] = (None, False)
         self.detector: IdleDetector | None = None
         self._sim: Simulation | None = None
         self._device: str | None = None
@@ -353,16 +359,56 @@ class IncrementalArranger:
         self._start_next_move(now_ms)
 
     def _next_free_slot(self) -> int | None:
-        """Best unoccupied reserved slot, in organ-pipe fill order."""
-        occupied = self.driver.block_table.occupied_reserved_blocks()
-        for slot in self._layout.center_out_slots:
-            if slot not in occupied:
-                return slot
-        return None
+        """Best unoccupied reserved slot, in organ-pipe fill order
+        (found once per block-table version)."""
+        table = self.driver.block_table
+        if self._slot_version != table.version:
+            occupied = table.occupied_reserved_blocks()
+            self._free_slot = next(
+                (
+                    slot
+                    for slot in self._layout.center_out_slots
+                    if slot not in occupied
+                ),
+                None,
+            )
+            self._slot_version = table.version
+        return self._free_slot
+
+    def _scan(self, slot: int) -> tuple[tuple[int, int, float] | None, bool]:
+        """The window's verdict for ``slot``: the first throttle-approved
+        candidate as ``(block, physical, cost)``, else ``None``, and
+        whether any unplaced candidate was seen.
+
+        The verdict depends only on the analyzer's counts, the block
+        table and the slot, so it is cached under their versions: a
+        window whose inputs did not change since the last scan costs one
+        key comparison.  The budget is applied by the caller.
+        """
+        table = self.driver.block_table
+        key = (self.analyzer._version, table.version, slot)
+        if key == self._scan_key:
+            return self._verdict
+        label = self._label
+        ratio = self.policy.min_benefit_ratio
+        verdict: tuple[tuple[int, int, float] | None, bool] = (None, False)
+        for block, count in self.analyzer.hot_blocks(self._proposal_limit):
+            physical = label.virtual_to_physical_block(block)
+            if table.reserved_of(physical) >= 0:
+                continue  # already placed
+            verdict = (None, True)
+            cost = self.projected_cost_ms(physical, slot)
+            if self.projected_benefit_ms(count, physical, slot) < ratio * cost:
+                continue  # move would not pay for itself
+            verdict = ((block, physical, cost), True)
+            break
+        self._scan_key = key
+        self._verdict = verdict
+        return verdict
 
     def _start_next_move(self, now_ms: float) -> None:
-        """Pick the best throttle-approved candidate and issue its first
-        step; no candidate (or no budget) ends the window."""
+        """Start the best throttle-approved candidate's first step; no
+        candidate (or no budget) ends the window."""
         if self._moves_left <= 0:
             return
         if self.driver.busy or self.driver.queue:
@@ -370,38 +416,29 @@ class IncrementalArranger:
         slot = self._next_free_slot()
         if slot is None:
             return  # reserved area is full
-        table = self.driver.block_table
-        label = self._label
-        ratio = self.policy.min_benefit_ratio
-        saw_candidate = False
-        for block, count in self.analyzer.hot_blocks(self._proposal_limit):
-            physical = label.virtual_to_physical_block(block)
-            if table.reserved_of(physical) >= 0:
-                continue  # already placed
-            saw_candidate = True
-            cost = self.projected_cost_ms(physical, slot)
-            if self.projected_benefit_ms(count, physical, slot) < ratio * cost:
-                continue  # move would not pay for itself
-            if cost > self._budget_ms:
-                self.stats.moves_deferred += 1
-                return  # amortized budget exhausted; retry next window
-            self._budget_ms -= cost
-            assert self.detector is not None
-            self._move = _ActiveMove(
-                logical_block=block,
-                physical_block=physical,
-                reserved_block=slot,
-                start_seq=self.detector.activity_seq,
-                steps=(
-                    (physical, True),
-                    (slot, False),
-                    *((tb, False) for tb in self._table_blocks),
-                ),
-            )
-            self._issue_step(now_ms)
+        choice, saw_candidate = self._scan(slot)
+        if choice is None:
+            if saw_candidate:
+                self.stats.moves_skipped += 1
             return
-        if saw_candidate:
-            self.stats.moves_skipped += 1
+        block, physical, cost = choice
+        if cost > self._budget_ms:
+            self.stats.moves_deferred += 1
+            return  # amortized budget exhausted; retry next window
+        self._budget_ms -= cost
+        assert self.detector is not None
+        self._move = _ActiveMove(
+            logical_block=block,
+            physical_block=physical,
+            reserved_block=slot,
+            start_seq=self.detector.activity_seq,
+            steps=(
+                (physical, True),
+                (slot, False),
+                *((tb, False) for tb in self._table_blocks),
+            ),
+        )
+        self._issue_step(now_ms)
 
     def _issue_step(self, now_ms: float) -> None:
         move = self._move

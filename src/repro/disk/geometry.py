@@ -171,10 +171,6 @@ class DiskGeometry:
         first = cylinder * self.blocks_per_cylinder
         return range(first, first + self.blocks_per_cylinder)
 
-    def middle_cylinder(self) -> int:
-        """The disk's center cylinder (organ-pipe anchor point)."""
-        return self.cylinders // 2
-
     def _check_block(self, block: int) -> None:
         if not 0 <= block < self.total_blocks:
             raise ValueError(

@@ -9,7 +9,7 @@ no-rearrangement mean service times (Tables 2 and 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .geometry import DiskGeometry
 from .seek import SeekCurve, SeekModel
@@ -25,15 +25,6 @@ class DiskModel:
     controller_overhead_ms: float = 0.0
     track_buffer_bytes: int | None = None
     track_buffer_transfer_ms: float = 2.0
-
-    def with_geometry(self, geometry: DiskGeometry) -> "DiskModel":
-        """A copy of this model with substituted geometry (used by tests)."""
-        seek = replace(
-            self.seek,
-            max_cylinders=geometry.cylinders,
-            name=self.seek.name,
-        )
-        return replace(self, geometry=geometry, seek=seek)
 
 
 def _toshiba_mk156f() -> DiskModel:

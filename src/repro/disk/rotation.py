@@ -66,7 +66,3 @@ class RotationModel:
         if latency >= self.rotation_time_ms:
             latency -= self.rotation_time_ms
         return latency
-
-    def sector_passing_at(self, now_ms: float) -> int:
-        """Index of the sector currently under the head."""
-        return int(self.angle_at(now_ms))

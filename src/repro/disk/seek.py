@@ -99,7 +99,3 @@ class SeekModel:
     def times(self, distances: Iterable[int]) -> list[float]:
         """Seek times for a sequence of distances."""
         return [self.time(d) for d in distances]
-
-    def full_stroke_time(self) -> float:
-        """Seek time across the entire disk (a worst-case seek)."""
-        return self.time(self.max_cylinders - 1)

@@ -86,18 +86,9 @@ class TrackBuffer:
         if self._start <= block < self._end:
             self._holes.add(block)
 
-    def invalidate_all(self) -> None:
-        self._start = self._end = 0
-        if self._holes:
-            self._holes.clear()
-
     @property
     def hit_ratio(self) -> float:
         total = self.hits + self.misses
         if total == 0:
             return 0.0
         return self.hits / total
-
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0

@@ -63,6 +63,11 @@ class BlockTable:
 
     def __init__(self, capacity: int | None = None) -> None:
         self.capacity = capacity
+        self.version = 0
+        """Bumped by every change to which blocks are rearranged where
+        (:meth:`add`, :meth:`remove`, :meth:`clear`, :meth:`crash`,
+        :meth:`recover`); the online arranger caches its decisions under
+        it.  Dirty bits and flushes leave it alone."""
         # Every map is bounded by the number of rearranged blocks (the
         # reserved area's capacity): original -> reserved, reserved ->
         # original, the originals whose reserved copy is dirty, and
@@ -131,6 +136,7 @@ class BlockTable:
         self._order[original_block] = self._next_seq
         self._next_seq += 1
         self._unflushed.add(original_block)
+        self.version += 1
         return BlockTableEntry(original_block, reserved_block)
 
     def remove(self, original_block: int) -> BlockTableEntry:
@@ -148,6 +154,7 @@ class BlockTable:
         self._dirty.discard(original_block)
         del self._order[original_block]
         self._unflushed.add(original_block)
+        self.version += 1
         return entry
 
     def mark_dirty(self, original_block: int) -> None:
@@ -182,6 +189,7 @@ class BlockTable:
         self._drop_memory()
 
     def _drop_memory(self) -> None:
+        self.version += 1
         self._forward.clear()
         self._unflushed.update(self._order)
         self._order.clear()

@@ -134,13 +134,6 @@ class DistanceHistogram:
             return 0.0
         return self.buckets.get(0, 0) / self.count
 
-    def as_mapping(self) -> dict[int, int]:
-        return dict(self.buckets)
-
-    def mean_time_ms(self, seek_model) -> float:
-        """Mean seek time via a seek-time function (the paper's method)."""
-        return seek_model.mean_time(self.buckets)
-
     def merge(self, other: "DistanceHistogram") -> None:
         self.buckets.update(other.buckets)
         self.count += other.count

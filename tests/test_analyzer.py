@@ -223,6 +223,53 @@ def test_hot_blocks_matches_a_full_sort(counter, seed, universe):
         assert analyzer.hot_blocks(16) == expected[:16]
 
 
+@pytest.mark.parametrize("universe", [24, 4000])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("counter", sorted(RANKING_COUNTERS))
+def test_hot_blocks_online_pattern_matches_a_full_sort(counter, seed, universe):
+    """The online arranger's pattern: only ``hot_blocks(16)``, once or
+    twice between count changes.  Under the exact counter each miss after
+    the first re-ranks the cached top 16 with the blocks counted since;
+    that merge must equal the fully sorted table's prefix, with ties at
+    the 16th entry (the small universe), through bounded-counter
+    evictions and resets.  The Space-Saving sketch never merges."""
+    import random
+
+    rng = random.Random(seed * 1000 + universe + 7)
+    options = dict(RANKING_COUNTERS[counter])
+    if universe > 1000 and "capacity" in options:
+        options["capacity"] = 2500  # past the numpy ranking threshold
+    analyzer = ReferenceStreamAnalyzer(**options)
+    merges = ties = 0
+    for __ in range(50):
+        action = rng.random()
+        if action < 0.55:
+            for __ in range(rng.randint(1, 12)):
+                analyzer.observe(rng.randrange(universe))
+        elif action < 0.95:
+            batch = [
+                record(rng.randrange(universe), size=rng.choice([1, 1, 3]))
+                for __ in range(rng.choice([5, 40, 40, 1200]))
+            ]
+            analyzer.observe_records(batch)
+        else:
+            analyzer.reset()
+        expected = sorted(
+            _count_table(analyzer).items(), key=lambda item: (-item[1], item[0])
+        )
+        if len(expected) > 16 and expected[15][1] == expected[16][1]:
+            ties += 1
+        merges += analyzer._touched is not None
+        for __ in range(rng.choice([1, 2])):
+            assert analyzer.hot_blocks(16) == expected[:16]
+    if counter == "spacesaving":
+        assert merges == 0
+    else:
+        assert merges > 0
+    if universe < 100:
+        assert ties > 0
+
+
 def test_hot_blocks_cache_follows_every_count_change():
     analyzer = ReferenceStreamAnalyzer()
     for block in (1, 2, 2):

@@ -39,12 +39,6 @@ class TestPlanning:
         assert plan.is_permutation()
         assert len(plan.mapping) == 100
 
-    def test_moved_count(self):
-        identity = CylinderShufflePlan({0: 0, 1: 1})
-        assert identity.moved_cylinders == 0
-        swap = CylinderShufflePlan({0: 1, 1: 0})
-        assert swap.moved_cylinders == 2
-
     def test_zero_cylinders_rejected(self):
         with pytest.raises(ValueError):
             plan_organ_pipe_shuffle({}, 0)

@@ -43,9 +43,6 @@ class TestDerivedSizes:
     def test_total_blocks(self, toshiba):
         assert toshiba.total_blocks == 815 * 21
 
-    def test_middle_cylinder(self, toshiba):
-        assert toshiba.middle_cylinder() == 407
-
 
 class TestTiming:
     def test_rotation_time_at_3600_rpm(self, toshiba):

@@ -102,28 +102,12 @@ class TestDistanceHistogram:
         with pytest.raises(ValueError):
             DistanceHistogram().record(-1)
 
-    def test_mean_time_via_seek_model(self):
-        from repro.disk.models import TOSHIBA_MK156F
-
-        hist = DistanceHistogram()
-        hist.record(0)
-        hist.record(100)
-        expected = TOSHIBA_MK156F.seek.time(100) / 2
-        assert hist.mean_time_ms(TOSHIBA_MK156F.seek) == pytest.approx(expected)
-
     def test_merge(self):
         a, b = DistanceHistogram(), DistanceHistogram()
         a.record(1)
         b.record(3)
         a.merge(b)
         assert a.count == 2 and a.mean == 2.0
-
-    def test_as_mapping_copy(self):
-        hist = DistanceHistogram()
-        hist.record(5)
-        mapping = hist.as_mapping()
-        mapping[5] = 99
-        assert hist.buckets[5] == 1
 
 
 @given(

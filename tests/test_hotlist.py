@@ -40,10 +40,6 @@ class TestQueries:
         assert hot.contains(1)
         assert not hot.contains(2)
 
-    def test_total_references(self):
-        hot = HotBlockList.from_pairs([(1, 3), (2, 2)])
-        assert hot.total_references() == 5
-
     def test_coverage_of(self):
         hot = HotBlockList.from_pairs([(1, 90), (2, 5)])
         true_counts = {1: 80, 2: 10, 3: 10}

@@ -71,16 +71,3 @@ class TestRegistry:
     def test_registry_contents(self):
         assert set(DISK_MODELS) == {"toshiba", "fujitsu", "modern"}
 
-
-class TestWithGeometry:
-    def test_substitute_geometry_rescales_seek_range(self):
-        from repro.disk.geometry import DiskGeometry
-
-        small = DiskGeometry(
-            cylinders=100, tracks_per_cylinder=10, sectors_per_track=34
-        )
-        model = TOSHIBA_MK156F.with_geometry(small)
-        assert model.geometry.cylinders == 100
-        assert model.seek.max_cylinders == 100
-        # Seek curve coefficients are preserved.
-        assert model.seek.time(10) == TOSHIBA_MK156F.seek.time(10)

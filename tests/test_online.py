@@ -295,6 +295,58 @@ class TestOnlineDay:
         BlockTableInvariants(driver.label).check(driver.block_table)
 
 
+@pytest.mark.parametrize("duty_cycle", [0.05, 0.001])
+@pytest.mark.parametrize(
+    "profile, disk", [("users", "fujitsu"), ("system", "toshiba")]
+)
+def test_migration_stays_within_its_amortised_budget(
+    profile, disk, duty_cycle, monkeypatch
+):
+    """Movement bound: over two quick online days, the summed projected
+    cost of the moves an arranger started never exceeds ``duty_cycle``
+    times the simulated time elapsed since it was built, and its budget
+    never goes negative or above :data:`BUDGET_CAP_MS`.  The tight duty
+    cycle makes the budget bind (moves are deferred); the default one
+    lets the throttle decide."""
+    spent: dict[IncrementalArranger, float] = {}
+    budgets: list[float] = []
+    refill = IncrementalArranger._refill_budget
+    start = IncrementalArranger._start_next_move
+
+    def watched_refill(self, now_ms):
+        refill(self, now_ms)
+        budgets.append(self.budget_ms)
+
+    def watched_start(self, now_ms):
+        start(self, now_ms)
+        budgets.append(self.budget_ms)
+        move = self._move
+        if move is None:
+            return
+        cost = self.projected_cost_ms(move.physical_block, move.reserved_block)
+        spent[self] = spent.get(self, 0.0) + cost
+        assert spent[self] <= duty_cycle * now_ms + 1e-9, (now_ms, spent[self])
+
+    monkeypatch.setattr(IncrementalArranger, "_refill_budget", watched_refill)
+    monkeypatch.setattr(IncrementalArranger, "_start_next_move", watched_start)
+    experiment = Experiment(
+        make_config(
+            profile,
+            disk,
+            policy=OnlinePolicy(duty_cycle=duty_cycle),
+            hours=0.5,
+        )
+    )
+    for __ in range(2):
+        experiment.run_day(rearranged=False, rearrange_tomorrow=False)
+    stats = experiment.controller.online_stats
+    assert len(spent) == 2  # one arranger per day, each started a move
+    assert stats.moves_completed >= 2
+    if duty_cycle < 0.01 and profile == "system":
+        assert stats.moves_deferred > 0
+    assert budgets and 0.0 <= min(budgets) and max(budgets) <= BUDGET_CAP_MS
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("crash", [False, True])
     def test_batch_kernel_matches_scalar(self, crash):

@@ -28,10 +28,6 @@ class TestAngle:
         with pytest.raises(ValueError):
             rotation.angle_at(-1.0)
 
-    def test_sector_passing_at(self, rotation):
-        t = 2.5 * rotation.sector_time_ms
-        assert rotation.sector_passing_at(t) == 2
-
 
 class TestLatency:
     def test_latency_to_current_sector_is_zero(self, rotation):

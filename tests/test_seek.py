@@ -51,9 +51,6 @@ class TestPublishedToshibaFunction:
         with pytest.raises(ValueError):
             self.seek.time(815)
 
-    def test_full_stroke(self):
-        assert self.seek.full_stroke_time() == pytest.approx(17.503 + 0.03 * 814)
-
 
 class TestPublishedFujitsuFunction:
     """seektime(d) = 1.205 + 0.65*sqrt(d) - 0.734*cbrt(d) + 0.659*ln(d)

@@ -76,11 +76,6 @@ class TestInvalidation:
     def test_invalidate_absent_block_is_noop(self, buffer):
         buffer.invalidate_write(5)  # no error
 
-    def test_invalidate_all(self, buffer):
-        buffer.fill_after_read(100)
-        buffer.invalidate_all()
-        assert not buffer.contains(100)
-
 
 class TestCounters:
     def test_hit_ratio(self, buffer):
@@ -89,9 +84,3 @@ class TestCounters:
         buffer.lookup_read(11)  # hit
         buffer.lookup_read(999)  # miss
         assert buffer.hit_ratio == pytest.approx(0.5)
-
-    def test_reset_counters(self, buffer):
-        buffer.lookup_read(1)
-        buffer.reset_counters()
-        assert buffer.hits == 0
-        assert buffer.misses == 0
