@@ -80,7 +80,7 @@ def calibration_score(target_s: float = 0.1) -> float:
     start = time.perf_counter()
     unit(reps)
     elapsed = time.perf_counter() - start
-    # Scale the measured chunk up until it fills ~target_s for stability.
+    # Double the measured work until it fills ~target_s for stability.
     while elapsed < target_s:
         reps *= 2
         start = time.perf_counter()

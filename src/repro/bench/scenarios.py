@@ -324,7 +324,6 @@ def _fleet_chaos(quick: bool) -> ScenarioResult:
         workers=2,
         retry=RetryPolicy(max_attempts=3, backoff_s=0.0, seed=spec.seed),
         chaos=chaos,
-        chunk_size=1,
         on_retry=count_retry,
     )
     clean = run_fleet(spec, workers=1)

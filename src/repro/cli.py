@@ -434,7 +434,7 @@ def cmd_fleet(args) -> int:
             chaos=chaos,
             on_retry=progress.note_retry if progress else None,
             on_failure=progress.note_failure if progress else None,
-            **_options(args, "on_error", "chunk_size"),
+            **_options(args, "on_error"),
         )
     except CheckpointError as exc:
         raise SystemExit(f"cannot resume: {exc}")
@@ -471,7 +471,7 @@ def cmd_ssd(args) -> int:
         print(f"wrote {tracer.events_written} trace events -> {args.trace}\n")
     separation = "on" if config.separation else "off"
     print(
-        f"flash {config.flash} ({REFERENCE_DISK} span), "
+        f"flash ssd ({REFERENCE_DISK} span), "
         f"gc {config.gc_policy}, hot/cold separation {separation}"
     )
     header = (
@@ -759,11 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
         "paper's per-model choice)",
     )
     fleet.add_argument(
-        "--chunk-size", type=int, default=UNSET, metavar="N",
-        help="shards per dispatch batch (default: tasks/(workers*4); "
-        "1 gives the smoothest progress and earliest failure detection)",
-    )
-    fleet.add_argument(
         "--checkpoint", default=None, metavar="PATH",
         help="journal each completed shard to this JSONL file "
         "(see docs/resilience.md)",
@@ -823,10 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
         "makes separation interesting)",
     )
     ssd.set_defaults(profile="users")
-    ssd.add_argument(
-        "--flash", default=UNSET,
-        help="flash geometry preset (default: the 4-channel 'ssd')",
-    )
     ssd.add_argument("--days", type=int, default=2)
     ssd.add_argument(
         "--gc-policy", choices=GC_POLICIES, default=UNSET,

@@ -16,12 +16,10 @@ from .errors import (
     MediaError,
 )
 from .ftl import (
-    FLASH_MODELS,
     GC_POLICIES,
     FlashGeometry,
     FtlDriver,
     FtlStats,
-    flash_model,
 )
 from .ioctl import IoctlCommand, IoctlInterface, ReservedAreaInfo
 from .monitor import (
@@ -58,7 +56,6 @@ __all__ = [
     "DiskRequest",
     "DriverError",
     "FCFSQueue",
-    "FLASH_MODELS",
     "FaultStats",
     "FlashGeometry",
     "FtlDriver",
@@ -76,7 +73,6 @@ __all__ = [
     "ReservedAreaInfo",
     "SSTFQueue",
     "ScanQueue",
-    "flash_model",
     "make_queue",
     "physio",
     "read_request",

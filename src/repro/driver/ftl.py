@@ -55,13 +55,11 @@ from .errors import BadAddressError, DriverError
 from .request import DiskRequest
 
 __all__ = [
-    "FLASH_MODELS",
     "FlashGeometry",
     "FtlDriver",
     "FtlStats",
     "GC_POLICIES",
     "SSD_4CH",
-    "flash_model",
 ]
 
 GC_POLICIES = ("greedy", "cost-benefit")
@@ -130,19 +128,6 @@ pages raw).  Sized so the Toshiba reference disk's virtual span (16,107
 single-block pages, plus its 32 translation pages) fits with roughly 9%
 spare area — a typical consumer over-provisioning ratio, tight enough
 that a preconditioned drive garbage-collects daily."""
-
-FLASH_MODELS: dict[str, FlashGeometry] = {"ssd": SSD_4CH}
-
-
-def flash_model(flash: str) -> FlashGeometry:
-    """Look up a flash geometry preset by name."""
-    try:
-        return FLASH_MODELS[flash]
-    except KeyError:
-        known = ", ".join(sorted(FLASH_MODELS))
-        raise KeyError(
-            f"unknown flash model {flash!r}; known models: {known}"
-        ) from None
 
 
 @dataclass

@@ -161,19 +161,17 @@ def run_fleet(
     retry: RetryPolicy | None = None,
     on_error: str = "raise",
     chaos: Any | None = None,
-    chunk_size: int | None = None,
     on_retry: Callable[[TaskFailure], None] | None = None,
     on_failure: Callable[[TaskFailure], None] | None = None,
 ) -> FleetResult:
     """Run a whole fleet and aggregate its shard results.
 
     Execution knobs — ``workers`` (``None`` = one worker per shard up to
-    the CPU count), ``chunk_size`` (shards per dispatch message; small
-    fleets want ``1`` for smooth progress and early failure detection),
-    ``retry`` (per-shard timeouts, bounded retries, seeded backoff) and
-    ``chaos`` (injected worker faults, for testing) — never change the
-    digest: a retried or chaos-ridden run that completes is
-    bit-identical to a clean serial one.  Attaching ``chaos`` forces pool
+    the CPU count; each worker runs one shard at a time), ``retry``
+    (per-shard timeouts, bounded retries, seeded backoff) and ``chaos``
+    (injected worker faults, for testing) — never change the digest: a
+    retried or chaos-ridden run that completes is bit-identical to a
+    clean serial one.  Attaching ``chaos`` forces pool
     execution even at ``workers=1``, since injected hard exits must kill
     a child process, not the caller.
 
@@ -248,7 +246,6 @@ def run_fleet(
             pending,
             workers,
             label=_shard_label,
-            chunk_size=chunk_size,
             on_result=deliver,
             on_complete=journal_shard if journal is not None else None,
             on_retry=note_retry,

@@ -3,7 +3,7 @@
 Everything about a fleet run that affects its *results* lives in
 :class:`FleetSpec` — device count and model, the tenancy knobs, the
 on/off schedule, the shard layout, the seed.  Execution details (worker
-count, chunk sizes) deliberately do not: two runs of the same spec must
+count, retries, injected faults) deliberately do not: two runs of the same spec must
 produce bit-identical digests at any parallelism.
 """
 

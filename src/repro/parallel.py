@@ -7,11 +7,12 @@ paper-shaped experiment campaigns and the fleet shard runner
 (:mod:`repro.fleet`) with production-grade failure handling:
 
 * :func:`fan_out` — an order-preserving parallel map built on a
-  **submission loop** over dedicated worker processes: per-task batches
-  are dispatched over pipes, results stream back one by one, and the
-  parent watches worker *sentinels* so a hard-killed worker (SIGKILL,
-  OOM) is detected and its task re-dispatched instead of hanging the
-  run forever.  A :class:`RetryPolicy` adds per-task timeouts with
+  **submission loop** over dedicated worker processes: each worker runs
+  one task at a time, sent over its pipe, and the parent watches worker
+  *sentinels* so a hard-killed worker (SIGKILL, OOM) is detected and
+  its task re-dispatched instead of hanging the run forever.  A serial
+  run stays in the calling process and goes through the same outcome
+  bookkeeping.  A :class:`RetryPolicy` adds per-task timeouts with
   straggler re-dispatch and bounded retries with deterministic seeded
   backoff — a retry re-runs the *same* task (same item, same seed), so
   a successful retry is digest-identical to a first-try success.  The
@@ -231,88 +232,69 @@ def resolve_workers(
     return min(workers, tasks)
 
 
-def _default_chunk_size(tasks: int, workers: int) -> int:
-    """Batch tasks so each worker sees a handful of IPC exchanges.
-
-    Four batches per worker balances exchange overhead against load
-    skew: big enough to amortize pickling, small enough that one slow
-    task does not strand a whole batch behind it.  Pass an explicit
-    ``chunk_size`` (e.g. 1) when early failure detection and smooth
-    progress matter more than exchange overhead.
-    """
-    return max(1, tasks // (workers * 4))
-
-
 def _worker_main(fn, chaos, conn) -> None:
-    """Worker loop: receive task batches, stream one result per task.
+    """Worker loop: receive one task at a time, send back its outcome.
 
-    Each message from the parent is a list of ``(index, attempt, item)``
-    triples (or ``None`` to shut down); each reply is one
-    ``(index, attempt, ok, payload)`` tuple, sent as soon as that task
-    finishes so the parent sees per-task completions (and can time out
-    the *current* task) even inside a batch.  Exceptions never cross the
-    pipe raw — they are reduced to ``(repr, traceback)`` so the parent
-    re-raises them with task context attached.
+    Each message from the parent is one ``(index, attempt, item)``
+    triple (or ``None`` to shut down); each reply is one ``(ok,
+    payload)`` pair.  Exceptions never cross the pipe raw — they are
+    reduced to ``(repr, traceback)`` so the parent re-raises them with
+    task context attached.
     """
     try:
         while True:
-            batch = conn.recv()
-            if batch is None:
+            task = conn.recv()
+            if task is None:
                 return
-            for index, attempt, item in batch:
-                try:
-                    if chaos is not None:
-                        chaos.apply(index, attempt)
-                    result = fn(item)
-                except Exception as exc:  # noqa: BLE001 - shipped to parent
-                    conn.send(
-                        (
-                            index,
-                            attempt,
-                            False,
-                            (repr(exc), traceback.format_exc()),
-                        )
-                    )
-                else:
-                    conn.send((index, attempt, True, result))
+            index, attempt, item = task
+            try:
+                if chaos is not None:
+                    chaos.apply(index, attempt)
+                result = fn(item)
+            except Exception as exc:  # noqa: BLE001 - shipped to parent
+                conn.send((False, (repr(exc), traceback.format_exc())))
+            else:
+                conn.send((True, result))
     except (EOFError, BrokenPipeError, KeyboardInterrupt):
         return
 
 
 class _Worker:
-    """One managed worker process and its duplex pipe.
+    """One managed worker process, its duplex pipe and its one task.
 
-    ``outstanding`` holds the ``(index, attempt)`` pairs dispatched but
-    not yet answered, in execution order — its head is the task the
-    worker is running *now*, which is what per-task timeouts and
-    worker-death attribution key off.  ``head_started`` is reset each
-    time a result arrives, so the deadline always covers the currently
-    running task, not the whole batch.
+    ``task`` is the ``(index, attempt)`` the worker is running, or
+    ``None`` while it is idle — the one task a timeout or a worker death
+    is charged to; ``started`` is when that task was sent, which is what
+    the per-task deadline counts from.
     """
 
-    __slots__ = ("proc", "conn", "outstanding", "head_started")
+    __slots__ = ("proc", "conn", "task", "started")
 
     def __init__(self, proc, conn) -> None:
         self.proc = proc
         self.conn = conn
-        self.outstanding: deque[tuple[int, int]] = deque()
-        self.head_started = time.monotonic()
+        self.task: tuple[int, int] | None = None
+        self.started = 0.0
 
 
-class _PoolRun:
-    """State machine for one resilient fan-out over a worker pool."""
+class _Run:
+    """One fan-out's outcome bookkeeping, shared by both executors.
+
+    An executor runs attempts and reports each one through
+    :meth:`_succeed` or :meth:`_attempt_failed`; this class applies the
+    retry and ``on_error`` policies and calls the hooks, so what happens
+    to a task does not depend on which executor ran it.  A retry is
+    scheduled on the ``delayed`` heap as ``(due, index, attempt)``.
+    """
 
     def __init__(
         self,
         fn,
         tasks,
-        workers,
         *,
         context,
-        chunk_size,
         retry,
         on_error,
-        chaos,
         on_result,
         on_complete,
         on_retry,
@@ -320,33 +302,113 @@ class _PoolRun:
     ) -> None:
         self.fn = fn
         self.tasks = tasks
-        self.workers = workers
         self.context = context
-        self.chunk_size = chunk_size
         self.retry = retry
         self.max_attempts = retry.max_attempts if retry else 1
-        self.timeout_s = retry.timeout_s if retry else None
         self.on_error = on_error
-        self.chaos = chaos
         self.on_result = on_result
         self.on_complete = on_complete
         self.on_retry = on_retry
         self.on_failure = on_failure
-
-        methods = multiprocessing.get_all_start_methods()
-        self.ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
         n = len(tasks)
         self.slots: list[Any] = [None] * n
         self.ok: list[bool] = [False] * n
         self.resolved: list[bool] = [False] * n
-        self.pending: deque[tuple[int, int]] = deque(
-            (index, 1) for index in range(n)
-        )
-        self.delayed: list[tuple[float, int, int]] = []  # (at, index, attempt)
+        self.delayed: list[tuple[float, int, int]] = []
         self.completed = 0
         self.delivered = 0
+
+    def _succeed(self, index: int, result: Any) -> None:
+        self.slots[index] = result
+        self.ok[index] = True
+        self.resolved[index] = True
+        self.completed += 1
+        if self.on_complete is not None:
+            self.on_complete(index, result)
+        self._deliver()
+
+    def _attempt_failed(
+        self, index: int, attempt: int, kind: str, cause: str, worker_tb: str
+    ) -> None:
+        failure = TaskFailure(
+            index, self.context(index), attempt, kind, cause, worker_tb
+        )
+        if attempt < self.max_attempts:
+            if self.on_retry is not None:
+                self.on_retry(failure)
+            delay = self.retry.delay_s(index, attempt) if self.retry else 0.0
+            heapq.heappush(
+                self.delayed,
+                (time.monotonic() + delay, index, attempt + 1),
+            )
+            return
+        if self.on_error == "raise":
+            raise WorkerTaskError(
+                failure.context, cause, worker_tb, attempts=attempt
+            )
+        if self.on_error == "skip":
+            warnings.warn(
+                f"skipping {failure.context}: {cause} "
+                f"(after {attempt} attempt(s))",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+        if self.on_failure is not None:
+            self.on_failure(failure)
+        self.resolved[index] = True
+        self.completed += 1
+        self._deliver()
+
+    def _deliver(self) -> None:
+        """Advance the in-order delivery pointer over resolved slots."""
+        n = len(self.tasks)
+        while self.delivered < n and self.resolved[self.delivered]:
+            if self.ok[self.delivered] and self.on_result is not None:
+                self.on_result(self.delivered, self.slots[self.delivered])
+            self.delivered += 1
+
+
+class _InlineRun(_Run):
+    """The serial executor: every attempt runs in the calling process.
+
+    Tasks run in order, and a failed attempt is retried after its
+    backoff and before the next task starts.
+    """
+
+    def run(self) -> list[Any]:
+        for index, item in enumerate(self.tasks):
+            attempt = 1
+            while not self.resolved[index]:
+                if self.delayed:  # the retry the last failure scheduled
+                    due, _, attempt = heapq.heappop(self.delayed)
+                    time.sleep(max(0.0, due - time.monotonic()))
+                try:
+                    result = self.fn(item)
+                except Exception as exc:  # noqa: BLE001 - the policy decides
+                    self._attempt_failed(
+                        index, attempt, _EXCEPTION, repr(exc),
+                        traceback.format_exc(),
+                    )
+                else:
+                    self._succeed(index, result)
+        return self.slots
+
+
+class _PoolRun(_Run):
+    """The pool executor: a submission loop over worker processes."""
+
+    def __init__(self, fn, tasks, workers, chaos, **outcome) -> None:
+        super().__init__(fn, tasks, **outcome)
+        self.workers = workers
+        self.chaos = chaos
+        self.timeout_s = self.retry.timeout_s if self.retry else None
+        methods = multiprocessing.get_all_start_methods()
+        self.ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
+        self.pending: deque[tuple[int, int]] = deque(
+            (index, 1) for index in range(len(tasks))
+        )
         self.pool: list[_Worker] = []
 
     # -- lifecycle -------------------------------------------------------
@@ -421,28 +483,21 @@ class _PoolRun:
 
     def _dispatch(self) -> None:
         for worker in self.pool:
-            if worker.outstanding or not self.pending:
+            if worker.task is not None or not self.pending:
                 continue
-            batch = []
-            while self.pending and len(batch) < self.chunk_size:
-                index, attempt = self.pending.popleft()
-                batch.append((index, attempt, self.tasks[index]))
+            index, attempt = self.pending.popleft()
             try:
-                worker.conn.send(batch)
+                worker.conn.send((index, attempt, self.tasks[index]))
             except (BrokenPipeError, OSError):
                 # Died before dispatch: requeue, let sentinel handling
                 # reap and replace it.
-                for index, attempt, _ in reversed(batch):
-                    self.pending.appendleft((index, attempt))
+                self.pending.appendleft((index, attempt))
                 continue
-            worker.outstanding.extend(
-                (index, attempt) for index, attempt, _ in batch
-            )
-            worker.head_started = time.monotonic()
+            worker.task = (index, attempt)
+            worker.started = time.monotonic()
 
     def _wait(self) -> None:
-        busy = [worker for worker in self.pool if worker.outstanding]
-        objects = [worker.conn for worker in busy]
+        objects = [w.conn for w in self.pool if w.task is not None]
         objects += [worker.proc.sentinel for worker in self.pool]
         timeout = self._wait_timeout()
         if not objects:
@@ -469,10 +524,8 @@ class _PoolRun:
         candidates = []
         if self.timeout_s is not None:
             for worker in self.pool:
-                if worker.outstanding:
-                    candidates.append(
-                        worker.head_started + self.timeout_s - now
-                    )
+                if worker.task is not None:
+                    candidates.append(worker.started + self.timeout_s - now)
         if self.delayed:
             candidates.append(self.delayed[0][0] - now)
         if not candidates:
@@ -482,54 +535,54 @@ class _PoolRun:
     # -- event handling --------------------------------------------------
 
     def _drain(self, worker: _Worker) -> None:
-        """Consume every buffered result from one worker's pipe."""
+        """Take the worker's result, if its task has sent one."""
+        if worker.task is None:
+            return
         try:
-            while worker.conn.poll():
-                index, attempt, ok, payload = worker.conn.recv()
-                try:
-                    worker.outstanding.remove((index, attempt))
-                except ValueError:
-                    continue  # stale duplicate (should not happen)
-                worker.head_started = time.monotonic()
-                if self.resolved[index]:
-                    continue
-                if ok:
-                    self._succeed(index, payload)
-                else:
-                    cause, worker_tb = payload
-                    self._attempt_failed(
-                        index, attempt, _EXCEPTION, cause, worker_tb
-                    )
+            if not worker.conn.poll():
+                return
+            ok, payload = worker.conn.recv()
         except (EOFError, OSError):
             return  # died mid-send; the sentinel path picks it up
+        index, attempt = worker.task
+        worker.task = None
+        if ok:
+            self._succeed(index, payload)
+        else:
+            cause, worker_tb = payload
+            self._attempt_failed(index, attempt, _EXCEPTION, cause, worker_tb)
 
-    def _reap_dead(self, worker: _Worker) -> None:
-        """A worker's sentinel fired: it exited without being asked.
-
-        Buffered results are still readable after death, so drain first;
-        whatever remains outstanding was lost with the process — its
-        head (the task that was running) is charged a failed attempt,
-        the not-yet-started tail is requeued for free.
-        """
-        self._drain(worker)
+    def _stop(self, worker: _Worker) -> None:
+        """Take a worker out of the pool and make sure its process ends."""
         self.pool.remove(worker)
         try:
             worker.conn.close()
         except OSError:
             pass
+        if worker.proc.is_alive():
+            worker.proc.terminate()
+            worker.proc.join(timeout=2.0)
+        if worker.proc.is_alive():
+            worker.proc.kill()
         worker.proc.join(timeout=2.0)
-        exit_code = worker.proc.exitcode
-        if not worker.outstanding:
+
+    def _reap_dead(self, worker: _Worker) -> None:
+        """A worker's sentinel fired: it exited without being asked.
+
+        A result sent before the exit is still readable, so drain first;
+        a task still in flight was lost with the process and is charged
+        a failed attempt.
+        """
+        self._drain(worker)
+        self._stop(worker)
+        if worker.task is None:
             return
-        index, attempt = worker.outstanding.popleft()
-        for entry in reversed(worker.outstanding):
-            self.pending.appendleft(entry)
-        worker.outstanding.clear()
+        index, attempt = worker.task
         self._attempt_failed(
             index,
             attempt,
             _WORKER_DEATH,
-            f"worker process died (exit code {exit_code})",
+            f"worker process died (exit code {worker.proc.exitcode})",
             "",
         )
 
@@ -538,30 +591,13 @@ class _PoolRun:
             return
         now = time.monotonic()
         for worker in list(self.pool):
-            if not worker.outstanding:
-                continue
-            if now - worker.head_started < self.timeout_s:
+            if worker.task is None or now - worker.started < self.timeout_s:
                 continue
             self._drain(worker)  # a result may have raced the deadline
-            if (
-                not worker.outstanding
-                or now - worker.head_started < self.timeout_s
-            ):
+            if worker.task is None:
                 continue
-            index, attempt = worker.outstanding.popleft()
-            for entry in reversed(worker.outstanding):
-                self.pending.appendleft(entry)
-            worker.outstanding.clear()
-            self.pool.remove(worker)
-            worker.proc.terminate()
-            worker.proc.join(timeout=2.0)
-            if worker.proc.is_alive():
-                worker.proc.kill()
-                worker.proc.join(timeout=2.0)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
+            index, attempt = worker.task
+            self._stop(worker)
             self._attempt_failed(
                 index,
                 attempt,
@@ -571,130 +607,6 @@ class _PoolRun:
                 "",
             )
 
-    # -- outcome bookkeeping ---------------------------------------------
-
-    def _succeed(self, index: int, result: Any) -> None:
-        self.slots[index] = result
-        self.ok[index] = True
-        self.resolved[index] = True
-        self.completed += 1
-        if self.on_complete is not None:
-            self.on_complete(index, result)
-        self._deliver()
-
-    def _attempt_failed(
-        self, index: int, attempt: int, kind: str, cause: str, worker_tb: str
-    ) -> None:
-        failure = TaskFailure(
-            index, self.context(index), attempt, kind, cause, worker_tb
-        )
-        if attempt < self.max_attempts:
-            if self.on_retry is not None:
-                self.on_retry(failure)
-            delay = self.retry.delay_s(index, attempt) if self.retry else 0.0
-            heapq.heappush(
-                self.delayed,
-                (time.monotonic() + delay, index, attempt + 1),
-            )
-            return
-        if self.on_error == "raise":
-            raise WorkerTaskError(
-                failure.context, cause, worker_tb, attempts=attempt
-            )
-        if self.on_error == "skip":
-            warnings.warn(
-                f"skipping {failure.context}: {cause} "
-                f"(after {attempt} attempt(s))",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-        if self.on_failure is not None:
-            self.on_failure(failure)
-        self.resolved[index] = True
-        self.completed += 1
-        self._deliver()
-
-    def _deliver(self) -> None:
-        """Advance the in-order delivery pointer over resolved slots."""
-        n = len(self.tasks)
-        while self.delivered < n and self.resolved[self.delivered]:
-            if self.ok[self.delivered] and self.on_result is not None:
-                self.on_result(self.delivered, self.slots[self.delivered])
-            self.delivered += 1
-
-
-def _fan_out_inline(
-    fn,
-    tasks,
-    *,
-    context,
-    retry,
-    on_error,
-    on_result,
-    on_complete,
-    on_retry,
-    on_failure,
-):
-    """Serial in-process fallback (no pool, no per-task timeouts)."""
-    max_attempts = retry.max_attempts if retry else 1
-    results: list[Any] = []
-    for index, item in enumerate(tasks):
-        attempt = 1
-        result: Any = None
-        succeeded = False
-        while True:
-            try:
-                result = fn(item)
-            except Exception as exc:
-                cause = repr(exc)
-                worker_tb = traceback.format_exc()
-                if attempt < max_attempts:
-                    if on_retry is not None:
-                        on_retry(
-                            TaskFailure(
-                                index,
-                                context(index),
-                                attempt,
-                                _EXCEPTION,
-                                cause,
-                                worker_tb,
-                            )
-                        )
-                    delay = retry.delay_s(index, attempt) if retry else 0.0
-                    if delay > 0:
-                        time.sleep(delay)
-                    attempt += 1
-                    continue
-                if on_error == "raise":
-                    raise WorkerTaskError(
-                        context(index), cause, worker_tb, attempts=attempt
-                    ) from exc
-                failure = TaskFailure(
-                    index, context(index), attempt, _EXCEPTION, cause, worker_tb
-                )
-                if on_error == "skip":
-                    warnings.warn(
-                        f"skipping {failure.context}: {cause} "
-                        f"(after {attempt} attempt(s))",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                if on_failure is not None:
-                    on_failure(failure)
-                break
-            else:
-                succeeded = True
-                break
-        if succeeded:
-            if on_complete is not None:
-                on_complete(index, result)
-            if on_result is not None:
-                on_result(index, result)
-            results.append(result)
-        else:
-            results.append(None)
-    return results
-
 
 def fan_out(
     fn: Callable[[_T], _R],
@@ -702,7 +614,6 @@ def fan_out(
     workers: int | None = None,
     *,
     label: Callable[[int, _T], str] | None = None,
-    chunk_size: int | None = None,
     on_result: Callable[[int, _R], None] | None = None,
     on_complete: Callable[[int, _R], None] | None = None,
     on_retry: Callable[[TaskFailure], None] | None = None,
@@ -714,18 +625,18 @@ def fan_out(
 ) -> list[_R]:
     """Map ``fn`` over ``items`` on worker processes, order-preserving.
 
-    Falls back to an in-process loop for a single worker (or item), so
-    serial runs never pay multiprocessing overhead and results are
-    byte-identical either way: every item must be an independent,
-    self-seeded unit of work.  Two things force pool execution even at
-    ``workers=1``: a ``retry`` policy with a timeout (a hung task can
-    only be preempted from outside the process) and ``chaos`` (an
-    injected hard exit must kill a child, not the caller).
+    Runs in-process for a single worker (or item), so serial runs never
+    pay multiprocessing overhead, and results are byte-identical either
+    way: every item must be an independent, self-seeded unit of work.
+    Two things force pool execution even at ``workers=1``: a ``retry``
+    policy with a timeout (a hung task can only be preempted from
+    outside the process) and ``chaos`` (an injected hard exit must kill
+    a child, not the caller).  In the pool each worker runs one task at
+    a time.  Both paths share one outcome bookkeeping, so retries,
+    ``on_error`` and the hooks behave the same on either.
 
     ``label`` produces the context string attached to a failure (it
-    receives the item's index and the item itself).  ``chunk_size``
-    controls how many tasks ride one dispatch message (default: ~4
-    batches per worker); results still stream back one by one.
+    receives the item's index and the item itself).
 
     Hooks, all called in the parent: ``on_result(index, result)`` in
     task order for successes (the progress hook for long fleet runs);
@@ -738,9 +649,8 @@ def fan_out(
     Failure semantics are set by ``retry`` (attempts, per-task timeout,
     seeded backoff — see :class:`RetryPolicy`) and ``on_error`` (see
     :data:`ON_ERROR_POLICIES`).  With the defaults — no retries,
-    ``on_error="raise"`` — behaviour matches the historical fail-fast
-    executor, except that a hard-killed worker is now detected and
-    reported instead of hanging the run.
+    ``on_error="raise"`` — the first failed task fails the run, and a
+    hard-killed worker is reported instead of hanging it.
     """
     if on_error not in ON_ERROR_POLICIES:
         raise ValueError(
@@ -756,37 +666,18 @@ def fan_out(
 
     if not tasks:
         return []
-    needs_pool = chaos is not None or (
-        retry is not None and retry.timeout_s is not None
-    )
-    if (workers <= 1 or len(tasks) <= 1) and not needs_pool:
-        return _fan_out_inline(
-            fn,
-            tasks,
-            context=context,
-            retry=retry,
-            on_error=on_error,
-            on_result=on_result,
-            on_complete=on_complete,
-            on_retry=on_retry,
-            on_failure=on_failure,
-        )
-    if chunk_size is None:
-        chunk_size = _default_chunk_size(len(tasks), workers)
-    elif chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    run = _PoolRun(
-        fn,
-        tasks,
-        max(workers, 1),
+    outcome = dict(
         context=context,
-        chunk_size=chunk_size,
         retry=retry,
         on_error=on_error,
-        chaos=chaos,
         on_result=on_result,
         on_complete=on_complete,
         on_retry=on_retry,
         on_failure=on_failure,
     )
-    return run.run()
+    needs_pool = chaos is not None or (
+        retry is not None and retry.timeout_s is not None
+    )
+    if workers <= 1 and not needs_pool:
+        return _InlineRun(fn, tasks, **outcome).run()
+    return _PoolRun(fn, tasks, workers, chaos, **outcome).run()

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from ..parallel import fan_out
-from ..parallel import resolve_workers as resolve_workers  # re-export
 from ..core.analyzer import ReferenceStreamAnalyzer
 from ..core.counters import COUNTER_STRATEGIES
 from ..core.arranger import BlockArranger
@@ -480,8 +479,7 @@ def run_block_count_sweep(
 #
 # The multiprocessing machinery itself lives in :mod:`repro.parallel`
 # (shared with the fleet shard runner); this section only defines the
-# campaign-shaped task types.  ``resolve_workers`` is re-exported for
-# callers that historically imported it from here.
+# campaign-shaped task types.
 
 CampaignTask = tuple[str, ExperimentConfig, Sequence[bool]]
 """One unit of parallel work: ``(key, config, on/off schedule)``."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from ..core.counters import SpaceSavingSketch
 from ..disk.label import DiskLabel
 from ..disk.models import PAPER_RESERVED_CYLINDERS, DiskModel, disk_model
-from ..driver.ftl import GC_POLICIES, FtlDriver, flash_model
+from ..driver.ftl import GC_POLICIES, SSD_4CH, FtlDriver
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..policy import RearrangementPolicy, resolve_policy
 from ..workload.generator import DayWorkload, WorkloadGenerator
@@ -39,7 +39,7 @@ __all__ = ["REFERENCE_DISK", "SsdConfig", "SsdDayResult", "SsdExperiment"]
 REFERENCE_DISK = "toshiba"
 """Disk whose label and partition layout define the FTL's logical span,
 which keeps the workload stream identical to a disk run on this model.
-The one :data:`~repro.driver.ftl.FLASH_MODELS` preset is sized for this
+The flash preset :data:`~repro.driver.ftl.SSD_4CH` is sized for this
 span; the larger disks' spans do not fit on it."""
 
 SEPARATION_SKETCH_CAPACITY = 4096
@@ -53,8 +53,6 @@ class SsdConfig:
     """Everything that defines an SSD campaign."""
 
     profile: WorkloadProfile = SYSTEM_FS_PROFILE
-    flash: str = "ssd"
-    """Flash geometry preset (:data:`repro.driver.ftl.FLASH_MODELS`)."""
     seed: int = 1993
     policy: RearrangementPolicy | str | None = None
     """``"off"`` disables hot/cold separation; anything else (default:
@@ -67,7 +65,6 @@ class SsdConfig:
     (a fresh drive never GCs inside a short window)."""
 
     def __post_init__(self) -> None:
-        flash_model(self.flash)
         if self.gc_policy not in GC_POLICIES:
             raise ValueError(
                 f"unknown gc policy {self.gc_policy!r}; "
@@ -87,7 +84,6 @@ class SsdConfig:
         """Canonical JSON-ready form of the settings."""
         return {
             "profile": self.profile.name,
-            "flash": self.flash,
             "seed": self.seed,
             "policy": self.resolved_policy().payload(),
             "separation": self.separation,
@@ -166,7 +162,7 @@ class SsdExperiment:
         if config.separation:
             sketch = SpaceSavingSketch(capacity=SEPARATION_SKETCH_CAPACITY)
         self.driver = FtlDriver(
-            geometry=flash_model(config.flash),
+            geometry=SSD_4CH,
             logical_pages=self.label.virtual_total_blocks,
             cmt_capacity=config.cmt_capacity,
             gc_policy=config.gc_policy,

@@ -82,7 +82,6 @@ class SsdReplayResult:
     clears them, so these cover the trace itself)."""
     separation: bool
     """Whether hot/cold write separation was pre-trained on the trace."""
-    flash: str
     disk: str = "ssd"
     queue: str = "fifo"
     ingest: IngestResult | None = None
@@ -99,7 +98,6 @@ class SsdReplayResult:
             "mean_response_ms": round(self.mean_response_ms, 6),
             "mean_service_ms": round(self.mean_service_ms, 6),
             "separation": self.separation,
-            "flash": self.flash,
             **self.stats.payload(),
         }
 
@@ -176,7 +174,6 @@ def _replay_jobs_ssd(
     *,
     rearrange: bool,
     tracer: Tracer,
-    flash: str = "ssd",
 ) -> SsdReplayResult:
     """Replay a job list through a freshly assembled FTL.
 
@@ -189,7 +186,7 @@ def _replay_jobs_ssd(
     # Imported here: repro.driver.ftl reaches back into repro.core, which
     # drags in this module through the analysis layer at package init.
     from ..core.counters import SpaceSavingSketch
-    from ..driver.ftl import FtlDriver, flash_model
+    from ..driver.ftl import SSD_4CH, FtlDriver
     from ..sim.ssd import SEPARATION_SKETCH_CAPACITY
 
     separation = rearrange
@@ -203,7 +200,7 @@ def _replay_jobs_ssd(
                 if not step.op.is_read:
                     sketch.observe(step.logical_block)
     driver = FtlDriver(
-        geometry=flash_model(flash),
+        geometry=SSD_4CH,
         logical_pages=default_target_blocks("ssd"),
         separation=separation,
         sketch=sketch,
@@ -226,6 +223,5 @@ def _replay_jobs_ssd(
         mean_service_ms=services / count if count else 0.0,
         stats=driver.stats,
         separation=separation,
-        flash=flash,
         ingest=None,
     )

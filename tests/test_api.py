@@ -19,6 +19,7 @@ from repro.api import (
 )
 from repro.bench.runner import run_scenario, run_suite
 from repro.bench.scenarios import SCENARIOS
+from repro import driver
 from repro.disk.disk import Disk
 from repro.disk.models import (
     FUJITSU_M2266,
@@ -27,6 +28,7 @@ from repro.disk.models import (
     disk_model,
 )
 from repro.fleet import FleetSpec, build_shard_tasks
+from repro.parallel import fan_out
 from repro.sim import (
     ExperimentConfig,
     Simulation,
@@ -34,7 +36,7 @@ from repro.sim import (
     run_campaigns_parallel,
     run_onoff_campaign,
 )
-from repro.sim import multifs
+from repro.sim import experiment, multifs
 from repro.sim.experiment import build_rig, run_rig_day
 from repro.sim.multifs import (
     FileSystemSpec,
@@ -284,6 +286,24 @@ _ENGINE_CHOICE = {
 _ENGINE_CHOICE["SsdConfig"] = (
     lambda **kw: SsdConfig(**kw), {"reference_disk": "fujitsu"}
 )
+# Knobs with one useful value: each pool worker runs one task at a
+# time, and there is one flash preset.
+_ONE_VALUED = {
+    "fan_out": (lambda **kw: fan_out(abs, [1], **kw), {"chunk_size": 1}),
+    "api.run_fleet": (
+        lambda **kw: run_fleet(FleetSpec(), **kw), {"chunk_size": 1}
+    ),
+    "SsdConfig": (lambda **kw: SsdConfig(**kw), {"flash": "ssd"}),
+}
+REMOVED_NAMES["repro.driver.flash_model"] = (
+    AttributeError, lambda: driver.flash_model
+)
+REMOVED_NAMES["repro.driver.FLASH_MODELS"] = (
+    AttributeError, lambda: driver.FLASH_MODELS
+)
+REMOVED_NAMES["repro.sim.experiment.resolve_workers"] = (
+    AttributeError, lambda: experiment.resolve_workers
+)
 REMOVED_NAMES["MultiDiskExperiment.fast"] = (
     AttributeError,
     lambda: MultiDiskExperiment([ExperimentConfig()]).fast,
@@ -293,7 +313,10 @@ REMOVED_NAMES["MultiFSExperiment.fast"] = (
     lambda: MultiFSExperiment([FileSystemSpec(SYSTEM_FS_PROFILE, 1.0)]).fast,
 )
 for _owner, (_build, _knobs) in [
-    *_DEAD_KNOBS.items(), *_SPEC_SHORTHAND.items(), *_ENGINE_CHOICE.items()
+    *_DEAD_KNOBS.items(),
+    *_SPEC_SHORTHAND.items(),
+    *_ENGINE_CHOICE.items(),
+    *_ONE_VALUED.items(),
 ]:
     for _name, _value in _knobs.items():
         REMOVED_NAMES[f"{_owner}-{_name}"] = (
@@ -425,7 +448,6 @@ class TestReplayTrace:
         assert result.completed > 0
         assert result.requests == result.completed
         assert result.mean_response_ms > 0
-        assert result.payload()["flash"] == "ssd"
 
     def test_ssd_replay_deterministic(self):
         from repro.api import replay_trace

@@ -183,7 +183,6 @@ def test_chaos_stress_digest_matches_clean_run(chaos_seed, tmp_path):
         retry=RetryPolicy(
             max_attempts=3, timeout_s=3.0, backoff_s=0.0, seed=spec.seed
         ),
-        chunk_size=1,
         checkpoint=journal,
         on_retry=retried.append,
     )

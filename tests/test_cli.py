@@ -46,8 +46,12 @@ class TestParser:
             ["bench", "--no-fast"],
             # The flash preset fits only the Toshiba span.
             ["ssd", "--disk", "fujitsu"],
+            # There is one flash preset.
+            ["ssd", "--flash", "ssd"],
+            # Each fleet worker runs one shard at a time.
+            ["fleet", "--chunk-size", "1"],
         ],
-        ids=["bench--no-fast", "ssd--disk"],
+        ids=["bench--no-fast", "ssd--disk", "ssd--flash", "fleet--chunk-size"],
     )
     def test_removed_flags_are_parse_errors(self, argv):
         with pytest.raises(SystemExit):
@@ -116,14 +120,12 @@ class TestSpecs:
 
     def test_ssd_flags_land_on_their_fields(self):
         args = parse(
-            "ssd", "--profile", "system", "--flash",
-            "ssd", "--hours", "0.5", "--seed", "5", "--gc-policy",
+            "ssd", "--profile", "system", "--hours", "0.5", "--seed", "5", "--gc-policy",
             "cost-benefit", "--cmt-capacity", "512", "--hot-threshold", "3",
             "--no-precondition", "--policy", "off",
         )
         assert ssd_config(args) == SsdConfig(
             profile=SYSTEM_FS_PROFILE.scaled(hours=0.5),
-            flash="ssd",
             seed=5,
             gc_policy="cost-benefit",
             cmt_capacity=512,

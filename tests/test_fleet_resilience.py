@@ -120,7 +120,6 @@ class TestResume:
                 workers=workers,
                 chaos=KILL_SHARD_2,
                 retry=TWO_ATTEMPTS,
-                chunk_size=1,
                 checkpoint=path,
             )
         journaled = FleetJournal(path, SPEC).load()
@@ -184,7 +183,6 @@ class TestDegradation:
             workers=2,
             chaos=KILL_SHARD_2,
             retry=TWO_ATTEMPTS,
-            chunk_size=1,
             on_error="degrade",
         )
 
@@ -220,7 +218,6 @@ class TestDegradation:
                 workers=2,
                 chaos=KILL_SHARD_2,
                 retry=TWO_ATTEMPTS,
-                chunk_size=1,
                 on_error="skip",
             )
         assert result.failed_shards == 1
@@ -239,18 +236,10 @@ class TestRunFleetKnobs:
             workers=2,
             chaos=chaos,
             retry=RetryPolicy(max_attempts=3, backoff_s=0.0),
-            chunk_size=1,
             on_retry=hooked.append,
         )
         assert result.retried_tasks == len(hooked) > 0
         assert result.digest() == clean_result.digest()
-
-    def test_chunk_size_is_surfaced_and_validated(self, clean_result):
-        """Satellite: chunk_size flows through run_fleet into fan_out."""
-        result = run_fleet(SPEC, workers=2, chunk_size=1)
-        assert result.digest() == clean_result.digest()
-        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
-            run_fleet(SPEC, workers=2, chunk_size=0)
 
 
 class TestFleetCli:
@@ -264,10 +253,6 @@ class TestFleetCli:
         "--tenants", "32",
         "--seed", "1993",
     ]
-
-    def test_chunk_size_flag(self, capsys):
-        assert main(self.ARGS + ["--chunk-size", "1", "--workers", "2"]) == 0
-        assert "digest:" in capsys.readouterr().out
 
     def test_resume_requires_checkpoint(self):
         with pytest.raises(SystemExit, match="--resume needs --checkpoint"):
@@ -297,7 +282,6 @@ class TestFleetCli:
         clean = capsys.readouterr().out
         chaotic_args = self.ARGS + [
             "--workers", "2",
-            "--chunk-size", "1",
             "--chaos", "seed=29,exception=0.3,exit=0.1,attempts=1",
             "--retries", "3",
         ]
@@ -312,7 +296,6 @@ class TestFleetCli:
         code = main(
             self.ARGS + [
                 "--workers", "2",
-                "--chunk-size", "1",
                 "--chaos", "seed=1,exit=1.0,attempts=1000000,tasks=2",
                 "--retries", "2",
                 "--on-error", "degrade",
@@ -327,7 +310,6 @@ class TestFleetCli:
             main(
                 self.ARGS + [
                     "--workers", "2",
-                    "--chunk-size", "1",
                     "--chaos", "seed=1,exit=1.0,attempts=1000000,tasks=2",
                     "--retries", "2",
                     "--checkpoint", path,

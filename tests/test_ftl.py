@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.driver import DriverError, FlashGeometry, FtlDriver, flash_model
+from repro.driver import DriverError, FlashGeometry, FtlDriver
 from repro.driver.request import read_request, write_request
 from repro.obs.jsonl import JsonlTraceWriter, iter_trace
 from repro.sim.ssd import SsdConfig, SsdExperiment
@@ -274,11 +274,6 @@ class TestPreconditioning:
 
 
 class TestGeometryAndConfig:
-    def test_flash_model_lookup_names_the_known_models(self):
-        assert flash_model("ssd").total_pages == 17_664
-        with pytest.raises(KeyError, match="unknown flash model.*ssd"):
-            flash_model("optane")
-
     def test_geometry_validation(self):
         with pytest.raises(ValueError, match="pages_per_block"):
             FlashGeometry(
@@ -300,8 +295,6 @@ class TestGeometryAndConfig:
         profile = replace(USERS_FS_PROFILE, day_hours=0.5)
         with pytest.raises(ValueError, match="unknown gc policy"):
             SsdConfig(profile=profile, gc_policy="oracle")
-        with pytest.raises(KeyError, match="unknown flash model"):
-            SsdConfig(profile=profile, flash="optane")
         with pytest.raises(ValueError, match="unknown rearrangement"):
             SsdConfig(profile=profile, policy="sometimes")
 

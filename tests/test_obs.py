@@ -17,11 +17,11 @@ from repro.obs import (
     replay_day_metrics,
     replay_monitors,
 )
+from repro.parallel import resolve_workers
 from repro.sim.experiment import (
     Experiment,
     ExperimentConfig,
     alternating_schedule,
-    resolve_workers,
     run_block_count_sweep,
     run_campaign,
     run_campaigns_parallel,

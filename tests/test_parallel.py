@@ -1,7 +1,9 @@
 """The generic process-pool executor (repro.parallel)."""
 
 import multiprocessing
+import os
 import time
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -130,7 +132,7 @@ class TestFanOut:
 
     def test_order_preserved_with_chunking(self):
         items = list(range(57))
-        assert fan_out(_square, items, workers=3, chunk_size=5) == [
+        assert fan_out(_square, items, workers=3) == [
             x * x for x in items
         ]
 
@@ -166,10 +168,6 @@ class TestFanOut:
 
     def test_empty_items(self):
         assert fan_out(_square, [], workers=4) == []
-
-    def test_explicit_chunk_size_below_one_rejected(self):
-        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
-            fan_out(_square, [1, 2, 3], workers=2, chunk_size=0)
 
 
 def _fail_once_then_square(marker_and_x):
@@ -212,7 +210,6 @@ class TestFanOutResilience:
             _square,
             [1, 2, 3, 4],
             workers=2,
-            chunk_size=1,
             chaos=chaos,
             retry=RetryPolicy(max_attempts=2),
             on_retry=retried.append,
@@ -229,7 +226,6 @@ class TestFanOutResilience:
             _square,
             [1, 2, 3],
             workers=2,
-            chunk_size=1,
             chaos=chaos,
             retry=RetryPolicy(max_attempts=2),
             on_retry=retried.append,
@@ -248,7 +244,6 @@ class TestFanOutResilience:
             _square,
             [1, 2, 3],
             workers=2,
-            chunk_size=1,
             chaos=chaos,
             retry=RetryPolicy(max_attempts=2, timeout_s=0.5),
             on_retry=retried.append,
@@ -264,7 +259,6 @@ class TestFanOutResilience:
                 _square,
                 [1, 2, 3],
                 workers=2,
-                chunk_size=1,
                 chaos=chaos,
                 retry=RetryPolicy(max_attempts=2),
             )
@@ -281,7 +275,6 @@ class TestFanOutResilience:
                 _square,
                 [1, 2, 3],
                 workers=2,
-                chunk_size=1,
                 chaos=chaos,
                 retry=RetryPolicy(max_attempts=2),
                 on_error=policy,
@@ -312,7 +305,6 @@ class TestFanOutResilience:
             _square,
             list(range(8)),
             workers=3,
-            chunk_size=1,
             on_result=lambda i, r: ordered.append(i),
             on_complete=lambda i, r: completed.append(i),
         )
@@ -331,7 +323,6 @@ class TestFanOutResilience:
                 _square,
                 list(range(6)),
                 workers=2,
-                chunk_size=1,
                 on_result=interrupt,
             )
         deadline = time.monotonic() + 5.0
@@ -364,12 +355,113 @@ class TestFanOutResilience:
             _square,
             items,
             workers=3,
-            chunk_size=1,
             chaos=chaos,
             retry=RetryPolicy(max_attempts=3),
         )
         assert canonical_json(clean) == canonical_json(chaotic)
 
+
+
+def _flaky_or_broken(task):
+    """``flaky`` fails its first attempt, ``broken`` every attempt.
+
+    Markers live in the task's own directory, so each run starts clean.
+    ``broken`` fails only after ``flaky`` has failed and a margin has
+    passed, so a pool reads the two failures in task order, as the
+    serial loop produces them.
+    """
+    kind, directory, x = task
+    marker = os.path.join(directory, "flaky")
+    if kind == "flaky" and not os.path.exists(marker):
+        open(marker, "w").close()
+        raise RuntimeError(f"first attempt fails on {x}")
+    if kind == "broken":
+        deadline = time.monotonic() + 10.0
+        while not os.path.exists(marker) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        time.sleep(0.1)
+        raise ValueError(f"always fails on {x}")
+    return x * x
+
+
+def _count_run(task):
+    directory, x = task
+    with open(os.path.join(directory, f"{x}.runs"), "a") as fh:
+        fh.write("ran\n")
+    return x * x
+
+
+class TestExecutorEquivalence:
+    """The in-process loop and the pool share one outcome path: on the
+    same workload they return the same results, report the same
+    failures, call the hooks in the same order and warn alike."""
+
+    def _observe(self, tmp_path, workers, on_error, retry):
+        directory = tmp_path / f"workers{workers}"
+        directory.mkdir()
+        kinds = ["flaky", "broken", "ok", "ok"]
+        items = [(kind, str(directory), x) for x, kind in enumerate(kinds)]
+        record = lambda f: (f.index, f.attempts, f.kind, f.cause)
+        seen = {"retry": [], "failure": [], "result": [], "complete": set()}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                outcome = fan_out(
+                    _flaky_or_broken,
+                    items,
+                    workers=workers,
+                    retry=retry,
+                    on_error=on_error,
+                    on_retry=lambda f: seen["retry"].append(record(f)),
+                    on_failure=lambda f: seen["failure"].append(record(f)),
+                    on_result=lambda i, r: seen["result"].append((i, r)),
+                    on_complete=lambda i, r: seen["complete"].add(i),
+                )
+            except WorkerTaskError as exc:
+                outcome = (exc.context, exc.cause, exc.attempts)
+        seen["warnings"] = [
+            str(w.message)
+            for w in caught
+            if str(w.message).startswith("skipping")
+        ]
+        return outcome, seen
+
+    @pytest.mark.parametrize(
+        "retry", [None, RetryPolicy(max_attempts=2)], ids=["once", "retried"]
+    )
+    @pytest.mark.parametrize("on_error", ["raise", "skip", "degrade"])
+    def test_serial_and_pool_outcomes_match(self, tmp_path, on_error, retry):
+        serial, serial_seen = self._observe(tmp_path, 1, on_error, retry)
+        pool, pool_seen = self._observe(tmp_path, 2, on_error, retry)
+        assert pool == serial
+        if on_error == "raise":
+            # The pool runs ahead of the failing task, so it may also
+            # finish tasks the serial loop never reached.
+            assert serial_seen.pop("complete") <= pool_seen.pop("complete")
+        assert pool_seen == serial_seen
+        if on_error == "skip":
+            assert serial_seen["warnings"]
+
+    def test_worker_death_reruns_only_its_own_task(self, tmp_path):
+        """A hard exit loses only the task that was running.  Chaos exits
+        before task 2's function starts, so every task's function runs
+        exactly once: nothing queued behind the dead worker re-runs."""
+        chaos = ChaosPlan(seed=3, exit_rate=1.0, attempts=1, tasks=(2,))
+        items = [(str(tmp_path), x) for x in range(6)]
+        retried = []
+        out = fan_out(
+            _count_run,
+            items,
+            workers=2,
+            chaos=chaos,
+            retry=RetryPolicy(max_attempts=2),
+            on_retry=retried.append,
+        )
+        assert out == [x * x for x in range(6)]
+        assert [(f.index, f.kind) for f in retried] == [(2, "worker-death")]
+        for x in range(6):
+            runs = (tmp_path / f"{x}.runs").read_text().splitlines()
+            assert len(runs) == 1, x
 
 def _campaign_digest(results) -> str:
     """One digest over every campaign's every day, in task order."""
