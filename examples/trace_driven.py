@@ -73,11 +73,11 @@ def replay(jobs, queue_policy, rearrange):
 
     simulation = Simulation(driver)
     simulation.add_jobs(jobs)
-    completed = simulation.run()
+    simulation.run()
     stats = driver.perf_monitor.stats("all")
     seek = TOSHIBA_MK156F.seek.mean_time(stats.scheduled_seek.buckets)
     return {
-        "requests": len(completed),
+        "requests": stats.requests,
         "seek_ms": seek,
         "service_ms": stats.service.mean_ms,
         "waiting_ms": stats.queueing.mean_ms,

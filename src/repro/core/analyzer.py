@@ -107,8 +107,6 @@ class ReferenceStreamAnalyzer:
     heuristic: str = "space-saving"
     counter: str = "exact"
     fading: float = DEFAULT_FADING
-    count_reads: bool = True
-    count_writes: bool = True
     replacements: int = 0
     observed: int = 0
     _counts: dict[int, int] = field(default_factory=dict)
@@ -190,10 +188,6 @@ class ReferenceStreamAnalyzer:
             return self._observe_records_batch(records)
         seen = 0
         for record in records:
-            if record.is_read and not self.count_reads:
-                continue
-            if not record.is_read and not self.count_writes:
-                continue
             for offset in range(record.size_blocks):
                 self.observe(record.logical_block + offset)
                 seen += 1
@@ -211,16 +205,13 @@ class ReferenceStreamAnalyzer:
         """
         import numpy as np
 
-        count_reads = self.count_reads
-        count_writes = self.count_writes
         blocks: list[int] = []
         for record in records:
-            if (count_reads if record.is_read else count_writes):
-                if record.size_blocks == 1:
-                    blocks.append(record.logical_block)
-                else:
-                    start = record.logical_block
-                    blocks.extend(range(start, start + record.size_blocks))
+            if record.size_blocks == 1:
+                blocks.append(record.logical_block)
+            else:
+                start = record.logical_block
+                blocks.extend(range(start, start + record.size_blocks))
         if not blocks:
             return 0
         unique, tallies = np.unique(

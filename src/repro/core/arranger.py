@@ -45,12 +45,6 @@ class BlockArranger:
 
     ioctl: IoctlInterface
     policy: PlacementPolicy = field(default_factory=lambda: make_policy("organ-pipe"))
-    min_count: int = 1
-    """Blocks referenced fewer times than this are never rearranged.  The
-    paper's arranger placed every block on the hot list (1); raising the
-    threshold trades coverage for fewer pointless moves (see the
-    analyzer-size ablation benchmark)."""
-
     last_skipped: int = 0
     """Placements skipped by the most recent :meth:`execute` because
     their copy-in hit an unrecoverable device error."""
@@ -75,14 +69,7 @@ class BlockArranger:
         if num_blocks < 0:
             raise ValueError("num_blocks must be non-negative")
         layout = self.reserved_layout()
-        eligible = HotBlockList.from_pairs(
-            [
-                (entry.block, entry.count)
-                for entry in hot_list
-                if entry.count >= self.min_count
-            ]
-        )
-        selected = eligible.top(min(num_blocks, layout.capacity))
+        selected = hot_list.top(min(num_blocks, layout.capacity))
         placements = self.policy.place(selected, layout)
         return RearrangementPlan(
             placements=tuple(placements), policy=self.policy.name

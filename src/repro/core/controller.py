@@ -191,14 +191,10 @@ class RearrangementController:
             injector.begin_rearrangement_cycle()
         try:
             if rearrange_tomorrow:
-                # With the default min_count of 1 the arranger's frequency
-                # filter keeps every observed block, so only the hottest
-                # ``num_blocks`` can be selected — skip materializing the
-                # (potentially device-sized) full ranking.  A raised
-                # threshold must see the full list to filter it.
-                limit = num_blocks if self.arranger.min_count <= 1 else None
+                # Only the hottest ``num_blocks`` can be selected: skip
+                # materializing the (potentially device-sized) full ranking.
                 plan, finish = self.arranger.rearrange(
-                    self.hot_list(limit), num_blocks, now_ms
+                    self.hot_list(num_blocks), num_blocks, now_ms
                 )
                 self.last_plan = plan
             elif degraded and self.degrade_action == "skip":

@@ -259,10 +259,10 @@ PLACEMENT_POLICIES: dict[str, type[PlacementPolicy]] = {
 }
 
 
-def make_policy(name: str, **kwargs) -> PlacementPolicy:
+def make_policy(name: str) -> PlacementPolicy:
     """Instantiate a placement policy by name."""
     try:
-        return PLACEMENT_POLICIES[name.lower()](**kwargs)
+        return PLACEMENT_POLICIES[name.lower()]()
     except KeyError:
         known = ", ".join(sorted(PLACEMENT_POLICIES))
         raise KeyError(f"unknown policy {name!r}; known: {known}") from None

@@ -53,7 +53,6 @@ class DiskGeometry:
     tracks_per_cylinder: int
     sectors_per_track: int
     rpm: float = 3600.0
-    sector_bytes: int = SECTOR_BYTES
     block_bytes: int = DEFAULT_BLOCK_BYTES
 
     # Derived sizes below are ``cached_property``: the dataclass is frozen,
@@ -70,8 +69,8 @@ class DiskGeometry:
             raise ValueError("sectors_per_track must be positive")
         if self.rpm <= 0:
             raise ValueError("rpm must be positive")
-        if self.block_bytes % self.sector_bytes != 0:
-            raise ValueError("block_bytes must be a multiple of sector_bytes")
+        if self.block_bytes % SECTOR_BYTES != 0:
+            raise ValueError("block_bytes must be a multiple of SECTOR_BYTES")
         if self.sectors_per_block > self.sectors_per_cylinder:
             raise ValueError("a block must fit within one cylinder")
 
@@ -82,7 +81,7 @@ class DiskGeometry:
     @cached_property
     def sectors_per_block(self) -> int:
         """Sectors occupied by one file-system block (16 for 8 KB blocks)."""
-        return self.block_bytes // self.sector_bytes
+        return self.block_bytes // SECTOR_BYTES
 
     @cached_property
     def sectors_per_cylinder(self) -> int:
@@ -107,7 +106,7 @@ class DiskGeometry:
 
     @cached_property
     def capacity_bytes(self) -> int:
-        return self.total_sectors * self.sector_bytes
+        return self.total_sectors * SECTOR_BYTES
 
     # ------------------------------------------------------------------
     # Timing primitives

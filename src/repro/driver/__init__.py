@@ -21,7 +21,7 @@ from .ftl import (
     FtlDriver,
     FtlStats,
 )
-from .ioctl import IoctlCommand, IoctlInterface, ReservedAreaInfo
+from .ioctl import IoctlInterface, ReservedAreaInfo
 from .monitor import (
     ClassStats,
     FaultStats,
@@ -62,7 +62,6 @@ __all__ = [
     "FtlStats",
     "GC_POLICIES",
     "MediaError",
-    "IoctlCommand",
     "IoctlInterface",
     "Op",
     "PerformanceMonitor",

@@ -210,9 +210,6 @@ class FtlDriver:
     Space-Saving sketch when ``separation`` is on."""
     name: str = "ssd0"
     tracer: Tracer = NULL_TRACER
-    faults: object | None = None
-    """Reserved for injector integration; the FTL models power-cut loss
-    (the crash protocol) rather than per-access media errors."""
     _current: DiskRequest | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:

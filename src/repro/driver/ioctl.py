@@ -11,21 +11,9 @@ real implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
-from ..disk.geometry import DiskGeometry
 from .driver import AdaptiveDiskDriver
 from .monitor import ClassStats, RequestRecord
-
-
-class IoctlCommand(Enum):
-    """The driver's special-purpose entry points."""
-
-    DKIOCBCOPY = "bcopy"  # copy a block into the reserved area
-    DKIOCCLEAN = "clean"  # empty the reserved area
-    DKIOCREADREQS = "read_requests"  # read & clear the request table
-    DKIOCREADSTATS = "read_stats"  # read & clear the performance tables
-    DKIOCGGEOM = "get_geometry"  # read disk geometry entries
 
 
 @dataclass(frozen=True)
@@ -72,9 +60,6 @@ class IoctlInterface:
 
     # -- geometry ----------------------------------------------------------
 
-    def get_geometry(self) -> DiskGeometry:
-        return self.driver.disk.geometry
-
     def get_reserved_area(self) -> ReservedAreaInfo:
         """Reserved-area layout, as recorded in the disk label."""
         label = self.driver.label
@@ -88,14 +73,3 @@ class IoctlInterface:
             data_blocks=tuple(label.reserved_data_blocks()),
             center_cylinder=label.reserved_center_cylinder(),
         )
-
-    def call(self, command: IoctlCommand, *args, **kwargs):
-        """Dispatch by command code, as a real ioctl switch would."""
-        handlers = {
-            IoctlCommand.DKIOCBCOPY: self.bcopy,
-            IoctlCommand.DKIOCCLEAN: self.clean,
-            IoctlCommand.DKIOCREADREQS: self.read_requests,
-            IoctlCommand.DKIOCREADSTATS: self.read_stats,
-            IoctlCommand.DKIOCGGEOM: self.get_geometry,
-        }
-        return handlers[command](*args, **kwargs)

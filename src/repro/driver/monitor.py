@@ -39,15 +39,12 @@ class RequestMonitor:
     """Bounded in-driver request table with read-and-clear semantics."""
 
     capacity: int = 8192
-    enabled: bool = True
     suspended_count: int = 0
     recorded_count: int = 0
     _table: list[RequestRecord] = field(default_factory=list)
 
     def record(self, request: DiskRequest) -> None:
         """Record an arriving request, or count a suspension if full."""
-        if not self.enabled:
-            return
         if len(self._table) >= self.capacity:
             self.suspended_count += 1
             return

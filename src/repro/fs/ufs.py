@@ -68,7 +68,6 @@ class FileSystem:
     cylinders_per_group: int = 16
     inode_blocks_per_group: int = 2
     interleave: int = 1
-    read_only: bool = False
     directory_placement: str = "scatter"
     """How new directories pick a cylinder group: ``"scatter"`` spreads
     them over the whole disk (a long-lived, full file system such as the
@@ -141,27 +140,13 @@ class FileSystem:
         self.directories[name] = directory
         return directory
 
-    def create_file(
-        self, directory: str, name: str, num_blocks: int
-    ) -> Inode:
-        """Create a file of ``num_blocks`` blocks in ``directory``."""
-        if self.read_only:
-            raise FileSystemError("file system is mounted read-only")
-        return self._create(directory, name, num_blocks)
-
-    def populate_file(
-        self, directory: str, name: str, num_blocks: int
-    ) -> Inode:
-        """Create a file ignoring the read-only flag (initial mkfs load)."""
-        return self._create(directory, name, num_blocks)
-
     def populate_directory(
         self, directory: str, files: Iterable[tuple[str, int]]
     ) -> list[Inode]:
-        """Create ``(name, num_blocks)`` files in ``directory``, ignoring
-        the read-only flag (initial mkfs load).
+        """Create ``(name, num_blocks)`` files in ``directory`` (the
+        initial mkfs load).
 
-        The same inodes and blocks as one :meth:`populate_file` per file
+        The same inodes and blocks as one :meth:`create_file` per file
         in order, from one batched allocator call.  A name that is taken
         (or given twice) fails before any file is created.
         """
@@ -197,7 +182,10 @@ class FileSystem:
         except KeyError:
             raise FileSystemError(f"no directory {name!r}") from None
 
-    def _create(self, directory: str, name: str, num_blocks: int) -> Inode:
+    def create_file(
+        self, directory: str, name: str, num_blocks: int
+    ) -> Inode:
+        """Create a file of ``num_blocks`` blocks in ``directory``."""
         dir_entry = self._directory(directory)
         if name in dir_entry.files:
             raise FileSystemError(f"file {directory}/{name} exists")
@@ -216,8 +204,6 @@ class FileSystem:
 
     def extend_file(self, directory: str, name: str, num_blocks: int) -> list[int]:
         """Append blocks to an existing file; returns the new blocks."""
-        if self.read_only:
-            raise FileSystemError("file system is mounted read-only")
         inode = self.lookup(directory, name)
         if not inode.data_blocks:
             new = self._allocator.allocate_file_blocks(
@@ -231,8 +217,6 @@ class FileSystem:
         return logical
 
     def delete_file(self, directory: str, name: str) -> None:
-        if self.read_only:
-            raise FileSystemError("file system is mounted read-only")
         inode = self.lookup(directory, name)
         partition_blocks = [
             block - self.partition.start_block for block in inode.data_blocks
@@ -242,8 +226,6 @@ class FileSystem:
 
     def rename(self, directory: str, old_name: str, new_name: str) -> Inode:
         """Rename a file within its directory (atomic save-by-rename)."""
-        if self.read_only:
-            raise FileSystemError("file system is mounted read-only")
         files = self.directories[directory].files
         if old_name not in files:
             raise FileSystemError(f"no file {directory}/{old_name}")

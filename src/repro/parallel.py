@@ -50,6 +50,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import random
+import sys
 import time
 import traceback
 import warnings
@@ -232,6 +233,20 @@ def resolve_workers(
     return min(workers, tasks)
 
 
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` at which a warning issued by the calling
+    function names the first frame outside this module: the code that
+    called :func:`fan_out`, however deep the serial or the pool
+    executor's loop sits."""
+    here = _caller_stacklevel.__code__.co_filename
+    frame = sys._getframe(1)
+    level = 1
+    while frame is not None and frame.f_code.co_filename == here:
+        frame = frame.f_back
+        level += 1
+    return level
+
+
 def _worker_main(fn, chaos, conn) -> None:
     """Worker loop: receive one task at a time, send back its outcome.
 
@@ -351,7 +366,7 @@ class _Run:
                 f"skipping {failure.context}: {cause} "
                 f"(after {attempt} attempt(s))",
                 RuntimeWarning,
-                stacklevel=4,
+                stacklevel=_caller_stacklevel(),
             )
         if self.on_failure is not None:
             self.on_failure(failure)

@@ -111,21 +111,12 @@ class Simulation:
         drivers: Mapping[str, DeviceDriver] | None = None,
         events: EventQueue | None = None,
         tracer: Tracer = NULL_TRACER,
-        fast: bool = False,
     ) -> None:
         if driver is not None and drivers:
             raise ValueError("pass either one driver or a drivers mapping")
         self.events = events if events is not None else EventQueue()
         self.bus = EventBus()
         self.tracer = tracer
-        self.fast = fast
-        """Enable the batch kernel (:mod:`repro.sim.vector`) for every
-        device it admits: homogeneous event stretches are absorbed in a
-        fused loop with bit-identical metrics, falling back to scalar
-        dispatch at interaction points.  Absorbed requests are never
-        materialized, so callers that read the requests :meth:`run`
-        returns leave it off; the day-level runs and trace replay turn
-        it on."""
         self.completed: list[DiskRequest] = []
         self.events_dispatched = 0
         """Total events this simulation has processed (all :meth:`run` calls)."""
@@ -342,8 +333,10 @@ class Simulation:
     def run(self, until_ms: float | None = None) -> list[DiskRequest]:
         """Process events until the workload drains (or ``until_ms``).
 
-        Returns the list of requests completed during this call, in
-        completion order (across all devices).
+        Returns the requests completed during this call that the batch
+        kernel did not absorb, in completion order (across all devices);
+        :attr:`absorbed_completions` counts the rest, so this call's
+        completions number ``len(run())`` plus that counter's delta.
         """
         global _RUN_WALL_NS
         start_ns = perf_counter_ns()
@@ -361,13 +354,12 @@ class Simulation:
         pop = events.pop
         dispatch = self.bus.dispatch
         absorb = None
-        if self.fast:
-            from .vector import BatchPlanner
+        from .vector import BatchPlanner
 
-            planner = BatchPlanner(self)
-            if planner.eligible:
-                absorb = planner.absorb
-                self._planner = planner
+        planner = BatchPlanner(self)
+        if planner.eligible:
+            absorb = planner.absorb
+            self._planner = planner
         if until_ms is None:
             if absorb is not None:
                 # Fast path: let the kernel absorb homogeneous stretches;

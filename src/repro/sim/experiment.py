@@ -55,6 +55,10 @@ from .engine import DEFAULT_DEVICE, Simulation
 # sketch's error bound shrinks as capacity / distinct-blocks grows).
 MIN_SKETCH_CAPACITY = 4096
 
+# Entries in every rig's request table (Section 4.1.4), which the
+# analyzer reads and clears at each poll.
+MONITOR_CAPACITY = 65536
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -76,7 +80,6 @@ class ExperimentConfig:
     counts) or ``"spacesaving"`` (bounded top-k sketch, four times the
     nightly block count, with day-to-day count fading; see
     :mod:`repro.core.counters`)."""
-    monitor_capacity: int = 65536
     seed: int = 1993
     reserved_center: bool = True  # False: reserved area at the disk edge
     faults: FaultPlan | None = None
@@ -199,7 +202,7 @@ def build_rig(config: ExperimentConfig) -> DiskRig:
         faults=faults.injector() if faults is not None else None,
         name=name,
     )
-    driver.request_monitor.capacity = config.monitor_capacity
+    driver.request_monitor.capacity = MONITOR_CAPACITY
     ioctl = IoctlInterface(driver)
     controller = RearrangementController(
         ioctl=ioctl,
@@ -259,7 +262,6 @@ def run_rig_day(
     simulation = Simulation(
         drivers={rig.name: rig.driver for rig in rigs},
         tracer=tracer,
-        fast=True,
     )
     workloads: dict[str, list[DayWorkload]] = {}
     for rig in rigs:

@@ -12,10 +12,9 @@ determined by pure arithmetic — seek-table gather, the rotational-position
 recurrence, transfer time — so the engine does not need to materialize the
 intermediate events at all.
 
-:class:`BatchPlanner` implements that observation.  Built by
-:meth:`Simulation.run` when ``fast=True`` (every day-level run and trace
-replay sets it; no run spec or command line does), it peeks at the head of
-the event heap and, when the next event belongs to an eligible device,
+:class:`BatchPlanner` implements that observation.  Built by every
+:meth:`Simulation.run` call, it peeks at the head of the event heap and,
+when the next event belongs to an eligible device,
 handles it the way the paper's driver serves every request — strategy
 (map, redirect through the block table, record, enqueue), then SCAN pop,
 access, complete — committing *exactly* the state mutations the scalar
@@ -99,13 +98,12 @@ events on, never absorbs a follow-up across a drain.  ``_admit`` bumps the
 device's arrivals counter, the idle detector's activity sequence.
 
 The kernel is therefore the engine's own choice, made per device from
-what the engine can observe; nothing above :class:`Simulation` selects
-it.  The scalar loops of :meth:`Simulation.run` stay the reference
+what the engine can observe; no argument selects it.  The scalar loops of :meth:`Simulation.run` stay the reference
 semantics.  Tests reach them by replacing this module's
 :class:`BatchPlanner` with one that finds no eligible device (the
 ``scalar_engine`` fixture in ``tests/conftest.py``): the engine then
-runs exactly its ``fast=False`` loops, and forked fleet workers inherit
-the replacement.
+runs exactly its scalar loops, and forked fleet workers inherit the
+replacement.
 
 Absorbed completions do **not** append to ``Simulation.completed`` (the
 day-level wrappers read metrics from the monitor tables, never from the
@@ -490,12 +488,11 @@ class BatchPlanner:
             request.target_block = physical
         is_read = step.op is READ_OP
         rm = ctx.rm
-        if rm.enabled:
-            if len(ctx.m_rm_table) >= rm.capacity:
-                rm.suspended_count += 1
-            else:
-                ctx.m_rm_table.append(RequestRecord(lb, 1, is_read, t))
-                rm.recorded_count += 1
+        if len(ctx.m_rm_table) >= rm.capacity:
+            rm.suspended_count += 1
+        else:
+            ctx.m_rm_table.append(RequestRecord(lb, 1, is_read, t))
+            rm.recorded_count += 1
         am = ctx.am
         last = ctx.last_all
         if last is not None:

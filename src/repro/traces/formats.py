@@ -38,10 +38,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from ..disk.geometry import SECTOR_BYTES  # also blktrace's (kernel ABI)
 from ..driver.request import Op
-
-SECTOR_BYTES = 512
-"""blktrace sector size (fixed by the kernel ABI)."""
 
 BLOCK_BYTES = 4096
 """Default file-system block size foreign addresses are converted to."""

@@ -144,7 +144,7 @@ def replay_jobs(
         )
         rearranged_blocks = len(plan)
         rig.driver.perf_monitor.read_and_clear()
-    simulation = Simulation(rig.driver, tracer=tracer, fast=True)
+    simulation = Simulation(rig.driver, tracer=tracer)
     simulation.add_jobs(jobs)
     completed = simulation.run()
     metrics = DayMetrics.from_tables(

@@ -174,7 +174,7 @@ class WorkloadGenerator:
     def _create_log_file(self) -> Inode:
         """A system log whose blocks receive the cron-spike writes."""
         self.fs.make_directory("var")
-        return self.fs.populate_file("var", "syslog", 8)
+        return self.fs.create_file("var", "syslog", 8)
 
     def _index_files(self) -> None:
         """Index the file table for generation: each directory's file
@@ -396,17 +396,7 @@ class WorkloadGenerator:
         run = self._run_blocks(inode)
         if not run:
             return
-        read_blocks = run
-        if profile.use_cache_for_reads:
-            read_blocks = [
-                block for block in run if not self.cache.read(block)
-            ]
-        if read_blocks:
-            jobs.append(
-                self._job(
-                    when, read_blocks, Op.READ, "session", profile.think_ms
-                )
-            )
+        jobs.append(self._job(when, run, Op.READ, "session", profile.think_ms))
         is_edit = (
             profile.edit_session_fraction > 0
             and self.rng.random() < profile.edit_session_fraction
@@ -429,10 +419,7 @@ class WorkloadGenerator:
         Files whose inodes share a block get one shared tuple, so the
         table holds a few objects per directory, not one per file.
         """
-        profile = self.profile
-        if not profile.atime_updates:
-            blocks = [() for __ in files]
-        elif not profile.dir_atime_updates:
+        if not self.profile.dir_atime_updates:
             blocks = [(inode.inode_block,) for inode, __ in files]
         else:
             directory_block = self.fs.directory_inode_block
@@ -458,7 +445,7 @@ class WorkloadGenerator:
         Each open is one popularity pick, so the run draws its picks with
         one ``random(n)`` call.  Returns the next sync time.
         """
-        if start == stop or not self.profile.atime_updates:
+        if start == stop:
             return next_sync
         picks = (
             self._file_cdf()
@@ -505,7 +492,7 @@ class WorkloadGenerator:
             self.fs.delete_file(dir_name, file_name)
             self.fs.rename(dir_name, temp_name, file_name)
         except (FileSystemError, AllocationError):
-            # Read-only or full: fall back to updating in place.
+            # Full: fall back to updating in place.
             self.cache.write_many(old.data_blocks)
             return
         for block in old.data_blocks:
@@ -572,7 +559,7 @@ class WorkloadGenerator:
         try:
             inode = self.fs.create_file(directory, name, size)
         except (FileSystemError, AllocationError):
-            return  # file system full or read-only: drop the creation
+            return  # file system full: drop the creation
         self._register_file(directory, name, inode)
         self._note_allocation(inode.data_blocks)
         self.cache.write_many(inode.data_blocks)

@@ -77,7 +77,6 @@ class WorkloadProfile:
     rate, which is why the measured write stream is both large and
     concentrated on very few (inode) blocks (Section 5.2)."""
     sync_interval_s: float = 30.0
-    atime_updates: bool = True
     dir_atime_updates: bool = True
     """Whether path lookups also dirty the directory's inode.  True for the
     heavily shared *system* FS; home directories are looked up through the
@@ -103,7 +102,6 @@ class WorkloadProfile:
 
     # -- buffer cache -----------------------------------------------------
     cache_blocks: int = 1024
-    use_cache_for_reads: bool = False
 
     @property
     def day_ms(self) -> float:
@@ -144,7 +142,6 @@ SYSTEM_FS_PROFILE = WorkloadProfile(
     file_popularity_exponent=1.8,
     open_sessions_per_hour=5000.0,
     sync_interval_s=30.0,
-    atime_updates=True,
     superblock_updates=True,
     edit_session_fraction=0.0,
     new_files_per_day=0,
@@ -170,7 +167,6 @@ USERS_FS_PROFILE = WorkloadProfile(
     file_popularity_exponent=1.3,
     open_sessions_per_hour=50.0,
     sync_interval_s=30.0,
-    atime_updates=True,
     dir_atime_updates=False,
     superblock_updates=False,
     edit_session_fraction=0.08,

@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.sim import vector
 
 class _NoEligibleDevice(vector.BatchPlanner):
     """A batch planner that admits no device: with it the engine runs
-    exactly its scalar (``fast=False``) loops."""
+    exactly its scalar loops."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -18,17 +19,21 @@ class _NoEligibleDevice(vector.BatchPlanner):
         self._ctx_list = ()
 
 
-@pytest.fixture
-def scalar_engine(monkeypatch):
+@pytest.fixture(scope="session")
+def scalar_engine():
     """A context manager that runs its body on the scalar reference
     engine instead of the batch kernel, wherever the body builds its
     simulations, forked fleet workers included (they inherit the
-    replaced planner).  ``with scalar_engine(): ...``"""
+    replaced planner).  ``with scalar_engine(): ...``
+
+    On the scalar engine ``Simulation.run()`` returns every request it
+    completes, so tests that read the request objects run under it.
+    The fixture holds no state (each ``with`` patches and restores), so
+    Hypothesis tests may share it across examples."""
 
     @contextmanager
     def scalar():
-        with monkeypatch.context() as patch:
-            patch.setattr(vector, "BatchPlanner", _NoEligibleDevice)
+        with mock.patch.object(vector, "BatchPlanner", _NoEligibleDevice):
             yield
 
     return scalar

@@ -104,16 +104,11 @@ class TestRecordDigestion:
         assert analyzer.count_of(11) == 1
         assert analyzer.count_of(12) == 1
 
-    def test_read_write_filters(self):
-        reads_only = ReferenceStreamAnalyzer(count_writes=False)
-        reads_only.observe_records([record(1), record(2, is_read=False)])
-        assert reads_only.count_of(1) == 1
-        assert reads_only.count_of(2) == 0
-
-        writes_only = ReferenceStreamAnalyzer(count_reads=False)
-        writes_only.observe_records([record(1), record(2, is_read=False)])
-        assert writes_only.count_of(1) == 0
-        assert writes_only.count_of(2) == 1
+    def test_reads_and_writes_both_count(self):
+        analyzer = ReferenceStreamAnalyzer()
+        analyzer.observe_records([record(1), record(2, is_read=False)])
+        assert analyzer.count_of(1) == 1
+        assert analyzer.count_of(2) == 1
 
     def test_poll_reads_and_clears_driver_table(self):
         from repro.disk.disk import Disk

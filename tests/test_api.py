@@ -2,6 +2,7 @@
 seek lookup table's equivalence to the piecewise models."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,14 +21,21 @@ from repro.api import (
 from repro.bench.runner import run_scenario, run_suite
 from repro.bench.scenarios import SCENARIOS
 from repro import driver
+from repro.core.analyzer import ReferenceStreamAnalyzer
+from repro.core.arranger import BlockArranger
+from repro.core.placement import make_policy
 from repro.disk.disk import Disk
+from repro.disk.geometry import DiskGeometry
+from repro.disk.label import DiskLabel, Partition
 from repro.disk.models import (
     FUJITSU_M2266,
     MODERN_DISK,
     TOSHIBA_MK156F,
     disk_model,
 )
+from repro.driver.ioctl import IoctlInterface
 from repro.fleet import FleetSpec, build_shard_tasks
+from repro.fs.ufs import FileSystem
 from repro.parallel import fan_out
 from repro.sim import (
     ExperimentConfig,
@@ -295,6 +303,76 @@ _ONE_VALUED = {
     ),
     "SsdConfig": (lambda **kw: SsdConfig(**kw), {"flash": "ssd"}),
 }
+# Component options that selected a code path no caller takes: the one
+# value every caller used is now the code.
+_TOSHIBA = TOSHIBA_MK156F.geometry
+_ONE_VALUED_COMPONENT = {
+    "Simulation": (lambda **kw: Simulation(**kw), {"fast": True}),
+    "ExperimentConfig": (
+        lambda **kw: ExperimentConfig(**kw), {"monitor_capacity": 65536}
+    ),
+    "RequestMonitor": (
+        lambda **kw: driver.RequestMonitor(**kw), {"enabled": True}
+    ),
+    "ReferenceStreamAnalyzer": (
+        lambda **kw: ReferenceStreamAnalyzer(**kw),
+        {"count_reads": True, "count_writes": True},
+    ),
+    "WorkloadProfile": (
+        lambda **kw: replace(SYSTEM_FS_PROFILE, **kw),
+        {"use_cache_for_reads": False, "atime_updates": True},
+    ),
+    "FileSystem": (
+        lambda **kw: FileSystem(Partition("fs0", 0, 4200), 21, **kw),
+        {"read_only": False},
+    ),
+    "BlockArranger": (
+        lambda **kw: BlockArranger(
+            IoctlInterface(
+                driver.AdaptiveDiskDriver(
+                    disk=Disk(TOSHIBA_MK156F),
+                    label=DiskLabel(_TOSHIBA, reserved_cylinders=48),
+                )
+            ),
+            **kw,
+        ),
+        {"min_count": 1},
+    ),
+    "make_policy": (
+        lambda **kw: make_policy("interleaved", **kw), {"gap_blocks": 1}
+    ),
+    "FtlDriver": (
+        lambda **kw: driver.FtlDriver(
+            driver.FlashGeometry(
+                channels=1, blocks_per_channel=12, pages_per_block=4,
+                page_bytes=32,
+            ),
+            logical_pages=16,
+            gc_low_blocks=1,
+            gc_high_blocks=3,
+            **kw,
+        ),
+        {"faults": None},
+    ),
+    "DiskGeometry": (
+        lambda **kw: DiskGeometry(
+            cylinders=10, tracks_per_cylinder=2, sectors_per_track=34, **kw
+        ),
+        {"sector_bytes": 512},
+    ),
+}
+REMOVED_NAMES["repro.driver.IoctlCommand"] = (
+    AttributeError, lambda: driver.IoctlCommand
+)
+REMOVED_NAMES["IoctlInterface.call"] = (
+    AttributeError, lambda: IoctlInterface.call
+)
+REMOVED_NAMES["IoctlInterface.get_geometry"] = (
+    AttributeError, lambda: IoctlInterface.get_geometry
+)
+REMOVED_NAMES["FileSystem.populate_file"] = (
+    AttributeError, lambda: FileSystem.populate_file
+)
 REMOVED_NAMES["repro.driver.flash_model"] = (
     AttributeError, lambda: driver.flash_model
 )
@@ -317,6 +395,7 @@ for _owner, (_build, _knobs) in [
     *_SPEC_SHORTHAND.items(),
     *_ENGINE_CHOICE.items(),
     *_ONE_VALUED.items(),
+    *_ONE_VALUED_COMPONENT.items(),
 ]:
     for _name, _value in _knobs.items():
         REMOVED_NAMES[f"{_owner}-{_name}"] = (

@@ -36,12 +36,6 @@ class TestPlanning:
         plan = arranger.plan(hot, num_blocks=capacity + 500)
         assert len(plan) == capacity
 
-    def test_min_count_filter(self, ioctl):
-        arranger = BlockArranger(ioctl, min_count=3)
-        hot = HotBlockList.from_pairs([(1, 5), (2, 3), (3, 2), (4, 1)])
-        plan = arranger.plan(hot, num_blocks=10)
-        assert sorted(plan.logical_blocks()) == [1, 2]
-
     def test_policy_choice(self, ioctl):
         arranger = BlockArranger(ioctl, policy=make_policy("serial"))
         hot = HotBlockList.from_pairs([(9, 5), (3, 4)])

@@ -319,21 +319,11 @@ class ReferenceGenerator(WorkloadGenerator):
         run = self._run_blocks(inode)
         if not run:
             return
-        read_blocks = run
-        if profile.use_cache_for_reads:
-            read_blocks = [
-                block for block in run if not self.cache.read(block)
-            ]
-        if read_blocks:
-            jobs.append(
-                sequential_job(
-                    when,
-                    read_blocks,
-                    Op.READ,
-                    think_ms=profile.think_ms,
-                    name="session",
-                )
+        jobs.append(
+            sequential_job(
+                when, run, Op.READ, think_ms=profile.think_ms, name="session"
             )
+        )
         is_edit = (
             profile.edit_session_fraction > 0
             and self.rng.random() < profile.edit_session_fraction
@@ -344,17 +334,14 @@ class ReferenceGenerator(WorkloadGenerator):
                 edit_index = int(self.rng.integers(0, len(self._inodes)))
             self._rewrite_file(edit_index)
             self._cache_write(self._inodes[edit_index].inode_block)
-        if profile.atime_updates:
-            self._cache_write(self._inodes[index].inode_block)
-        if profile.atime_updates and profile.dir_atime_updates:
+        self._cache_write(self._inodes[index].inode_block)
+        if profile.dir_atime_updates:
             # The path lookup updates the directory's own inode too.
             directory = self._file_keys[index][0]
             self._cache_write(self.fs.directory_inode_block(directory))
 
     def _emit_open(self, when: float) -> None:
         """A cache-served file open: only the atime updates reach the disk."""
-        if not self.profile.atime_updates:
-            return
         index = self._pick_file()
         inode = self._inodes[index]
         self._cache_write(inode.inode_block)
@@ -384,7 +371,7 @@ class ReferenceGenerator(WorkloadGenerator):
             self.fs.delete_file(dir_name, file_name)
             self.fs.rename(dir_name, temp_name, file_name)
         except (FileSystemError, AllocationError):
-            # Read-only or full: fall back to updating in place.
+            # Full: fall back to updating in place.
             for block in old.data_blocks:
                 self._cache_write(block)
             return
@@ -445,7 +432,7 @@ class ReferenceGenerator(WorkloadGenerator):
         try:
             inode = self.fs.create_file(directory, name, size)
         except (FileSystemError, AllocationError):
-            return  # file system full or read-only: drop the creation
+            return  # file system full: drop the creation
         self._register_file(inode)
         self._file_keys.append((directory, name))
         self._note_allocation(inode.data_blocks)
@@ -668,7 +655,6 @@ def _random_profile(rng: random.Random):
         user_locality=rng.choice([0.0, 0.5, 0.9]),
         open_sessions_per_hour=rng.choice([0.0, 50.0, 3000.0]),
         sync_interval_s=rng.choice([5.0, 30.0]),
-        atime_updates=rng.random() < 0.8,
         dir_atime_updates=rng.random() < 0.6,
         superblock_updates=rng.random() < 0.7,
         edit_session_fraction=rng.choice([0.0, 0.1, 0.4]),
@@ -722,7 +708,7 @@ def _assert_days_match(profile, seed: int, days: int = 3) -> None:
 @pytest.mark.parametrize("seed", STRESS_SEEDS)
 def test_randomized_days_match_the_scalar_generator(seed):
     """Seeded sweep over random profiles: clumping on both geometric
-    branches and off, atime and directory-atime updates on and off, caches
+    branches and off, directory-atime updates on and off, caches
     small enough to evict, the *users* churn paths (edits, creates,
     extends) and user locality."""
     rng = random.Random(seed)
@@ -772,14 +758,9 @@ def test_equal_times_keep_the_scalar_tie_order(monkeypatch):
 
 
 def test_every_counted_write_back_reaches_a_sync(monkeypatch):
-    """With reads going through the cache, a read miss that evicts a dirty
-    block still writes it back: each write-back the cache counts is one
-    block handed to a sync burst."""
-    profile = dataclasses.replace(
-        USERS_FS_PROFILE.scaled(hours=0.2),
-        use_cache_for_reads=True,
-        cache_blocks=4,
-    )
+    """A write that evicts a dirty block still writes it back: each
+    write-back the cache counts is one block handed to a sync burst."""
+    profile = dataclasses.replace(USERS_FS_PROFILE.scaled(hours=0.2), cache_blocks=4)
     generator = _make(WorkloadGenerator, profile, seed=11)
     synced: list[int] = []
     sync = generator.cache.sync

@@ -196,28 +196,6 @@ class TestFileSystemIntegration:
         assert generator.fs.interleave == SYSTEM_FS_PROFILE.fs_interleave
 
 
-class TestCacheRouting:
-    def test_read_miss_evicting_a_dirty_block_writes_it_back(self):
-        """``use_cache_for_reads``: a session's read miss that evicts a
-        dirty block must put that block in the next sync burst."""
-        profile = dataclasses.replace(
-            SYSTEM_FS_PROFILE.scaled(hours=0.1),
-            use_cache_for_reads=True,
-            cache_blocks=1,
-            atime_updates=False,
-            superblock_updates=False,
-            open_sessions_per_hour=0.0,
-            spike_interval_s=0.0,
-        )
-        generator = make_generator(profile, seed=5)
-        stray = generator.fs.superblock()  # in no file
-        generator.cache.write(stray)
-        workload = generator.generate_day()
-        syncs = [job for job in workload.jobs if job.name == "sync"]
-        assert [step.logical_block for step in syncs[0].steps] == [stray]
-        assert len(syncs) == 1  # reads leave nothing else dirty
-
-
 class TestDirectoryIndex:
     def test_directory_lists_follow_creations(self):
         """The per-directory file lists behind user locality stay equal to

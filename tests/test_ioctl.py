@@ -6,7 +6,7 @@ from repro.disk.disk import Disk
 from repro.disk.label import DiskLabel
 from repro.disk.models import TOSHIBA_MK156F
 from repro.driver.driver import AdaptiveDiskDriver
-from repro.driver.ioctl import IoctlCommand, IoctlInterface
+from repro.driver.ioctl import IoctlInterface
 from repro.driver.request import read_request
 
 
@@ -47,9 +47,6 @@ class TestMovementIoctls:
 
 
 class TestGeometryIoctls:
-    def test_get_geometry(self, ioctl):
-        assert ioctl.get_geometry() is TOSHIBA_MK156F.geometry
-
     def test_reserved_area_info(self, ioctl):
         info = ioctl.get_reserved_area()
         assert info.start_cylinder == 383
@@ -64,14 +61,3 @@ class TestGeometryIoctls:
         )
         with pytest.raises(ValueError):
             plain.get_reserved_area()
-
-
-class TestDispatch:
-    def test_call_by_command_code(self, ioctl):
-        assert ioctl.call(IoctlCommand.DKIOCGGEOM) is TOSHIBA_MK156F.geometry
-        assert ioctl.call(IoctlCommand.DKIOCREADREQS) == []
-        reserved = ioctl.get_reserved_area().data_blocks[0]
-        ioctl.call(IoctlCommand.DKIOCBCOPY, 0, reserved, 0.0)
-        assert len(ioctl.driver.block_table) == 1
-        ioctl.call(IoctlCommand.DKIOCCLEAN, 10.0)
-        assert len(ioctl.driver.block_table) == 0

@@ -12,10 +12,14 @@ from repro.sim.jobs import Job, Step, batch_job, sequential_job
 
 
 @pytest.fixture
-def simulation():
+def simulation(scalar_engine):
+    """A single-disk simulation on the scalar engine, whose ``run()``
+    returns every request it completes: these tests read the request
+    objects, which the batch kernel counts without materializing."""
     label = DiskLabel(TOSHIBA_MK156F.geometry, reserved_cylinders=48)
     driver = AdaptiveDiskDriver(disk=Disk(TOSHIBA_MK156F), label=label)
-    return Simulation(driver)
+    with scalar_engine():
+        yield Simulation(driver)
 
 
 class TestJobConstruction:
@@ -188,13 +192,14 @@ class TestClose:
         driver = AdaptiveDiskDriver(disk=Disk(TOSHIBA_MK156F), label=label)
         return Simulation(driver)
 
-    def test_close_frees_simulation_without_gc(self):
+    def test_close_frees_simulation_without_gc(self, scalar_engine):
         import gc
         import weakref
 
         simulation = self.fresh_simulation()
         simulation.add_job(batch_job(0.0, [0, 1], Op.READ))
-        completed = simulation.run()
+        with scalar_engine():  # returns both requests
+            completed = simulation.run()
         driver = simulation.devices["disk0"].driver
         driver_ref = weakref.ref(driver)
         table_ref = weakref.ref(driver.block_table)

@@ -58,11 +58,6 @@ class TestRequestMonitor:
         monitor.record(read_request(3, 0.0))
         assert [r.logical_block for r in monitor.read_and_clear()] == [3]
 
-    def test_disabled_monitor_records_nothing(self):
-        monitor = RequestMonitor(capacity=10, enabled=False)
-        monitor.record(read_request(1, 0.0))
-        assert len(monitor) == 0
-
 
 class TestPerformanceMonitorArrivalOrder:
     def test_first_arrival_records_no_distance(self):

@@ -4,6 +4,7 @@ seek tables, end-to-end migration days, crash safety mid-move, and
 determinism at any worker count."""
 
 import os
+from contextlib import nullcontext
 
 import pytest
 
@@ -76,9 +77,9 @@ def hot_burst(repeats=16):
 
 
 class TestIdleDetector:
-    def detect(self, idle_ms, jobs, fast=False):
+    def detect(self, idle_ms, jobs):
         driver, ioctl, __ = make_rig()
-        simulation = Simulation(driver, fast=fast)
+        simulation = Simulation(driver)
         windows = []
         detector = IdleDetector(
             ioctl.device_name, driver, idle_ms, windows.append
@@ -125,8 +126,8 @@ class TestIdleDetector:
         # second after the second burst.
         assert windows[0] >= 1_300.0
 
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_sequential_job_start_is_not_activity(self, fast):
+    @pytest.mark.parametrize("kernel", [False, True])
+    def test_sequential_job_start_is_not_activity(self, kernel, scalar_engine):
         """A closed-loop job's start issues no I/O, so it does not
         interrupt a probe: only its first request, a think time later,
         does.  Both engines must agree (the batch kernel never publishes
@@ -137,7 +138,8 @@ class TestIdleDetector:
             sequential_job(300.0, [9], Op.READ, think_ms=2_000.0),
         ]
         drained = drain_time_ms(jobs[:1])
-        windows, __ = self.detect(1_000.0, jobs, fast=fast)
+        with nullcontext() if kernel else scalar_engine():
+            windows, __ = self.detect(1_000.0, jobs)
         assert len(windows) == 2
         assert windows[0] == pytest.approx(drained + 1_000.0)
         assert windows[1] > 2_300.0 + 1_000.0
@@ -349,7 +351,7 @@ def test_migration_stays_within_its_amortised_budget(
 
 class TestDeterminism:
     @pytest.mark.parametrize("crash", [False, True])
-    def test_batch_kernel_matches_scalar(self, crash):
+    def test_batch_kernel_matches_scalar(self, crash, scalar_engine):
         """The batch kernel serves the online device: idle windows,
         closed-loop traffic that drains between steps and cancels moves
         mid-flight, windows opening with the kernel's mirrors resident
@@ -369,9 +371,9 @@ class TestDeterminism:
         ]
         policy = OnlinePolicy(idle_ms=50.0, duty_cycle=1.0)
 
-        def run(fast):
+        def run():
             driver, __, controller = make_rig(policy, poll_ms=300.0)
-            simulation = Simulation(driver, fast=fast)
+            simulation = Simulation(driver)
             controller.attach_to(simulation)
             simulation.add_jobs(jobs)
             if crash:
@@ -397,11 +399,12 @@ class TestDeterminism:
             )
             return state, simulation.absorbed_completions
 
-        fast, absorbed = run(True)
-        scalar, __ = run(False)
+        kernel, absorbed = run()
+        with scalar_engine():
+            scalar, __ = run()
         assert absorbed > 0
-        assert fast == scalar
-        stats = fast[0]
+        assert kernel == scalar
+        stats = kernel[0]
         assert stats["moves_completed"] >= 1
         assert stats["moves_cancelled"] >= 1
         assert stats["crash_aborts"] == int(crash)

@@ -39,6 +39,10 @@ def _fail_on_three(x: int) -> int:
     return x
 
 
+def _boom(x: int) -> int:
+    raise ValueError(f"boom on {x}")
+
+
 class TestSpawnSeeds:
     def test_deterministic(self):
         assert spawn_seeds(1993, 4) == spawn_seeds(1993, 4)
@@ -441,6 +445,18 @@ class TestExecutorEquivalence:
         assert pool_seen == serial_seen
         if on_error == "skip":
             assert serial_seen["warnings"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_skip_warning_names_the_caller_of_fan_out(self, workers):
+        """Both executors attribute a ``skip`` warning to the code that
+        called :func:`fan_out`, not to a line of the executor's loop."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = fan_out(_boom, [1, 2], workers=workers, on_error="skip")
+        assert out == [None, None]
+        skipped = [w for w in caught if str(w.message).startswith("skipping")]
+        assert len(skipped) == 2
+        assert {w.filename for w in skipped} == {__file__}
 
     def test_worker_death_reruns_only_its_own_task(self, tmp_path):
         """A hard exit loses only the task that was running.  Chaos exits

@@ -281,7 +281,7 @@ def build_initial_tree(self) -> None:
                 self.profile.mean_file_blocks,
                 self.profile.max_file_blocks,
             )
-            self.fs.populate_file(name, f"file{f:03d}", size)
+            self.fs.create_file(name, f"file{f:03d}", size)
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ class TestPresets:
     def test_system_profile_is_read_only_with_atime_writes(self):
         assert SYSTEM_FS_PROFILE.new_files_per_day == 0
         assert SYSTEM_FS_PROFILE.edit_session_fraction == 0.0
-        assert SYSTEM_FS_PROFILE.atime_updates
+        assert SYSTEM_FS_PROFILE.open_sessions_per_hour > 0
 
     def test_users_profile_has_churn_and_drift(self):
         assert USERS_FS_PROFILE.new_files_per_day > 0

@@ -63,7 +63,6 @@ class TestBuildRig:
                 reserved_cylinders=10,
                 num_blocks=50,
                 reserved_center=False,
-                monitor_capacity=100,
             )
         )
         assert rig.name == rig.driver.name == "sys"
@@ -72,7 +71,6 @@ class TestBuildRig:
             rig.model.geometry.cylinders - 10
         )
         assert rig.num_blocks == 50
-        assert rig.driver.request_monitor.capacity == 100
 
     def test_sketch_capacity_tracks_block_count(self):
         small = build_rig(ExperimentConfig(counter="spacesaving"))
@@ -124,7 +122,6 @@ REACH = ExperimentConfig(
     placement_policy="serial",
     queue_policy="fcfs",
     counter="spacesaving",
-    monitor_capacity=1234,
     seed=7,
     faults=FaultPlan(seed=3, transient_rate=0.01, degrade_threshold=0.5),
     policy=OnlinePolicy(idle_ms=80.0),
@@ -166,7 +163,7 @@ class TestEveryFieldReachesTheRig:
         analyzer = rig.controller.analyzer
         assert analyzer.counter == "spacesaving"
         assert analyzer.capacity == MIN_SKETCH_CAPACITY
-        assert rig.driver.request_monitor.capacity == 1234
+        assert rig.driver.request_monitor.capacity == 65536
         assert rig.driver.faults is not None
         assert rig.controller.max_error_rate == 0.5
         assert rig.controller.policy == OnlinePolicy(idle_ms=80.0)

@@ -45,22 +45,26 @@ def build_jobs(spec):
     return jobs
 
 
-def run_simulation(spec, queue_policy="scan", model=TOSHIBA_MK156F,
-                   reserved=48):
+def run_simulation(scalar_engine, spec, queue_policy="scan",
+                   model=TOSHIBA_MK156F, reserved=48):
+    """Serve ``spec`` on the scalar engine, whose ``run()`` returns every
+    request it completes (the batch kernel only counts the ones it
+    absorbs)."""
     label = DiskLabel(model.geometry, reserved_cylinders=reserved)
     driver = AdaptiveDiskDriver(
         disk=Disk(model), label=label, queue=make_queue(queue_policy)
     )
     simulation = Simulation(driver)
     simulation.add_jobs(build_jobs(spec))
-    completed = simulation.run()
+    with scalar_engine():
+        completed = simulation.run()
     return driver, completed
 
 
 @settings(deadline=None, max_examples=40)
 @given(spec=job_strategy)
-def test_every_request_completes_exactly_once(spec):
-    __, completed = run_simulation(spec)
+def test_every_request_completes_exactly_once(spec, scalar_engine):
+    __, completed = run_simulation(scalar_engine, spec)
     expected = sum(len(blocks) for __, __, __, blocks in spec)
     assert len(completed) == expected
     ids = [r.request_id for r in completed]
@@ -69,10 +73,10 @@ def test_every_request_completes_exactly_once(spec):
 
 @settings(deadline=None, max_examples=40)
 @given(spec=job_strategy)
-def test_timing_laws(spec):
+def test_timing_laws(spec, scalar_engine):
     """arrival <= submit <= complete; service covers at least the
     transfer; completions are strictly ordered (one disk)."""
-    __, completed = run_simulation(spec)
+    __, completed = run_simulation(scalar_engine, spec)
     transfer = TOSHIBA_MK156F.geometry.block_transfer_time_ms(1)
     overhead = TOSHIBA_MK156F.controller_overhead_ms
     previous_finish = None
@@ -87,8 +91,8 @@ def test_timing_laws(spec):
 
 @settings(deadline=None, max_examples=40)
 @given(spec=job_strategy)
-def test_disk_never_serves_two_requests_at_once(spec):
-    __, completed = run_simulation(spec)
+def test_disk_never_serves_two_requests_at_once(spec, scalar_engine):
+    __, completed = run_simulation(scalar_engine, spec)
     busy = sorted((r.submit_ms, r.complete_ms) for r in completed)
     for (__, end_a), (start_b, __) in zip(busy, busy[1:]):
         assert start_b >= end_a - 1e-9
@@ -96,16 +100,16 @@ def test_disk_never_serves_two_requests_at_once(spec):
 
 @settings(deadline=None, max_examples=30)
 @given(spec=job_strategy, policy=st.sampled_from(["fcfs", "scan", "cscan", "sstf"]))
-def test_conservation_under_every_queue_policy(spec, policy):
-    __, completed = run_simulation(spec, queue_policy=policy)
+def test_conservation_under_every_queue_policy(spec, policy, scalar_engine):
+    __, completed = run_simulation(scalar_engine, spec, queue_policy=policy)
     expected = sum(len(blocks) for __, __, __, blocks in spec)
     assert len(completed) == expected
 
 
 @settings(deadline=None, max_examples=30)
 @given(spec=job_strategy)
-def test_monitor_counts_match_completions(spec):
-    driver, completed = run_simulation(spec)
+def test_monitor_counts_match_completions(spec, scalar_engine):
+    driver, completed = run_simulation(scalar_engine, spec)
     stats = driver.perf_monitor.stats("all")
     assert stats.requests == len(completed)
     assert stats.service.count == len(completed)
@@ -115,9 +119,9 @@ def test_monitor_counts_match_completions(spec):
 
 @settings(deadline=None, max_examples=20)
 @given(spec=job_strategy)
-def test_fujitsu_buffer_hits_never_break_conservation(spec):
+def test_fujitsu_buffer_hits_never_break_conservation(spec, scalar_engine):
     driver, completed = run_simulation(
-        spec, model=FUJITSU_M2266, reserved=80
+        scalar_engine, spec, model=FUJITSU_M2266, reserved=80
     )
     # Buffer hits shorten service but every request still completes.
     expected = sum(len(blocks) for __, __, __, blocks in spec)
@@ -137,7 +141,9 @@ def test_fujitsu_buffer_hits_never_break_conservation(spec):
         unique=True,
     ),
 )
-def test_rearrangement_is_transparent_to_request_accounting(spec, hot):
+def test_rearrangement_is_transparent_to_request_accounting(
+    spec, hot, scalar_engine
+):
     """With arbitrary blocks rearranged, every request still completes
     and redirected requests land inside the reserved area."""
     label = DiskLabel(TOSHIBA_MK156F.geometry, reserved_cylinders=48)
@@ -147,7 +153,8 @@ def test_rearrangement_is_transparent_to_request_accounting(spec, hot):
         driver.bcopy(block, slots[index], now_ms=0.0)
     simulation = Simulation(driver)
     simulation.add_jobs(build_jobs(spec))
-    completed = simulation.run()
+    with scalar_engine():
+        completed = simulation.run()
     assert len(completed) == sum(len(b) for __, __, __, b in spec)
     hot_set = set(hot)
     for request in completed:

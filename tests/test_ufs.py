@@ -156,21 +156,6 @@ class TestExtend:
             fs.extend_file("home", "nope", 1)
 
 
-class TestReadOnly:
-    def test_read_only_blocks_mutation(self):
-        fs = make_fs(read_only=True)
-        fs.make_directory("bin")  # mkfs-time operations still allowed
-        fs.populate_file("bin", "ls", 2)
-        with pytest.raises(FileSystemError):
-            fs.create_file("bin", "new", 1)
-        with pytest.raises(FileSystemError):
-            fs.extend_file("bin", "ls", 1)
-        with pytest.raises(FileSystemError):
-            fs.delete_file("bin", "ls")
-        with pytest.raises(FileSystemError):
-            fs.rename("bin", "ls", "ls2")
-
-
 class TestPopulateDirectory:
     def test_matches_one_populate_file_per_file(self):
         files = [("a", 3), ("b", 1), ("c", 7), ("d", 400)]
@@ -178,22 +163,16 @@ class TestPopulateDirectory:
         batched = make_fs(interleave=2)
         for fs in (one_by_one, batched):
             fs.make_directory("bin")
-        expected = [one_by_one.populate_file("bin", n, k) for n, k in files]
+        expected = [one_by_one.create_file("bin", n, k) for n, k in files]
         assert batched.populate_directory("bin", files) == expected
         assert batched.all_files() == one_by_one.all_files()
         assert batched.free_blocks == one_by_one.free_blocks
-
-    def test_ignores_read_only(self):
-        fs = make_fs(read_only=True)
-        fs.make_directory("bin")
-        (inode,) = fs.populate_directory("bin", [("ls", 2)])
-        assert fs.lookup("bin", "ls") is inode
 
     @pytest.mark.parametrize("names", [["ls", "ls"], ["cat", "old"]])
     def test_taken_name_creates_nothing(self, names):
         fs = make_fs()
         fs.make_directory("bin")
-        fs.populate_file("bin", "old", 1)
+        fs.create_file("bin", "old", 1)
         free = fs.free_blocks
         with pytest.raises(FileSystemError, match="exists"):
             fs.populate_directory("bin", [(name, 2) for name in names])

@@ -2,10 +2,9 @@
 
 The scalar engine is the executable specification; the batch kernel
 (:mod:`repro.sim.vector`) must reproduce its metrics *bit for bit*.
-Every test here runs the same workload twice — on the kernel and on the
-scalar engine (``Simulation(fast=False)``, or the ``scalar_engine``
-fixture for day-level runs) — and compares the canonical metrics
-digest, the same sha256 the benchmark suite pins.  A single float added in a different
+Every test here runs the same workload twice — on the kernel and, under
+the ``scalar_engine`` fixture, on the scalar engine — and compares the
+canonical metrics digest, the same sha256 the benchmark suite pins.  A single float added in a different
 order changes the digest, so equality is the strongest equivalence
 statement the metrics layer can express.
 """
@@ -50,11 +49,17 @@ def _experiment_digests(**overrides) -> list:
     return digests
 
 
-def _kernel_and_scalar_digests(scalar_engine, **overrides) -> tuple:
-    kernel = _experiment_digests(**overrides)
+def _kernel_and_scalar(scalar_engine, run, *args, **kwargs) -> tuple:
+    """``run(*args, **kwargs)`` on the batch kernel, then on the scalar
+    engine."""
+    kernel = run(*args, **kwargs)
     with scalar_engine():
-        scalar = _experiment_digests(**overrides)
+        scalar = run(*args, **kwargs)
     return kernel, scalar
+
+
+def _kernel_and_scalar_digests(scalar_engine, **overrides) -> tuple:
+    return _kernel_and_scalar(scalar_engine, _experiment_digests, **overrides)
 
 
 def _fresh_driver():
@@ -62,14 +67,14 @@ def _fresh_driver():
     return AdaptiveDiskDriver(disk=Disk(model), label=DiskLabel(model.geometry))
 
 
-def _run_jobs(make_jobs, fast: bool, crash_ms: float | None = None):
+def _run_jobs(make_jobs, crash_ms: float | None = None):
     """Digest + completed count of a bare job list on a fresh driver."""
     model = disk_model("toshiba")
     label = DiskLabel(model.geometry, reserved_cylinders=48)
     driver = AdaptiveDiskDriver(
         disk=Disk(model), label=label, queue=make_queue("scan")
     )
-    simulation = Simulation(driver, fast=fast)
+    simulation = Simulation(driver)
     simulation.add_jobs(make_jobs())
     if crash_ms is not None:
         simulation.schedule_crash(crash_ms)
@@ -85,26 +90,29 @@ def _run_jobs(make_jobs, fast: bool, crash_ms: float | None = None):
 
 
 class TestUnitEquivalence:
-    def test_batch_of_one(self):
+    def test_batch_of_one(self, scalar_engine):
         # The smallest batch: admission, drain and completion accounting
         # must all handle n=1 (no "previous request" to lean on).
         make = lambda: [batch_job(0.0, [13], Op.WRITE, name="one")]
-        assert _run_jobs(make, True) == _run_jobs(make, False)
+        kernel, scalar = _kernel_and_scalar(scalar_engine, _run_jobs, make)
+        assert kernel == scalar
 
-    def test_single_sequential_step(self):
+    def test_single_sequential_step(self, scalar_engine):
         make = lambda: [sequential_job(0.0, [99], Op.READ, name="one")]
-        assert _run_jobs(make, True) == _run_jobs(make, False)
+        kernel, scalar = _kernel_and_scalar(scalar_engine, _run_jobs, make)
+        assert kernel == scalar
 
-    def test_long_stretch_without_a_flush(self):
+    def test_long_stretch_without_a_flush(self, scalar_engine):
         # Thousands of completions with nothing to decline: the kernel
         # counts its histogram bucket logs midway, not only on flush.
         make = lambda: [
             sequential_job(0.0, [b * 7 % 9000 for b in range(3000)], Op.READ, 0.5),
             batch_job(50.0, list(range(100, 9000, 13)), Op.WRITE),
         ]
-        assert _run_jobs(make, True) == _run_jobs(make, False)
+        kernel, scalar = _kernel_and_scalar(scalar_engine, _run_jobs, make)
+        assert kernel == scalar
 
-    def test_epoch_boundary_splits_batch(self):
+    def test_epoch_boundary_splits_batch(self, scalar_engine):
         # The crash lands while the burst is draining: the epoch bump
         # strands an already-scheduled completion, which the kernel must
         # recognize as stale and hand back to the scalar path; the
@@ -112,11 +120,12 @@ class TestUnitEquivalence:
         make = lambda: [
             batch_job(0.0, list(range(0, 4000, 37)), Op.READ, name="burst")
         ]
-        fast = _run_jobs(make, True, crash_ms=80.0)
-        scalar = _run_jobs(make, False, crash_ms=80.0)
-        assert fast == scalar
+        kernel, scalar = _kernel_and_scalar(
+            scalar_engine, _run_jobs, make, crash_ms=80.0
+        )
+        assert kernel == scalar
 
-    def test_completion_tied_with_a_scheduled_event(self):
+    def test_completion_tied_with_a_scheduled_event(self, scalar_engine):
         # Events scheduled at exactly a completion time (and, with zero
         # think time, at the follow-up's issue time) were pushed first,
         # so they dispatch first: the kernel must hand back on the tie.
@@ -126,9 +135,9 @@ class TestUnitEquivalence:
             batch_job(3.0, list(range(9000, 12000, 211)), Op.WRITE),
         ]
 
-        def observe(fast, ties):
+        def observe(ties):
             driver = _fresh_driver()
-            simulation = Simulation(driver, fast=fast)
+            simulation = Simulation(driver)
             simulation.add_jobs(make())
             seen = []
             for at in ties:
@@ -142,30 +151,34 @@ class TestUnitEquivalence:
             completed = simulation.run()
             return completed, seen, simulation.events_dispatched
 
-        completed, __, __ = observe(False, [])
+        with scalar_engine():
+            completed, __, __ = observe([])
         ties = [request.complete_ms for request in completed[::4]]
         ties += [request.complete_ms + 0.5 for request in completed[2::4]]
-        assert observe(True, ties)[1:] == observe(False, ties)[1:]
+        kernel, scalar = _kernel_and_scalar(scalar_engine, observe, ties)
+        assert kernel[1:] == scalar[1:]
 
-    def test_deadline_between_issue_and_completion(self):
+    def test_deadline_between_issue_and_completion(self, scalar_engine):
         # run(until_ms) stops with a closed-loop step in flight: the clock
         # is that step's issue time, the last event dispatched.
         make = lambda: [
             sequential_job(0.0, list(range(0, 4000, 53)), Op.READ, 2.0)
         ]
-        scalar_run = Simulation(_fresh_driver())
-        scalar_run.add_jobs(make())
-        middle = scalar_run.run()[20]
+        with scalar_engine():
+            scalar_run = Simulation(_fresh_driver())
+            scalar_run.add_jobs(make())
+            middle = scalar_run.run()[20]
         until = (middle.arrival_ms + middle.complete_ms) / 2
 
-        def clock(fast):
-            simulation = Simulation(_fresh_driver(), fast=fast)
+        def clock():
+            simulation = Simulation(_fresh_driver())
             simulation.add_jobs(make())
             simulation.run(until_ms=until)
             return simulation.now_ms, simulation.events_dispatched
 
         # The job start, 20 issue-complete pairs, then the 21st issue.
-        assert clock(True) == clock(False) == (middle.arrival_ms, 42)
+        kernel, scalar = _kernel_and_scalar(scalar_engine, clock)
+        assert kernel == scalar == (middle.arrival_ms, 42)
 
     def test_fault_mid_batch(self, scalar_engine):
         # Fault injection makes the device ineligible, so the kernel must
@@ -176,6 +189,76 @@ class TestUnitEquivalence:
             scalar_engine, disk="toshiba", faults=parse_fault_spec(spec)
         )
         assert kernel == scalar
+
+
+def _engine_choice_jobs(blocks: int):
+    return [
+        sequential_job(0.0, [b * 7 % blocks for b in range(40)], Op.READ, 1.0),
+        batch_job(15.0, list(range(1, blocks, 3)), Op.WRITE),
+    ]
+
+
+def _stock_device():
+    driver = _fresh_driver()
+    return driver, lambda: driver.perf_monitor.stats("all").requests
+
+
+def _ftl_device():
+    from repro.driver.ftl import FlashGeometry, FtlDriver
+
+    geometry = FlashGeometry(
+        channels=1, blocks_per_channel=12, pages_per_block=4, page_bytes=32
+    )
+    driver = FtlDriver(
+        geometry, logical_pages=16, gc_low_blocks=1, gc_high_blocks=3
+    )
+    driver.attach()
+    stats = driver.stats
+    return driver, lambda: stats.host_page_reads + stats.host_page_writes
+
+
+def _faulty_device():
+    driver, requests = _stock_device()
+    driver.faults = parse_fault_spec("seed=5,transient=0.05,retries=8").injector()
+    return driver, requests
+
+
+def _traced_device():
+    from repro.obs import MetricsTracer
+
+    driver, requests = _stock_device()
+    driver.tracer = MetricsTracer()
+    return driver, requests
+
+
+class TestEngineChoosesTheKernel:
+    """No argument selects the batch kernel: a bare ``Simulation`` serves
+    every device the kernel admits on it and any other device on the
+    scalar path.  Either way ``len(run()) + absorbed_completions`` counts
+    every completion, which is how trace replay and perfbench size their
+    results."""
+
+    @staticmethod
+    def serve(device, blocks):
+        driver, requests = device()
+        simulation = Simulation(driver)
+        simulation.add_jobs(_engine_choice_jobs(blocks))
+        completed = simulation.run()
+        absorbed = simulation.absorbed_completions
+        assert len(completed) + absorbed == requests() > 0
+        return absorbed
+
+    def test_stock_driver_runs_on_the_kernel(self):
+        assert self.serve(_stock_device, 9000) > 0
+
+    @pytest.mark.parametrize(
+        "device",
+        [_ftl_device, _faulty_device, _traced_device],
+        ids=["ftl", "faults", "traced"],
+    )
+    def test_other_devices_stay_scalar(self, device):
+        blocks = 16 if device is _ftl_device else 9000
+        assert self.serve(device, blocks) == 0
 
 
 def _device_fingerprint(driver) -> tuple:
@@ -231,7 +314,7 @@ def _random_jobs(rng, label, count, think_zero):
     return jobs, hot
 
 
-def _run_fleet(seed, models, fast, think_zero=False, segments=0):
+def _run_fleet(seed, models, think_zero=False, segments=0):
     """Fingerprint a seeded job mix over several devices on one heap.
 
     ``segments`` > 0 drives the run through that many ``run(until_ms)``
@@ -255,7 +338,7 @@ def _run_fleet(seed, models, fast, think_zero=False, segments=0):
         name = f"dev{index}"
         drivers[name] = driver
         jobs[name] = device_jobs
-    simulation = Simulation(drivers=drivers, fast=fast)
+    simulation = Simulation(drivers=drivers)
     for name, device_jobs in jobs.items():
         simulation.add_jobs(device_jobs, device=name)
     completed = 0
@@ -285,17 +368,18 @@ FLEET_CASES = {
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("case", sorted(FLEET_CASES))
-def test_fast_matches_scalar(case, seed):
+def test_fast_matches_scalar(case, seed, scalar_engine):
     """Per-device digests and mirrored state, ``events_dispatched`` and
     completed-plus-absorbed counts agree between the kernel and the
     scalar engine — and the kernel absorbs every completion."""
-    fast = _run_fleet(seed, fast=True, **FLEET_CASES[case])
-    scalar = _run_fleet(seed, fast=False, **FLEET_CASES[case])
+    kernel, scalar = _kernel_and_scalar(
+        scalar_engine, _run_fleet, seed, **FLEET_CASES[case]
+    )
     assert scalar["absorbed"] == 0
-    assert fast["absorbed"] == fast["requests"] > 0
-    fast.pop("absorbed")
+    assert kernel["absorbed"] == kernel["requests"] > 0
+    kernel.pop("absorbed")
     scalar.pop("absorbed")
-    assert fast == scalar
+    assert kernel == scalar
 
 
 STRESS_SEEDS = [11, 23, 37]
@@ -308,7 +392,7 @@ if os.environ.get("VECTOR_STRESS_SEED"):
 @pytest.mark.parametrize("seed", STRESS_SEEDS)
 def test_randomized_equivalence_stress(seed, scalar_engine):
     """Seeded sweep: random disk preset, faults on/off, online policy
-    on/off, random workload seed — fast and scalar digests must match
+    on/off, random workload seed — kernel and scalar digests must match
     for every drawn configuration."""
     rng = random.Random(seed)
     for _ in range(2):
@@ -338,7 +422,7 @@ def test_finished_run_releases_its_devices():
     import weakref
 
     driver = _fresh_driver()
-    simulation = Simulation(driver, fast=True)
+    simulation = Simulation(driver)
     simulation.add_jobs(
         [
             sequential_job(0.0, list(range(0, 3000, 61)), Op.READ, 1.0),
