@@ -14,7 +14,6 @@ from conftest import once
 
 from repro.core.analyzer import ReferenceStreamAnalyzer
 from repro.core.hotlist import HotBlockList
-from repro.driver.monitor import RequestRecord
 from repro.sim.experiment import Experiment
 
 CAPACITIES = (None, 4096, 1024, 512, 256)
@@ -24,29 +23,19 @@ TOP_N = 1018
 def build_stream(campaigns):
     experiment = Experiment(campaigns.config("toshiba", "system"))
     workload = experiment.generator.generate_day()
-    records = []
-    for job in workload.jobs:
-        for step in job.steps:
-            records.append(
-                RequestRecord(
-                    logical_block=step.logical_block,
-                    size_blocks=1,
-                    is_read=step.op.is_read,
-                    arrival_ms=job.start_ms,
-                )
-            )
-    return records, workload.all_counts
+    blocks = [step.logical_block for job in workload.jobs for step in job.steps]
+    return blocks, workload.all_counts
 
 
-def coverage(records, true_counts, capacity, heuristic):
+def coverage(blocks, true_counts, capacity, heuristic):
     analyzer = ReferenceStreamAnalyzer(capacity=capacity, heuristic=heuristic)
-    analyzer.observe_records(records)
+    analyzer.observe_blocks(blocks)
     hot = HotBlockList.from_pairs(analyzer.hot_blocks(TOP_N))
     return hot.coverage_of(true_counts)
 
 
 def test_ablation_analyzer_size(benchmark, campaigns, publish):
-    records, true_counts = once(benchmark, lambda: build_stream(campaigns))
+    blocks, true_counts = once(benchmark, lambda: build_stream(campaigns))
 
     lines = [
         "Ablation: analyzer capacity vs hot-list coverage (top 1018)",
@@ -55,8 +44,8 @@ def test_ablation_analyzer_size(benchmark, campaigns, publish):
     ]
     results = {}
     for capacity in CAPACITIES:
-        ss = coverage(records, true_counts, capacity, "space-saving")
-        em = coverage(records, true_counts, capacity, "evict-min")
+        ss = coverage(blocks, true_counts, capacity, "space-saving")
+        em = coverage(blocks, true_counts, capacity, "evict-min")
         results[capacity] = (ss, em)
         label = "unbounded" if capacity is None else str(capacity)
         lines.append(f"{label:>10}{ss:>14.1%}{em:>11.1%}")

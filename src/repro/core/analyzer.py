@@ -41,10 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import nlargest
-from typing import Iterable
 
 from ..driver.ioctl import IoctlInterface
-from ..driver.monitor import RequestRecord
 from .counters import COUNTER_STRATEGIES, DEFAULT_FADING, SpaceSavingSketch
 
 REPLACEMENT_HEURISTICS = ("space-saving", "evict-min")
@@ -53,7 +51,7 @@ REPLACEMENT_HEURISTICS = ("space-saving", "evict-min")
 # round trip; above it the vectorized sort wins by an order of magnitude.
 _VECTOR_RANK_MIN = 2048
 
-# Batch at least this many records before the vectorized unique/merge
+# Batch at least this many blocks before the vectorized unique/merge
 # ingestion path pays for itself.
 _VECTOR_INGEST_MIN = 1024
 
@@ -177,23 +175,19 @@ class ReferenceStreamAnalyzer:
         else:  # evict-min
             self._counts[block] = 1
 
-    def observe_records(self, records: Iterable[RequestRecord]) -> int:
-        """Digest one batch of request-table records; returns blocks seen."""
+    def observe_blocks(self, blocks: list[int]) -> int:
+        """Count one poll's request-table block numbers; returns how many."""
         if (
             self._sketch is None
             and self.capacity is None
-            and isinstance(records, list)
-            and len(records) >= _VECTOR_INGEST_MIN
+            and len(blocks) >= _VECTOR_INGEST_MIN
         ):
-            return self._observe_records_batch(records)
-        seen = 0
-        for record in records:
-            for offset in range(record.size_blocks):
-                self.observe(record.logical_block + offset)
-                seen += 1
-        return seen
+            return self._observe_blocks_batch(blocks)
+        for block in blocks:
+            self.observe(block)
+        return len(blocks)
 
-    def _observe_records_batch(self, records: list[RequestRecord]) -> int:
+    def _observe_blocks_batch(self, blocks: list[int]) -> int:
         """Vectorized ingestion for the unbounded exact counter.
 
         Tallies the batch with ``numpy.unique`` and merges the per-block
@@ -205,15 +199,6 @@ class ReferenceStreamAnalyzer:
         """
         import numpy as np
 
-        blocks: list[int] = []
-        for record in records:
-            if record.size_blocks == 1:
-                blocks.append(record.logical_block)
-            else:
-                start = record.logical_block
-                blocks.extend(range(start, start + record.size_blocks))
-        if not blocks:
-            return 0
         unique, tallies = np.unique(
             np.asarray(blocks, dtype=np.int64), return_counts=True
         )
@@ -230,7 +215,7 @@ class ReferenceStreamAnalyzer:
 
     def poll(self, ioctl: IoctlInterface) -> int:
         """Read and clear the driver's request table (the 2-minute poll)."""
-        return self.observe_records(ioctl.read_requests())
+        return self.observe_blocks(ioctl.read_requests())
 
     # ------------------------------------------------------------------
     # Results

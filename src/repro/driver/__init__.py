@@ -27,7 +27,6 @@ from .monitor import (
     FaultStats,
     PerformanceMonitor,
     RequestMonitor,
-    RequestRecord,
 )
 from .physio import physio, split_raw_request
 from .protocol import DeviceDriver
@@ -68,7 +67,6 @@ __all__ = [
     "QUEUE_POLICIES",
     "RearrangementIOCounter",
     "RequestMonitor",
-    "RequestRecord",
     "ReservedAreaInfo",
     "SSTFQueue",
     "ScanQueue",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .driver import AdaptiveDiskDriver
-from .monitor import ClassStats, RequestRecord
+from .monitor import ClassStats
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,9 @@ class IoctlInterface:
 
     # -- monitoring ------------------------------------------------------
 
-    def read_requests(self) -> list[RequestRecord]:
-        """Read and clear the request-monitoring table (Section 4.1.4)."""
+    def read_requests(self) -> list[int]:
+        """Read and clear the request-monitoring table (Section 4.1.4):
+        the logical block numbers recorded since the last read."""
         return self.driver.request_monitor.read_and_clear()
 
     def read_stats(self) -> dict[str, ClassStats]:

@@ -2,11 +2,16 @@
 
 Two independent facilities, both modelled on the paper's driver tables:
 
-* :class:`RequestMonitor` — a small bounded table recording (block number,
-  size, op) for each arriving request.  A user-level process (the reference
-  stream analyzer) periodically reads and clears it; if it fills before
-  being cleared, recording is *suspended* (requests are silently dropped
-  from the record, never from service).
+* :class:`RequestMonitor` — a small bounded table recording the logical
+  block number of each arriving request.  A user-level process (the
+  reference stream analyzer) periodically reads and clears it; if it fills
+  before being cleared, recording is *suspended* (requests are silently
+  dropped from the record, never from service).  The table keeps block
+  numbers only: the analyzer counts references per block and reads
+  nothing else, and every request that reaches the table is one block
+  long (both drivers' ``strategy`` rejects any other size before
+  recording), so a size, direction or arrival time per row would be
+  stored and never read.
 
 * :class:`PerformanceMonitor` — seek-distance distributions in arrival
   order (the FCFS counterfactual) and in scheduled order, plus service-time
@@ -24,16 +29,6 @@ from ..stats.histogram import DistanceHistogram, TimeHistogram
 from .request import DiskRequest
 
 
-@dataclass(frozen=True, slots=True)
-class RequestRecord:
-    """One row of the driver's request table."""
-
-    logical_block: int
-    size_blocks: int
-    is_read: bool
-    arrival_ms: float
-
-
 @dataclass
 class RequestMonitor:
     """Bounded in-driver request table with read-and-clear semantics."""
@@ -41,28 +36,23 @@ class RequestMonitor:
     capacity: int = 8192
     suspended_count: int = 0
     recorded_count: int = 0
-    _table: list[RequestRecord] = field(default_factory=list)
+    _table: list[int] = field(default_factory=list)
+    """Logical block numbers of the recorded requests, in arrival order."""
 
     def record(self, request: DiskRequest) -> None:
         """Record an arriving request, or count a suspension if full."""
         if len(self._table) >= self.capacity:
             self.suspended_count += 1
             return
-        self._table.append(
-            RequestRecord(
-                logical_block=request.logical_block,
-                size_blocks=request.size_blocks,
-                is_read=request.is_read,
-                arrival_ms=request.arrival_ms,
-            )
-        )
+        self._table.append(request.logical_block)
         self.recorded_count += 1
 
-    def read_and_clear(self) -> list[RequestRecord]:
-        """The ioctl used by the reference stream analyzer (Section 4.1.4)."""
-        records = self._table
+    def read_and_clear(self) -> list[int]:
+        """The ioctl used by the reference stream analyzer (Section 4.1.4):
+        the recorded block numbers, in arrival order."""
+        blocks = self._table
         self._table = []
-        return records
+        return blocks
 
     def __len__(self) -> int:
         return len(self._table)

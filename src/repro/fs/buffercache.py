@@ -10,7 +10,9 @@ bursty, which in turn drives the paper's waiting-time results (Section
 5.2).  :class:`BufferCache` is an LRU write-back cache over logical blocks;
 :meth:`sync` returns (and cleans) the dirty set, plus any dirty block
 evicted since the last sync, which the workload generator turns into a
-batch arrival at the driver.
+batch arrival at the driver.  Only writes go through it: the generator
+issues its read sessions to the driver directly, so the cache has no
+read probe.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class BufferCache:
     _evicted: list[int] = field(default_factory=list)
     """Dirty blocks evicted since the last sync, in eviction order."""
     _touches: int = 0
-    """Reads and writes since the last sync (see :meth:`dirty_blocks`)."""
+    """Writes since the last sync (see :meth:`dirty_blocks`)."""
 
     def __post_init__(self) -> None:
         if self.capacity_blocks <= 0:
@@ -48,35 +50,6 @@ class BufferCache:
     # ------------------------------------------------------------------
     # The file-system-facing operations
     # ------------------------------------------------------------------
-
-    def read(self, block: int) -> bool:
-        """Probe for a read.  Returns True on a hit.
-
-        On a miss the block is brought into the cache (the caller is
-        responsible for issuing the disk read).  A dirty block that the
-        insertion evicts counts as a write-back at once and goes out with
-        the *next* :meth:`sync`, after that sync's dirty set.  Real
-        systems write it out at eviction; :meth:`read_with_eviction`
-        hands it to the caller for that instead.
-        """
-        hit, evicted = self.read_with_eviction(block)
-        if evicted is not None:
-            self._evicted.append(evicted)
-        return hit
-
-    def read_with_eviction(self, block: int) -> tuple[bool, int | None]:
-        """Probe for a read; also report an evicted dirty block, if any.
-
-        The caller owns the reported block: no :meth:`sync` returns it.
-        """
-        self._touches += 1
-        if block in self._entries:
-            self._entries.move_to_end(block)
-            self.hits += 1
-            return True, None
-        self.misses += 1
-        evicted = self._insert(block, dirty=False)
-        return False, evicted
 
     def write(self, block: int) -> int | None:
         """Dirty ``block`` in the cache (write-back, no disk I/O yet).
@@ -98,7 +71,7 @@ class BufferCache:
                 move_to_end(block)
             except KeyError:
                 misses += 1
-                evicted = self._insert(block, dirty=True)
+                evicted = self._insert(block)
                 if evicted is not None:
                     self._evicted.append(evicted)
             else:
@@ -107,14 +80,15 @@ class BufferCache:
         self.misses += misses
         self._touches += len(blocks)
 
-    def _insert(self, block: int, dirty: bool) -> int | None:
+    def _insert(self, block: int) -> int | None:
+        """Cache ``block`` dirty; return the dirty block it evicted, if any."""
         evicted_dirty: int | None = None
         if len(self._entries) >= self.capacity_blocks:
             old_block, old_dirty = self._entries.popitem(last=False)
             if old_dirty:
                 self.write_backs += 1
                 evicted_dirty = old_block
-        self._entries[block] = dirty
+        self._entries[block] = True
         return evicted_dirty
 
     # ------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Typed simulation events, the time-ordered queue, and the event bus.
 
-Events are small frozen dataclasses — one class per kind of occurrence —
-rather than ``(kind-string, payload)`` pairs.  The queue orders them by
+Events are small slotted dataclasses — one class per kind of occurrence —
+rather than ``(kind-string, payload)`` pairs.  They are not frozen: the
+engine builds one per job start, issue and completion, and a frozen
+dataclass's ``__init__`` pays an ``object.__setattr__`` call per field,
+about three times the cost of a slotted one.  Nothing mutates an event
+after it is built.  The queue orders them by
 ``(time_ms, insertion sequence)``; ties are broken by insertion order,
 which keeps the simulation deterministic for a fixed seed.  The
 :class:`EventBus` dispatches a popped event to the handlers subscribed to
@@ -18,12 +22,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class SimEvent:
     """Base class of every typed simulation event."""
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class JobStart(SimEvent):
     """A workload job reaches its start time on ``device``."""
 
@@ -31,7 +35,7 @@ class JobStart(SimEvent):
     device: str
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class StepIssue(SimEvent):
     """One step of a (closed-loop) job is issued to ``device``."""
 
@@ -40,7 +44,7 @@ class StepIssue(SimEvent):
     device: str
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class DeviceComplete(SimEvent):
     """The in-flight disk operation on ``device`` finishes.
 
@@ -53,14 +57,14 @@ class DeviceComplete(SimEvent):
     epoch: int = 0
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class PeriodicFire(SimEvent):
     """A registered periodic task (user-level daemon) fires."""
 
     task: Any
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class DeviceIdle(SimEvent):
     """``device`` just drained: its last in-flight operation completed
     with nothing queued behind it.
@@ -73,7 +77,7 @@ class DeviceIdle(SimEvent):
     device: str
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class IdleCheck(SimEvent):
     """A scheduled probe of whether a queue-empty gap on ``device`` stayed
     quiet.  ``token`` is the idle detector's activity sequence number at
@@ -84,7 +88,7 @@ class IdleCheck(SimEvent):
     token: int
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class MachineCrash(SimEvent):
     """The (simulated) machine crashes: every device loses its volatile
     state and recovers with the paper's all-dirty protocol; lost requests

@@ -33,7 +33,11 @@ The kernel is two pieces behind a short :meth:`BatchPlanner.absorb`:
   ``DiskRequest``.  A ``StepIssue`` admits one step, a batch ``JobStart``
   all of them; on a busy device they only join the real SCAN queue (so
   cylinder keys, sequence numbers and pop order are the scalar ones), on
-  an idle one the first request starts at once.
+  an idle one the first request starts at once.  A sequential
+  ``JobStart`` admits its first step in the same call when that step's
+  issue would be the next event popped: the heap is empty or its head is
+  strictly later, and the issue falls within ``until_ms``.  Otherwise it
+  pushes the ``StepIssue`` as the scalar engine does.
 * :meth:`BatchPlanner._serve` is one per-device loop.  Each pass completes
   the in-flight request and starts the next one at the same clock: the
   SCAN pop or, when the queue is empty, the closed-loop follow-up — if
@@ -110,8 +114,9 @@ day-level wrappers read metrics from the monitor tables, never from the
 request objects); ``Simulation.absorbed_completions`` counts them so
 callers that size their result by ``len(run())`` (trace replay) stay
 exact.  ``events_dispatched`` accounting matches the scalar engine: one
-event for the absorbed ``StepIssue``/``JobStart``, one per absorbed
-completion and one per absorbed follow-up issue.
+event for the absorbed ``StepIssue``/``JobStart``, two for a sequential
+``JobStart`` whose first issue is served in the same call, one per
+absorbed completion and one per absorbed follow-up issue.
 """
 
 from __future__ import annotations
@@ -120,11 +125,7 @@ import math
 from typing import TYPE_CHECKING
 
 from ..driver.driver import AdaptiveDiskDriver
-from ..driver.monitor import (
-    PerformanceMonitor,
-    RequestMonitor,
-    RequestRecord,
-)
+from ..driver.monitor import PerformanceMonitor, RequestMonitor
 from ..driver.queue import ScanQueue
 from ..driver.request import DiskRequest, Op
 from ..obs.tracer import NULL_TRACER
@@ -414,15 +415,29 @@ class BatchPlanner:
         event = events._heap[0][2]
         cls = event.__class__
         if cls is JobStart and event.job.sequential:
-            # A sequential job start only schedules its first issue
-            # (device-independent), so absorb it unconditionally.
+            # A sequential job start only schedules its first issue.  When
+            # that issue would be the next event popped, on a device the
+            # kernel serves, it is served here instead.  A heap entry at
+            # the issue's time has a lower sequence number and goes
+            # first; an issue past ``until_ms`` stays scheduled.
             job = event.job
+            device = event.device
             events.pop()
-            events.push(
-                events.now_ms + job.steps[0].think_ms,
-                StepIssue(job, 0, event.device),
-            )
-            return 1
+            t = events.now_ms + job.steps[0].think_ms
+            ctx = self.contexts.get(device)
+            heap = events._heap
+            if (
+                ctx is None
+                or t > until_ms
+                or (heap and heap[0][0] <= t)
+                or (ctx.driver._current is None and ctx.q_entries)
+            ):
+                events.push(t, StepIssue(job, 0, device))
+                return 1
+            if not ctx.live:
+                ctx.load()
+            events.now_ms = t
+            return 2 + self._arrive(ctx, job, (0,), device, t, until_ms)
         if cls not in _ABSORBED:
             return 0 if cls in _IDLE_EVENTS else self._decline()
         ctx = self.contexts.get(event.device)
@@ -443,27 +458,37 @@ class BatchPlanner:
         events.pop()
         if cls is DeviceComplete:
             return self._serve(ctx, current, current.submit_ms, until_ms, True)
-        t = events.now_ms
         job = event.job
-        indices = [event.index] if cls is StepIssue else range(len(job.steps))
-        admitted = [self._admit(ctx, job, i, event.device, t) for i in indices]
+        indices = (event.index,) if cls is StepIssue else range(len(job.steps))
+        return 1 + self._arrive(
+            ctx, job, indices, event.device, events.now_ms, until_ms
+        )
+
+    def _arrive(self, ctx, job, indices, device, t, until_ms) -> int:
+        """Admit the steps ``indices`` of ``job``, arriving at ``t``.
+
+        On a busy device they only join the SCAN queue; on an idle one
+        the first request starts at once and the device is served from
+        it.  Returns the events served after the arrival.
+        """
+        admitted = [self._admit(ctx, job, i, device, t) for i in indices]
         ctx.state.outstanding += len(admitted)
-        qpush = ctx.queue.push
+        queue = ctx.queue
+        qpush = queue.push
         bpc = ctx.bpc
-        if current is not None:
+        if ctx.driver._current is not None:
             for request in admitted:
                 qpush(request, request.target_block // bpc)
-            return 1
+            return 0
         # Idle device: the first request starts at once — its push and
         # single-entry pop only evolve the SCAN direction flag, mirrored
         # here — and the rest of a batch queues behind it.
         first = admitted[0]
-        queue = ctx.queue
         cyl = first.target_block // bpc
         queue.ascending = cyl >= ctx.head if queue.ascending else cyl > ctx.head
         for request in admitted[1:]:
             qpush(request, request.target_block // bpc)
-        return 1 + self._serve(ctx, first, t, until_ms)
+        return self._serve(ctx, first, t, until_ms)
 
     def _admit(self, ctx, job, index, device, t) -> DiskRequest:
         """The strategy routine for step ``index``, arriving at ``t``.
@@ -491,7 +516,7 @@ class BatchPlanner:
         if len(ctx.m_rm_table) >= rm.capacity:
             rm.suspended_count += 1
         else:
-            ctx.m_rm_table.append(RequestRecord(lb, 1, is_read, t))
+            ctx.m_rm_table.append(lb)
             rm.recorded_count += 1
         am = ctx.am
         last = ctx.last_all

@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.analyzer import ReferenceStreamAnalyzer
-from repro.driver.monitor import RequestRecord
 
 
-def record(block, size=1, is_read=True, arrival=0.0):
-    return RequestRecord(
-        logical_block=block, size_blocks=size, is_read=is_read, arrival_ms=arrival
-    )
+def run_of(block, size=1):
+    """``size`` consecutive block numbers from ``block``."""
+    return list(range(block, block + size))
 
 
 class TestExactCounting:
@@ -97,16 +95,23 @@ class TestBoundedList:
 
 
 class TestRecordDigestion:
-    def test_multiblock_records_count_each_block(self):
-        analyzer = ReferenceStreamAnalyzer()
-        analyzer.observe_records([record(10, size=3)])
-        assert analyzer.count_of(10) == 1
-        assert analyzer.count_of(11) == 1
-        assert analyzer.count_of(12) == 1
-
     def test_reads_and_writes_both_count(self):
+        from repro.disk.disk import Disk
+        from repro.disk.label import DiskLabel
+        from repro.disk.models import TOSHIBA_MK156F
+        from repro.driver.driver import AdaptiveDiskDriver
+        from repro.driver.ioctl import IoctlInterface
+        from repro.driver.request import read_request, write_request
+
+        driver = AdaptiveDiskDriver(
+            disk=Disk(TOSHIBA_MK156F), label=DiskLabel(TOSHIBA_MK156F.geometry)
+        )
+        for request in (read_request(1, 0.0), write_request(2, 0.0)):
+            completion = driver.strategy(request, 0.0)
+            while completion is not None:
+                __, completion = driver.complete(completion)
         analyzer = ReferenceStreamAnalyzer()
-        analyzer.observe_records([record(1), record(2, is_read=False)])
+        assert analyzer.poll(IoctlInterface(driver)) == 2
         assert analyzer.count_of(1) == 1
         assert analyzer.count_of(2) == 1
 
@@ -174,10 +179,10 @@ def _count_table(analyzer):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("counter", sorted(RANKING_COUNTERS))
 def test_hot_blocks_matches_a_full_sort(counter, seed, universe):
-    """Random interleavings of ``observe``, ``observe_records`` and
+    """Random interleavings of ``observe``, ``observe_blocks`` and
     ``reset``: every ``hot_blocks(n)`` is the fully sorted table's prefix,
     cached or not.  A small block universe makes ties at the n-th entry
-    common; a large one (with big record batches) takes the numpy ranking
+    common; a large one (with big batches) takes the numpy ranking
     and the vectorized ingest."""
     import random
 
@@ -192,15 +197,10 @@ def test_hot_blocks_matches_a_full_sort(counter, seed, universe):
             for __ in range(rng.randint(1, 60)):
                 analyzer.observe(rng.randrange(universe))
         elif action < 0.9:
-            batch = [
-                record(
-                    rng.randrange(universe),
-                    size=rng.choice([1, 1, 1, 3]),
-                    is_read=rng.random() < 0.6,
-                )
-                for __ in range(rng.choice([5, 50, 1200]))
-            ]
-            analyzer.observe_records(batch)
+            batch = []
+            for __ in range(rng.choice([5, 50, 1200])):
+                batch += run_of(rng.randrange(universe), rng.choice([1, 1, 1, 3]))
+            analyzer.observe_blocks(batch)
         else:
             analyzer.reset()
         expected = sorted(
@@ -242,11 +242,10 @@ def test_hot_blocks_online_pattern_matches_a_full_sort(counter, seed, universe):
             for __ in range(rng.randint(1, 12)):
                 analyzer.observe(rng.randrange(universe))
         elif action < 0.95:
-            batch = [
-                record(rng.randrange(universe), size=rng.choice([1, 1, 3]))
-                for __ in range(rng.choice([5, 40, 40, 1200]))
-            ]
-            analyzer.observe_records(batch)
+            batch = []
+            for __ in range(rng.choice([5, 40, 40, 1200])):
+                batch += run_of(rng.randrange(universe), rng.choice([1, 1, 3]))
+            analyzer.observe_blocks(batch)
         else:
             analyzer.reset()
         expected = sorted(
@@ -273,7 +272,7 @@ def test_hot_blocks_cache_follows_every_count_change():
     analyzer.observe(1)
     analyzer.observe(1)
     assert analyzer.hot_blocks(1) == [(1, 3)]
-    analyzer.observe_records([record(7)] * 1100)
+    analyzer.observe_blocks([7] * 1100)
     assert analyzer.hot_blocks(1) == [(7, 1100)]
     analyzer.reset()
     assert analyzer.hot_blocks(1) == []

@@ -35,6 +35,7 @@ from repro.disk.models import (
 )
 from repro.driver.ioctl import IoctlInterface
 from repro.fleet import FleetSpec, build_shard_tasks
+from repro.fs.buffercache import BufferCache
 from repro.fs.ufs import FileSystem
 from repro.parallel import fan_out
 from repro.sim import (
@@ -378,6 +379,16 @@ REMOVED_NAMES["repro.driver.flash_model"] = (
 )
 REMOVED_NAMES["repro.driver.FLASH_MODELS"] = (
     AttributeError, lambda: driver.FLASH_MODELS
+)
+REMOVED_NAMES["repro.driver.RequestRecord"] = (
+    AttributeError, lambda: driver.RequestRecord
+)
+REMOVED_NAMES["ReferenceStreamAnalyzer.observe_records"] = (
+    AttributeError, lambda: ReferenceStreamAnalyzer.observe_records
+)
+REMOVED_NAMES["BufferCache.read"] = (AttributeError, lambda: BufferCache.read)
+REMOVED_NAMES["BufferCache.read_with_eviction"] = (
+    AttributeError, lambda: BufferCache.read_with_eviction
 )
 REMOVED_NAMES["repro.sim.experiment.resolve_workers"] = (
     AttributeError, lambda: experiment.resolve_workers

@@ -6,36 +6,6 @@ from hypothesis import given, strategies as st
 from repro.fs.buffercache import BufferCache
 
 
-class TestReads:
-    def test_first_read_misses_then_hits(self):
-        cache = BufferCache(capacity_blocks=4)
-        assert not cache.read(1)
-        assert cache.read(1)
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_lru_eviction_order(self):
-        cache = BufferCache(capacity_blocks=2)
-        cache.read(1)
-        cache.read(2)
-        cache.read(3)  # evicts 1
-        assert 1 not in cache
-        assert 2 in cache and 3 in cache
-
-    def test_read_refreshes_lru_position(self):
-        cache = BufferCache(capacity_blocks=2)
-        cache.read(1)
-        cache.read(2)
-        cache.read(1)  # 1 becomes most recent
-        cache.read(3)  # evicts 2
-        assert 1 in cache and 2 not in cache
-
-    def test_clean_eviction_reports_nothing(self):
-        cache = BufferCache(capacity_blocks=1)
-        cache.read(1)
-        hit, evicted = cache.read_with_eviction(2)
-        assert not hit and evicted is None
-
-
 class TestWrites:
     def test_write_dirties_block(self):
         cache = BufferCache(capacity_blocks=4)
@@ -44,9 +14,22 @@ class TestWrites:
 
     def test_write_hit_keeps_dirty(self):
         cache = BufferCache(capacity_blocks=4)
-        cache.read(7)
+        cache.write(7)
         cache.write(7)
         assert cache.dirty_blocks() == [7]
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_lru_eviction_order(self):
+        cache = BufferCache(capacity_blocks=2)
+        cache.write_many([1, 2, 3])  # 3 evicts 1
+        assert 1 not in cache
+        assert 2 in cache and 3 in cache
+
+    def test_write_refreshes_lru_position(self):
+        cache = BufferCache(capacity_blocks=2)
+        cache.write_many([1, 2, 1])  # 1 becomes most recent
+        cache.write(3)  # evicts 2
+        assert 1 in cache and 2 not in cache
 
     def test_dirty_eviction_reported(self):
         cache = BufferCache(capacity_blocks=1)
@@ -63,7 +46,6 @@ class TestSync:
         cache = BufferCache(capacity_blocks=8)
         cache.write(1)
         cache.write(2)
-        cache.read(3)
         assert sorted(cache.sync()) == [1, 2]
         assert cache.sync() == []
         assert 1 in cache  # blocks stay cached, just clean
@@ -75,16 +57,6 @@ class TestSync:
         cache.write(1)
         assert cache.sync() == [1]
 
-    def test_read_miss_eviction_goes_out_with_next_sync(self):
-        """A read miss that evicts a dirty block counts a write-back; the
-        next sync must hand that block out, or it is never written."""
-        cache = BufferCache(capacity_blocks=1)
-        cache.write(5)
-        assert not cache.read(6)
-        assert cache.write_backs == 1
-        assert cache.sync() == [5]
-        assert cache.sync() == []
-
     def test_write_eviction_follows_the_dirty_set(self):
         cache = BufferCache(capacity_blocks=2)
         cache.write(1)
@@ -92,20 +64,6 @@ class TestSync:
         assert cache.write(3) == 1
         assert cache.sync() == [2, 3, 1]
         assert cache.write_backs == 3
-
-    def test_read_with_eviction_leaves_the_block_to_the_caller(self):
-        cache = BufferCache(capacity_blocks=1)
-        cache.write(5)
-        assert cache.read_with_eviction(6) == (False, 5)
-        assert cache.sync() == []
-
-    def test_sync_keeps_lru_order_after_read_hits(self):
-        cache = BufferCache(capacity_blocks=8)
-        cache.write_many([1, 2, 3])
-        cache.read(1)
-        cache.write(2)
-        assert cache.dirty_blocks() == [3, 1, 2]
-        assert cache.sync() == [3, 1, 2]
 
     def test_dirty_dedup_within_interval(self):
         """Multiple writes to one block between syncs yield one write-back:
@@ -138,8 +96,8 @@ class TestAccounting:
     def test_hit_ratio(self):
         cache = BufferCache(capacity_blocks=8)
         assert cache.hit_ratio == 0.0
-        cache.read(1)
-        cache.read(1)
+        cache.write(1)
+        cache.write(1)
         assert cache.hit_ratio == pytest.approx(0.5)
 
     def test_capacity_validated(self):
@@ -154,13 +112,14 @@ class TestAccounting:
     )
 )
 def test_cache_size_and_dirty_invariants(ops):
-    """The cache never exceeds capacity and every dirty block is cached."""
+    """The cache never exceeds capacity and every dirty block is cached,
+    across writes and syncs."""
     cache = BufferCache(capacity_blocks=8)
     for is_write, block in ops:
         if is_write:
             cache.write(block)
         else:
-            cache.read(block)
+            cache.sync()
         assert len(cache) <= 8
         for dirty in cache.dirty_blocks():
             assert dirty in cache

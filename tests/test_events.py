@@ -16,12 +16,12 @@ from repro.sim.events import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Ping(SimEvent):
     tag: str = ""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Pong(SimEvent):
     tag: str = ""
 

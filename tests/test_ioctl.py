@@ -26,8 +26,7 @@ def serve_one(driver, request):
 class TestMonitoringIoctls:
     def test_read_requests_clears_table(self, ioctl):
         serve_one(ioctl.driver, read_request(3, 0.0))
-        records = ioctl.read_requests()
-        assert [r.logical_block for r in records] == [3]
+        assert ioctl.read_requests() == [3]
         assert ioctl.read_requests() == []
 
     def test_read_stats_clears_tables(self, ioctl):

@@ -29,11 +29,7 @@ class TestRequestMonitor:
         monitor = RequestMonitor(capacity=10)
         monitor.record(read_request(5, 1.0))
         monitor.record(write_request(9, 2.0))
-        records = monitor.read_and_clear()
-        assert [(r.logical_block, r.is_read) for r in records] == [
-            (5, True),
-            (9, False),
-        ]
+        assert monitor.read_and_clear() == [5, 9]
 
     def test_read_and_clear_empties_table(self):
         monitor = RequestMonitor(capacity=10)
@@ -56,7 +52,7 @@ class TestRequestMonitor:
         monitor.record(read_request(2, 0.0))  # suspended
         monitor.read_and_clear()
         monitor.record(read_request(3, 0.0))
-        assert [r.logical_block for r in monitor.read_and_clear()] == [3]
+        assert monitor.read_and_clear() == [3]
 
 
 class TestPerformanceMonitorArrivalOrder:

@@ -35,7 +35,6 @@ from repro.disk.label import DiskLabel
 from repro.disk.models import TOSHIBA_MK156F
 from repro.driver.driver import AdaptiveDiskDriver
 from repro.driver.ioctl import IoctlInterface
-from repro.driver.monitor import RequestRecord
 from repro.policy import OnlinePolicy
 
 STRESS_SEEDS = [2, 7, 19]
@@ -166,21 +165,18 @@ def state(arranger):
 
 def poll_batch(rng, hot, virtual_blocks):
     """One request-table poll: a mix of a small hot set (ties are common)
-    and blocks anywhere on the virtual disk, single and multi-block."""
+    and blocks anywhere on the virtual disk, alone and in runs of three
+    consecutive blocks."""
     size = rng.choice((3, 20, 60, 1100))
-    return [
-        RequestRecord(
-            logical_block=(
-                rng.choice(hot)
-                if rng.random() < 0.7
-                else rng.randrange(virtual_blocks - 3)
-            ),
-            size_blocks=rng.choice((1, 1, 1, 3)),
-            is_read=rng.random() < 0.6,
-            arrival_ms=0.0,
+    blocks = []
+    for __ in range(size):
+        first = (
+            rng.choice(hot)
+            if rng.random() < 0.7
+            else rng.randrange(virtual_blocks - 3)
         )
-        for __ in range(size)
-    ]
+        blocks += range(first, first + rng.choice((1, 1, 1, 3)))
+    return blocks
 
 
 def finish_move(pair, rng, now_ms):
@@ -229,7 +225,7 @@ def test_windows_match_the_full_scan_reference(counter, policy, seed):
         now_ms += rng.expovariate(1 / 400.0) if rng.random() < 0.9 else 2e4
         action = rng.random()
         if action < 0.3:
-            analyzer.observe_records(poll_batch(rng, hot, virtual_blocks))
+            analyzer.observe_blocks(poll_batch(rng, hot, virtual_blocks))
         elif action < 0.4:
             assert analyzer.hot_blocks(16) == reference_hot_blocks(
                 analyzer, 16
@@ -280,10 +276,7 @@ def test_a_removal_behind_an_open_hole_changes_the_verdict():
     label = pair[0]._label
     slots = pair[0]._layout.center_out_slots
     cool, hot = 5, 16_000  # both far from the reserved center
-    analyzer.observe_records(
-        [RequestRecord(cool, 1, True, 0.0)] * 10
-        + [RequestRecord(hot, 1, True, 0.0)] * 20
-    )
+    analyzer.observe_blocks([cool] * 10 + [hot] * 20)
     for arranger in pair:
         table = arranger.driver.block_table
         table.add(label.virtual_to_physical_block(hot), slots[1])

@@ -111,6 +111,58 @@ class TestSSTF:
         assert queue.pop(0).logical_block == 0
 
 
+#: The textbook scheduling exercise (as in the ODSA disk-scheduling
+#: comparison): the head rests on cylinder 53 and all eight requests are
+#: queued before the first pop.
+TEXTBOOK_HEAD = 53
+TEXTBOOK_CYLINDERS = [98, 183, 37, 122, 14, 124, 65, 67]
+
+
+def head_movement(queue, head, cylinders):
+    """Total cylinders the head travels draining ``cylinders`` from
+    ``head``, every request queued before the first pop."""
+    requests = push_all(queue, cylinders)
+    target = {id(request): c for request, c in zip(requests, cylinders)}
+    travelled = 0
+    while queue:
+        cylinder = target[id(queue.pop(head))]
+        travelled += abs(cylinder - head)
+        head = cylinder
+    return travelled
+
+
+class TestHeadMovementOracle:
+    """Hand-computed total head movement for each policy on the textbook
+    sequence: an independent check of pop order, not a comparison of the
+    queue with another copy of itself."""
+
+    def test_fcfs(self):
+        """Arrival order 53→98→183→37→122→14→124→65→67:
+        45 + 85 + 146 + 85 + 108 + 110 + 59 + 2 = 640."""
+        movement = head_movement(FCFSQueue(), TEXTBOOK_HEAD, TEXTBOOK_CYLINDERS)
+        assert movement == 640
+
+    def test_sstf(self):
+        """Nearest first 53→65→67→37→14→98→122→124→183 (from 67, 37 is 30
+        away and 98 is 31): 12 + 2 + 30 + 23 + 84 + 24 + 2 + 59 = 236."""
+        movement = head_movement(SSTFQueue(), TEXTBOOK_HEAD, TEXTBOOK_CYLINDERS)
+        assert movement == 236
+
+    def test_scan(self):
+        """Upward first, reversing at the last pending request:
+        53→65→67→98→122→124→183 is 183 − 53 = 130, then down 183→37→14 is
+        146 + 23 = 169; 130 + 169 = 299."""
+        movement = head_movement(ScanQueue(), TEXTBOOK_HEAD, TEXTBOOK_CYLINDERS)
+        assert movement == 299
+
+    def test_cscan(self):
+        """Upward only: 53→…→183 is 130, the return seek to the lowest
+        pending request 183→14 is 169, then 14→37 is 23;
+        130 + 169 + 23 = 322."""
+        movement = head_movement(CScanQueue(), TEXTBOOK_HEAD, TEXTBOOK_CYLINDERS)
+        assert movement == 322
+
+
 class TestRegistry:
     def test_make_queue(self):
         for name in ("fcfs", "scan", "cscan", "sstf"):
