@@ -28,9 +28,6 @@ class BufferCache:
     """LRU write-back cache of logical device blocks."""
 
     capacity_blocks: int
-    hits: int = 0
-    misses: int = 0
-    write_backs: int = 0
     _entries: OrderedDict[int, bool] = field(default_factory=OrderedDict)
     _evicted: list[int] = field(default_factory=list)
     """Dirty blocks evicted since the last sync, in eviction order."""
@@ -51,45 +48,34 @@ class BufferCache:
     # The file-system-facing operations
     # ------------------------------------------------------------------
 
-    def write(self, block: int) -> int | None:
+    def write(self, block: int) -> None:
         """Dirty ``block`` in the cache (write-back, no disk I/O yet).
 
-        Returns the dirty block the insertion evicted, if any.  It counts
-        as a write-back at once and goes out with the next :meth:`sync`.
+        A dirty block that the insertion evicts goes out with the next
+        :meth:`sync`.
         """
-        queued = len(self._evicted)
         self.write_many((block,))
-        return self._evicted[queued] if len(self._evicted) > queued else None
 
     def write_many(self, blocks: Collection[int]) -> None:
         """:meth:`write` each block in turn."""
         entries = self._entries
         move_to_end = entries.move_to_end
-        misses = 0
         for block in blocks:
             try:  # a hit is the common case: no membership probe first
                 move_to_end(block)
             except KeyError:
-                misses += 1
-                evicted = self._insert(block)
-                if evicted is not None:
-                    self._evicted.append(evicted)
+                self._insert(block)
             else:
                 entries[block] = True
-        self.hits += len(blocks) - misses
-        self.misses += misses
         self._touches += len(blocks)
 
-    def _insert(self, block: int) -> int | None:
-        """Cache ``block`` dirty; return the dirty block it evicted, if any."""
-        evicted_dirty: int | None = None
+    def _insert(self, block: int) -> None:
+        """Cache ``block`` dirty; queue the dirty block it evicts, if any."""
         if len(self._entries) >= self.capacity_blocks:
             old_block, old_dirty = self._entries.popitem(last=False)
             if old_dirty:
-                self.write_backs += 1
-                evicted_dirty = old_block
+                self._evicted.append(old_block)
         self._entries[block] = True
-        return evicted_dirty
 
     # ------------------------------------------------------------------
     # The periodic update policy
@@ -117,7 +103,6 @@ class BufferCache:
         dirty = self.dirty_blocks()
         for block in dirty:
             self._entries[block] = False
-        self.write_backs += len(dirty)
         self._touches = 0
         dirty.extend(self._evicted)
         self._evicted.clear()
@@ -130,10 +115,3 @@ class BufferCache:
         """Drop every cached block, dirty or not.  Dirty blocks evicted
         earlier still go out with the next :meth:`sync`."""
         self._entries.clear()
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total

@@ -28,6 +28,12 @@ paper-shaped experiment campaigns and the fleet shard runner
 * :func:`resolve_workers` — the worker-count policy (``None`` = one per
   task up to the CPU count; explicit values are validated, then clamped
   to the task count with a warning when they exceed it).
+* :class:`AheadWorker` — one forked process that calls a producer one
+  result ahead of its consumer, so the next result is made on a second
+  CPU while the caller works on the last one.  A single-disk
+  :class:`~repro.sim.experiment.Experiment` uses it to generate day
+  *d+1* while day *d* simulates; :func:`can_work_ahead` is the rule for
+  whether such a worker can run beside this process at all.
 
 Determinism contract: tasks must be self-contained (their own seeds, no
 shared state), so results are byte-identical at any worker count, with
@@ -51,12 +57,13 @@ import multiprocessing.connection
 import os
 import random
 import sys
+import threading
 import time
 import traceback
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Generic, Sequence, TypeVar
 
 import numpy as np
 
@@ -65,9 +72,11 @@ _R = TypeVar("_R")
 
 __all__ = [
     "ON_ERROR_POLICIES",
+    "AheadWorker",
     "RetryPolicy",
     "TaskFailure",
     "WorkerTaskError",
+    "can_work_ahead",
     "fan_out",
     "resolve_workers",
     "spawn_seeds",
@@ -231,6 +240,14 @@ def resolve_workers(
             stacklevel=2,
         )
     return min(workers, tasks)
+
+
+def _start_method() -> str:
+    """``fork`` where the platform has it (the task function and the
+    items then need not pickle), else ``spawn``."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return "fork"
+    return "spawn"
 
 
 def _caller_stacklevel() -> int:
@@ -417,10 +434,7 @@ class _PoolRun(_Run):
         self.workers = workers
         self.chaos = chaos
         self.timeout_s = self.retry.timeout_s if self.retry else None
-        methods = multiprocessing.get_all_start_methods()
-        self.ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
+        self.ctx = multiprocessing.get_context(_start_method())
         self.pending: deque[tuple[int, int]] = deque(
             (index, 1) for index in range(len(tasks))
         )
@@ -621,6 +635,112 @@ class _PoolRun(_Run):
                 "(straggler killed and re-dispatched)",
                 "",
             )
+
+
+def can_work_ahead() -> bool:
+    """Whether an :class:`AheadWorker` can run beside this process.
+
+    It needs the ``fork`` start method (a producer may hold state that
+    cannot pickle, such as the generator's ``mmap`` free maps), a process
+    that may have children (a daemonic :func:`fan_out` pool worker may
+    not) and has no other thread (one could hold a lock that the fork's
+    copy would wait on forever), and a second CPU that this process may
+    run on: on one CPU the worker only takes turns with its consumer.
+    """
+    if (
+        _start_method() != "fork"
+        or multiprocessing.current_process().daemon
+        or threading.active_count() > 1
+    ):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _ahead_main(produce, conn, parent_end) -> None:
+    """Worker loop: make one result, send it, wait until it is taken.
+
+    Each reply is one ``(ok, payload)`` pair, as in :func:`_worker_main`;
+    after an exception the worker sends its ``(repr, traceback)`` and
+    exits.  It also exits once the parent is gone: its only copy of the
+    parent's end is closed here, so the parent's exit reads as EOF on
+    ``recv`` or EPIPE on ``send``.
+    """
+    parent_end.close()
+    try:
+        while True:
+            try:
+                result = produce()
+            except Exception as exc:  # noqa: BLE001 - shipped to parent
+                conn.send((False, (repr(exc), traceback.format_exc())))
+                return
+            conn.send((True, result))
+            conn.recv()  # the parent has taken the result: make the next
+    except (EOFError, OSError, KeyboardInterrupt):
+        return
+
+
+class AheadWorker(Generic[_R]):
+    """``produce()`` on a forked process, exactly one result ahead.
+
+    The worker calls ``produce`` as soon as it starts, and again each time
+    :meth:`take` has taken the last result, so result *k+1* is made while
+    the caller works with result *k*.  ``produce`` runs on the fork's copy
+    of whatever it is bound to: from the fork on, the worker's copy is the
+    one that advances and the caller's stays where the fork left it.
+
+    :meth:`take` raises :class:`WorkerTaskError` with the given context if
+    ``produce`` raised (with the worker's traceback) or the worker died;
+    it never hangs on a dead worker.  :meth:`close` terminates and joins
+    the worker; the owner should tie it to its own lifetime with
+    :func:`weakref.finalize`.  The worker is daemonic, so it also ends
+    when this process exits.  Check :func:`can_work_ahead` first.
+    """
+
+    def __init__(self, produce: Callable[[], _R]) -> None:
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_end = ctx.Pipe()
+        self._proc = ctx.Process(
+            target=_ahead_main,
+            args=(produce, child_end, self._conn),
+            daemon=True,
+        )
+        self._proc.start()
+        child_end.close()
+
+    def take(self, context: str) -> _R:
+        """The next result; ``context`` names it in a failure."""
+        conn, proc = self._conn, self._proc
+        try:
+            multiprocessing.connection.wait([conn, proc.sentinel])
+            ok, payload = conn.recv()
+        except (EOFError, OSError):
+            self.close()
+            raise WorkerTaskError(
+                context,
+                f"worker process died (exit code {proc.exitcode})",
+                "",
+            ) from None
+        if not ok:
+            self.close()
+            raise WorkerTaskError(context, *payload)
+        try:
+            conn.send(True)  # make the next one
+        except OSError:
+            pass  # died since sending: the next take reports it
+        return payload
+
+    def close(self) -> None:
+        """Stop the worker, whatever it is doing; idempotent."""
+        self._conn.close()
+        proc = self._proc
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=2.0)
+        if proc.is_alive():
+            proc.kill()
+        proc.join(timeout=2.0)
 
 
 def fan_out(

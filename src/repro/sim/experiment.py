@@ -21,10 +21,11 @@ on/off alternation (Tables 2–6), the placement-policy comparison (Tables
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from ..parallel import fan_out
+from ..parallel import AheadWorker, can_work_ahead, fan_out
 from ..core.analyzer import ReferenceStreamAnalyzer
 from ..core.counters import COUNTER_STRATEGIES
 from ..core.arranger import BlockArranger
@@ -58,6 +59,14 @@ MIN_SKETCH_CAPACITY = 4096
 # Entries in every rig's request table (Section 4.1.4), which the
 # analyzer reads and clears at each poll.
 MONITOR_CAPACITY = 65536
+
+DAY_AHEAD_MIN_REQUESTS = 10_000
+"""Day 0's size, in requests, from which an :class:`Experiment` generates
+its later days on a worker one day ahead (:class:`~repro.parallel
+.AheadWorker`).  On smaller days the fork, its copy-on-write faults and
+the worker's share of the host cost a two-day campaign more than
+generating its second day saves; ``docs/scaling.md``, "Workload
+generation", has the measured break-even."""
 
 
 @dataclass(frozen=True)
@@ -253,21 +262,30 @@ def run_rig_day(
     day: int,
     rearranged: bool,
     tracer: Tracer = NULL_TRACER,
+    workloads: Mapping[str, list[DayWorkload]] | None = None,
 ) -> RigDay:
     """Serve every rig's generated jobs on one simulation, with each
     controller attached and the fault plans' crashes for ``day`` (offsets
     from this day's t=0) scheduled.  The night is left to the caller.
     The batch kernel serves every device whose stack admits it (see
-    :class:`~repro.sim.vector.BatchPlanner`)."""
+    :class:`~repro.sim.vector.BatchPlanner`).
+
+    ``workloads`` holds each rig's days, by rig name, when the caller has
+    generated them already; by default each rig's generators make them.
+    """
     simulation = Simulation(
         drivers={rig.name: rig.driver for rig in rigs},
         tracer=tracer,
     )
-    workloads: dict[str, list[DayWorkload]] = {}
+    served: dict[str, list[DayWorkload]] = {}
     for rig in rigs:
         rig.controller.attach_to(simulation)
-        workloads[rig.name] = [g.generate_day() for g in rig.generators]
-        for workload in workloads[rig.name]:
+        served[rig.name] = (
+            workloads[rig.name]
+            if workloads is not None
+            else [g.generate_day() for g in rig.generators]
+        )
+        for workload in served[rig.name]:
             simulation.add_jobs(workload.jobs, device=rig.name)
         if rig.driver.faults is not None:
             for offset in rig.driver.faults.claim_crash_times(day):
@@ -284,7 +302,7 @@ def run_rig_day(
     # campaigns free each day by refcount instead of gc timing.
     simulation.close()
     return RigDay(
-        metrics, workloads, simulation.now_ms, simulation.events_dispatched
+        metrics, served, simulation.now_ms, simulation.events_dispatched
     )
 
 
@@ -318,7 +336,17 @@ class CampaignResult:
 
 
 class Experiment:
-    """One assembled disk + driver + workload, run day by day."""
+    """One assembled disk + driver + workload, run day by day.
+
+    Day 0 is generated in this process.  If it holds at least
+    :data:`DAY_AHEAD_MIN_REQUESTS` requests and :func:`~repro.parallel
+    .can_work_ahead` allows, a forked worker then generates each later day
+    one day ahead, while this process simulates the day before; the days
+    are the same either way, since a day's request stream never depends
+    on what the driver did.  The worker ends when the experiment is
+    collected, and a generation error or a dead worker raises
+    :class:`~repro.parallel.WorkerTaskError` from :meth:`run_day`.
+    """
 
     def __init__(
         self, config: ExperimentConfig, tracer: Tracer = NULL_TRACER
@@ -329,9 +357,29 @@ class Experiment:
         self.model, self.label = rig.model, rig.label
         self.driver, self.controller = rig.driver, rig.controller
         (self.generator,) = rig.generators
+        """The workload generator.  Once a day-ahead worker has started,
+        this copy stays where day 0 left it and the worker's copy makes
+        every later day."""
+        self._ahead: AheadWorker[DayWorkload] | None = None
         self._day_index = 0
         self.events_dispatched = 0
         """Simulation events processed across every day run so far."""
+
+    def _generate(self, day: int) -> DayWorkload:
+        """Day ``day``'s workload, from the worker once it runs."""
+        if self._ahead is not None:
+            return self._ahead.take(
+                f"workload day {day} (seed {self.config.seed})"
+            )
+        workload = self.generator.generate_day()
+        if (
+            day == 0
+            and workload.num_requests >= DAY_AHEAD_MIN_REQUESTS
+            and can_work_ahead()
+        ):
+            self._ahead = AheadWorker(self.generator.generate_day)
+            weakref.finalize(self, self._ahead.close)
+        return workload
 
     # ------------------------------------------------------------------
     # One day
@@ -354,14 +402,15 @@ class Experiment:
         """
         day = self._day_index
         self._day_index += 1
+        workload = self._generate(day)
         simulated = run_rig_day(
             [self.rig],
             day=day,
             rearranged=rearranged,
             tracer=self.tracer,
+            workloads={self.rig.name: [workload]},
         )
         self.events_dispatched += simulated.events
-        (workload,) = simulated.workloads[self.rig.name]
         blocks_in_table = len(self.driver.block_table)
         if keep_arrangement:
             self.controller.final_poll()

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import gc
+import multiprocessing
 from contextlib import contextmanager
 from unittest import mock
 
@@ -37,3 +39,20 @@ def scalar_engine():
             yield
 
     return scalar
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_child_left_running():
+    """Fail the test module that leaves a child process running (a
+    day-ahead generator worker, a pool worker), and stop the child there
+    so that the next module starts clean.  Experiments dropped in a
+    reference cycle stop their workers at the collection first."""
+    yield
+    gc.collect()
+    children = multiprocessing.active_children()
+    running = ", ".join(f"{child.name} (pid {child.pid})" for child in children)
+    for child in children:
+        child.kill()
+        child.join(timeout=10.0)
+    if children:
+        pytest.fail(f"the module left child processes running: {running}")

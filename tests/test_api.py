@@ -390,6 +390,10 @@ REMOVED_NAMES["BufferCache.read"] = (AttributeError, lambda: BufferCache.read)
 REMOVED_NAMES["BufferCache.read_with_eviction"] = (
     AttributeError, lambda: BufferCache.read_with_eviction
 )
+for _counter in ("hits", "misses", "write_backs", "hit_ratio"):
+    REMOVED_NAMES[f"BufferCache.{_counter}"] = (
+        AttributeError, lambda name=_counter: getattr(BufferCache(1), name)
+    )
 REMOVED_NAMES["repro.sim.experiment.resolve_workers"] = (
     AttributeError, lambda: experiment.resolve_workers
 )

@@ -1,6 +1,7 @@
 """Tests for repro.workload.generator — the synthetic workload."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -41,6 +42,30 @@ class TestDeterminism:
         first = generator.generate_day()
         second = generator.generate_day()
         assert (first.day, second.day) == (0, 1)
+
+
+class TestPickling:
+    def test_a_day_survives_pickling_with_its_steps_shared(self):
+        """A day crosses the day-ahead worker's pipe as columns; it must
+        come back the same, job by job, with one object per shared step."""
+        day = make_generator(USERS_FS_PROFILE.scaled(hours=0.5)).generate_day()
+        copy = pickle.loads(pickle.dumps(day, pickle.HIGHEST_PROTOCOL))
+
+        def rows(workload):
+            return [
+                (j.start_ms, j.steps, j.sequential, j.name, j.job_id)
+                for j in workload.jobs
+            ]
+
+        assert copy.day == day.day
+        assert rows(copy) == rows(day)
+        assert (copy.read_counts, copy.all_counts) == (
+            day.read_counts,
+            day.all_counts,
+        )
+        steps = {id(step) for job in day.jobs for step in job.steps}
+        copied = {id(step) for job in copy.jobs for step in job.steps}
+        assert len(copied) == len(steps) < day.num_requests
 
 
 class TestWorkloadShape:

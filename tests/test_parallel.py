@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import threading
 import time
 import warnings
 from dataclasses import replace
@@ -11,8 +12,10 @@ import pytest
 from repro.bench.digest import canonical_json, metrics_digest
 from repro.faults import ChaosPlan
 from repro.parallel import (
+    AheadWorker,
     RetryPolicy,
     WorkerTaskError,
+    can_work_ahead,
     fan_out,
     resolve_workers,
     spawn_seeds,
@@ -507,3 +510,71 @@ class TestSeededCampaigns:
             eight = run_campaigns_parallel(tasks, workers=8)
         one = run_campaigns_parallel(tasks, workers=1)
         assert _campaign_digest(one) == _campaign_digest(eight)
+
+
+def _wait_for(predicate, timeout_s: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+@pytest.mark.skipif(not can_work_ahead(), reason="needs fork and two CPUs")
+class TestAheadWorker:
+    """One forked producer, exactly one result ahead of its consumer."""
+
+    def test_results_arrive_in_order_one_ahead(self):
+        calls = multiprocessing.get_context("fork").Value("i", 0)
+
+        def produce() -> int:
+            with calls.get_lock():
+                calls.value += 1
+                return calls.value
+
+        worker = AheadWorker(produce)
+        try:
+            for expected in (1, 2, 3):
+                _wait_for(lambda: calls.value == expected)
+                time.sleep(0.05)  # room to run ahead, were it allowed to
+                assert calls.value == expected
+                assert worker.take(f"result {expected}") == expected
+        finally:
+            worker.close()
+        assert not worker._proc.is_alive()
+
+    def test_exception_reraises_with_context_and_traceback(self):
+        def produce():
+            raise ValueError("no day today")
+
+        worker = AheadWorker(produce)
+        with pytest.raises(WorkerTaskError) as info:
+            worker.take("day 5 (seed 9)")
+        assert info.value.context == "day 5 (seed 9)"
+        assert "no day today" in info.value.cause
+        assert "ValueError" in info.value.worker_traceback
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exits_on_eof_once_the_parent_end_closes(self):
+        """The worker closed its inherited copy of the parent's end, so
+        closing the parent's end is EOF to it, and it exits cleanly."""
+        worker = AheadWorker(lambda: 1)
+        assert worker.take("first") == 1
+        worker._conn.close()
+        worker._proc.join(timeout=10.0)
+        assert worker._proc.exitcode == 0
+
+
+class TestCanWorkAhead:
+    """The one-CPU and daemonic-worker cases run through an
+    ``Experiment`` in ``tests/test_day_ahead.py``."""
+
+    def test_a_second_thread_stays_in_process(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert not can_work_ahead()
+        finally:
+            release.set()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
