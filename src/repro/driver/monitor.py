@@ -19,10 +19,19 @@ Two independent facilities, both modelled on the paper's driver tables:
   and the combined stream.  Arrival-order distances are computed over the
   *home* (original, un-rearranged) cylinders so that on rearranged days the
   counterfactual still reflects "no block rearrangement" (Table 3).
+  The monitor owns the one layout of these tables: per scope a flat
+  counter list, a bucket-key log per histogram and the last arrival
+  cylinder.  The scalar driver writes it through the ``note_*`` methods
+  and the batch kernel (:mod:`repro.sim.vector`) writes the same lists
+  in place; :meth:`~PerformanceMonitor.stats` and
+  :meth:`~PerformanceMonitor.read_and_clear` copy it out as
+  :class:`ClassStats` with real histograms, as the paper's monitoring
+  ioctl copies its tables out of the driver.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..stats.histogram import DistanceHistogram, TimeHistogram
@@ -116,96 +125,183 @@ class FaultStats:
         self.day_errors = 0
 
 
-@dataclass
+#: The per-scope layout both engines write.  Each scope's counter list
+#: holds the scalar fields of its histograms in this order — arrival_seek
+#: 0–1, scheduled_seek 2–3, service 4–7, queueing 8–11, rotation 12–15,
+#: transfer 16–19 — then the counters of ``_COUNTERS``: requests 20,
+#: buffer_hits 21, errors 22, retries 23.  The bucket-key logs and bucket
+#: ``Counter`` objects of a scope follow the histogram order.
+_TIME_FIELDS = ("count", "total_ms", "total_sq_ms", "max_ms")
+_HISTOGRAMS = (
+    ("arrival_seek", DistanceHistogram, ("count", "total")),
+    ("scheduled_seek", DistanceHistogram, ("count", "total")),
+    ("service", TimeHistogram, _TIME_FIELDS),
+    ("queueing", TimeHistogram, _TIME_FIELDS),
+    ("rotation", TimeHistogram, _TIME_FIELDS),
+    ("transfer", TimeHistogram, _TIME_FIELDS),
+)
+_COUNTERS = ("requests", "buffer_hits", "errors", "retries")
+_EMPTY_SCOPE = tuple(
+    getattr(kind(), name) for __, kind, names in _HISTOGRAMS for name in names
+) + (0,) * len(_COUNTERS)
+_SCOPES = ("all", "read", "write")
+"""Scope order of the layout: the direction scope of a read is 1, of a
+write 2."""
+_BUCKET_LOG_LIMIT = 1024
+"""Logged completions after which a writer counts the bucket logs into
+their Counters even though no one read the tables (keeps the logs'
+memory small on long runs)."""
+
+
 class PerformanceMonitor:
     """The driver's self-measurement tables.
 
     Call :meth:`note_arrival` when strategy receives a request (this feeds
     the arrival-order/FCFS seek-distance distribution) and
     :meth:`note_completion` when the disk finishes it.
+
+    The tables are one flat layout per scope (``_SCOPES``): a counter
+    list in the slot order above, one bucket-key log per histogram and
+    the scope's last arrival cylinder.  Writers append a sample's bucket
+    key to its log instead of incrementing the bucket ``Counter``; the
+    logs are counted in when they reach ``_BUCKET_LOG_LIMIT`` and
+    whenever the tables are read.  ``Counter.update`` on a list counts in
+    C and inserts new keys in first-occurrence order, the order
+    one-at-a-time increments would have inserted them, which the
+    metrics' float sums depend on.  The batch kernel
+    (:mod:`repro.sim.vector`) binds these lists once and writes them in
+    place; :meth:`read_and_clear` resets them in place, so those
+    bindings stay valid.
     """
 
-    _classes: dict[str, ClassStats] = field(
-        default_factory=lambda: {
-            "all": ClassStats(),
-            "read": ClassStats(),
-            "write": ClassStats(),
-        }
-    )
-    _last_arrival_cylinder: dict[str, int | None] = field(
-        default_factory=lambda: {"all": None, "read": None, "write": None}
-    )
+    __slots__ = ("_counters", "_bucket_logs", "_buckets", "_last_arrival")
 
-    def __post_init__(self) -> None:
-        self._bind_scopes()
-
-    def _bind_scopes(self) -> None:
-        """Prebind the (scope, stats) pairs touched per request.
-
-        Every note_* call updates "all" plus the direction scope; binding
-        the pairs once replaces two dict lookups and a tuple build per
-        call with a single dict index on ``is_read``.  Rebound whenever
-        the tables are replaced (:meth:`read_and_clear`).
-        """
-        classes = self._classes
-        self._scope_pairs = {
-            True: (("all", classes["all"]), ("read", classes["read"])),
-            False: (("all", classes["all"]), ("write", classes["write"])),
-        }
+    def __init__(self) -> None:
+        self._counters = tuple(list(_EMPTY_SCOPE) for __ in _SCOPES)
+        self._bucket_logs = tuple(
+            tuple([] for __ in _HISTOGRAMS) for __ in _SCOPES
+        )
+        self._buckets = [[Counter() for __ in _HISTOGRAMS] for __ in _SCOPES]
+        self._last_arrival: list[int | None] = [None] * len(_SCOPES)
 
     def note_arrival(self, request: DiskRequest) -> None:
         home = request.home_cylinder
         if home is None:
             raise ValueError("request has no home cylinder; map it first")
-        last_by_scope = self._last_arrival_cylinder
-        for scope, stats in self._scope_pairs[request.is_read]:
-            last = last_by_scope[scope]
-            if last is not None:
-                stats.arrival_seek.record(abs(home - last))
-            last_by_scope[scope] = home
-            stats.requests += 1
+        last = self._last_arrival
+        for scope in (0, 1 if request.is_read else 2):
+            counters = self._counters[scope]
+            previous = last[scope]
+            if previous is not None:
+                distance = abs(home - previous)
+                self._bucket_logs[scope][0].append(distance)
+                counters[0] += 1
+                counters[1] += distance
+            last[scope] = home
+            counters[20] += 1
 
     def note_completion(self, request: DiskRequest) -> None:
-        if request.seek_distance is None:
+        distance = request.seek_distance
+        if distance is None:
             raise ValueError("request has no service breakdown")
-        for __, stats in self._scope_pairs[request.is_read]:
-            stats.scheduled_seek.record(request.seek_distance)
-            stats.service.record(request.service_ms)
-            stats.queueing.record(request.queueing_ms)
-            if request.rotation_ms is not None:
-                stats.rotation.record(request.rotation_ms)
-            if request.transfer_ms is not None:
-                stats.transfer.record(request.transfer_ms)
+        service = request.service_ms
+        queueing = request.queueing_ms
+        rotation = request.rotation_ms
+        transfer = request.transfer_ms
+        if (
+            distance < 0
+            or service < 0
+            or queueing < 0
+            or (rotation is not None and rotation < 0)
+            or (transfer is not None and transfer < 0)
+        ):
+            raise ValueError(f"negative sample in completed request {request}")
+        distance = int(distance)
+        for scope in (0, 1 if request.is_read else 2):
+            m = self._counters[scope]
+            logs = self._bucket_logs[scope]
+            logs[1].append(distance)
+            m[2] += 1
+            m[3] += distance
+            logs[2].append(int(service))
+            m[4] += 1
+            m[5] += service
+            m[6] += service * service
+            if service > m[7]:
+                m[7] = service
+            logs[3].append(int(queueing))
+            m[8] += 1
+            m[9] += queueing
+            m[10] += queueing * queueing
+            if queueing > m[11]:
+                m[11] = queueing
+            if rotation is not None:
+                logs[4].append(int(rotation))
+                m[12] += 1
+                m[13] += rotation
+                m[14] += rotation * rotation
+                if rotation > m[15]:
+                    m[15] = rotation
+            if transfer is not None:
+                logs[5].append(int(transfer))
+                m[16] += 1
+                m[17] += transfer
+                m[18] += transfer * transfer
+                if transfer > m[19]:
+                    m[19] = transfer
             if request.buffer_hit:
-                stats.buffer_hits += 1
+                m[21] += 1
+        if len(self._bucket_logs[0][1]) >= _BUCKET_LOG_LIMIT:
+            self.count_buckets()
 
     def note_fault(self, is_read: bool) -> None:
         """Count one injected device error against the request classes."""
-        for __, stats in self._scope_pairs[is_read]:
-            stats.errors += 1
+        self._counters[0][22] += 1
+        self._counters[1 if is_read else 2][22] += 1
 
     def note_retry(self, is_read: bool) -> None:
         """Count one bounded retry attempt against the request classes."""
-        for __, stats in self._scope_pairs[is_read]:
-            stats.retries += 1
+        self._counters[0][23] += 1
+        self._counters[1 if is_read else 2][23] += 1
+
+    def count_buckets(self) -> None:
+        """Count the logged bucket keys into the bucket Counters."""
+        for logs, counters in zip(self._bucket_logs, self._buckets):
+            for keys, counter in zip(logs, counters):
+                if keys:
+                    counter.update(keys)
+                    keys.clear()
+
+    def _class_stats(self, scope: int, buckets: list[Counter]) -> ClassStats:
+        """Copy one scope out of the layout into a :class:`ClassStats`."""
+        values = iter(self._counters[scope])
+        tables = {
+            name: kind(buckets=counted, **{slot: next(values) for slot in names})
+            for (name, kind, names), counted in zip(_HISTOGRAMS, buckets)
+        }
+        return ClassStats(**tables, **dict(zip(_COUNTERS, values)))
 
     def stats(self, scope: str = "all") -> ClassStats:
-        """Statistics for ``"all"``, ``"read"`` or ``"write"`` requests."""
-        try:
-            return self._classes[scope]
-        except KeyError:
+        """A snapshot of the ``"all"``, ``"read"`` or ``"write"`` tables."""
+        if scope not in _SCOPES:
             raise KeyError(
                 f"unknown scope {scope!r}; use 'all', 'read' or 'write'"
-            ) from None
+            )
+        index = _SCOPES.index(scope)
+        self.count_buckets()
+        return self._class_stats(
+            index, [Counter(counter) for counter in self._buckets[index]]
+        )
 
     def read_and_clear(self) -> dict[str, ClassStats]:
-        """The ioctl semantics: return the tables and reset them."""
-        tables = self._classes
-        self._classes = {
-            "all": ClassStats(),
-            "read": ClassStats(),
-            "write": ClassStats(),
+        """The ioctl semantics: copy the tables out and reset them."""
+        self.count_buckets()
+        tables = {
+            scope: self._class_stats(index, self._buckets[index])
+            for index, scope in enumerate(_SCOPES)
         }
-        self._last_arrival_cylinder = {"all": None, "read": None, "write": None}
-        self._bind_scopes()
+        for counters in self._counters:
+            counters[:] = _EMPTY_SCOPE
+        self._buckets = [[Counter() for __ in _HISTOGRAMS] for __ in _SCOPES]
+        self._last_arrival[:] = [None] * len(_SCOPES)
         return tables

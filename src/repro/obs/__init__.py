@@ -1,11 +1,10 @@
-"""Instrumentation layer: tracer hooks, metrics tracers, JSONL traces.
+"""Instrumentation layer: tracer hooks and JSONL traces.
 
 The simulation core (engine, drivers, rearrangement controller) reports
 request-lifecycle milestones to a :class:`Tracer`.  This package provides
-the hook interface, the default no-op tracer, a counting/histogram tracer
-that feeds :mod:`repro.stats.metrics`, and a JSONL trace writer whose
-files replay into the same :class:`~repro.stats.metrics.DayMetrics` the
-live run produced.
+the hook interface, the default no-op tracer, and a JSONL trace writer
+whose files replay into the same :class:`~repro.stats.metrics.DayMetrics`
+the live run produced.
 """
 
 from .jsonl import (
@@ -15,14 +14,11 @@ from .jsonl import (
     replay_day_metrics,
     replay_monitors,
 )
-from .metrics import MetricsTracer
 from .progress import ShardProgress
-from .tracer import NULL_TRACER, MulticastTracer, NullTracer, Tracer
+from .tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
     "JsonlTraceWriter",
-    "MetricsTracer",
-    "MulticastTracer",
     "NULL_TRACER",
     "NullTracer",
     "ShardProgress",

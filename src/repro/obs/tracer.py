@@ -17,14 +17,12 @@ an attribute lookup and an empty call.
 
 This module is a leaf: it imports nothing from the rest of ``repro`` so
 that the driver, engine and controller can all depend on it without
-cycles.  Concrete tracers with heavier dependencies live in
-:mod:`repro.obs.metrics` (histogram/counting) and :mod:`repro.obs.jsonl`
-(trace files).
+cycles.  The concrete trace-file tracer lives in :mod:`repro.obs.jsonl`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..driver.request import DiskRequest
@@ -160,28 +158,3 @@ NULL_TRACER = NullTracer()
 """Shared default tracer.  Layers treat *identity* with this object as
 "no tracer installed", which lets the engine thread its own tracer into
 drivers and controllers without clobbering one set explicitly."""
-
-
-class MulticastTracer(Tracer):
-    """Fan every event out to several tracers, in registration order."""
-
-    def __init__(self, tracers: Iterable[Tracer]) -> None:
-        self.tracers: list[Tracer] = list(tracers)
-
-
-def _fan_out(hook: str):
-    def fan_out(self: MulticastTracer, *args, **kwargs) -> None:
-        for tracer in self.tracers:
-            getattr(tracer, hook)(*args, **kwargs)
-
-    fan_out.__name__ = hook
-    fan_out.__qualname__ = f"MulticastTracer.{hook}"
-    fan_out.__doc__ = f"Call ``{hook}`` on every tracer, in registration order."
-    return fan_out
-
-
-# Every public hook of the interface (``close`` included) fans out.
-for _hook, _method in vars(Tracer).items():
-    if callable(_method) and not _hook.startswith("_"):
-        setattr(MulticastTracer, _hook, _fan_out(_hook))
-del _hook, _method

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from time import perf_counter_ns
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from ..driver.protocol import DeviceDriver
 from ..driver.request import DiskRequest
@@ -37,9 +37,6 @@ from .events import (
     StepIssue,
 )
 from .jobs import Job
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .vector import BatchPlanner
 
 DEFAULT_DEVICE = "disk0"
 """Name under which a driver without one is registered."""
@@ -131,9 +128,6 @@ class Simulation:
         self._migration_sinks: dict[
             str, Callable[[DiskRequest, float], None]
         ] = {}
-        self._planner: BatchPlanner | None = None
-        """The running :meth:`run` call's batch planner, if any (dropped
-        on exit so it cannot keep a finished day's stack alive)."""
         self.bus.subscribe(JobStart, self._on_job_start)
         self.bus.subscribe(StepIssue, self._on_step_issue)
         self.bus.subscribe(DeviceComplete, self._on_device_complete)
@@ -303,10 +297,6 @@ class Simulation:
         routed to the device's migration sink.
         """
         state = self._devices[device]
-        if self._planner is not None:
-            # The driver is about to touch disk state the batch kernel
-            # may be holding in its resident mirrors.
-            self._planner.flush()
         request.migration = True
         state.outstanding += 1
         completion = state.driver.enqueue_migration(request, self.now_ms)
@@ -343,7 +333,6 @@ class Simulation:
         try:
             return self._run_loop(until_ms)
         finally:
-            self._planner = None
             _RUN_WALL_NS += perf_counter_ns() - start_ns
 
     def _run_loop(self, until_ms: float | None) -> list[DiskRequest]:
@@ -353,49 +342,39 @@ class Simulation:
         heap = events._heap
         pop = events.pop
         dispatch = self.bus.dispatch
-        absorb = None
         from .vector import BatchPlanner
 
         planner = BatchPlanner(self)
-        if planner.eligible:
-            absorb = planner.absorb
-            self._planner = planner
+        absorb = planner.absorb if planner.eligible else None
         if until_ms is None:
             if absorb is not None:
                 # Fast path: let the kernel absorb homogeneous stretches;
                 # anything it declines dispatches through the scalar spec.
-                # The kernel keeps monitor/disk mirrors resident between
-                # stretches (it flushes them itself before declining), so
-                # flush on every exit — normal or raising — before any
-                # caller reads the live state.
-                try:
-                    while heap:
-                        n = absorb(math.inf)
-                        if n:
-                            dispatched += n
-                            continue
-                        dispatch(pop())
-                        dispatched += 1
-                finally:
-                    planner.flush()
+                # The kernel writes the disk, track buffer and monitor
+                # tables in place, so a declined event dispatches on
+                # current state.
+                while heap:
+                    n = absorb(math.inf)
+                    if n:
+                        dispatched += n
+                        continue
+                    dispatch(pop())
+                    dispatched += 1
             else:
                 # Drain-everything loop: no deadline checks, locals prebound.
                 while heap:
                     dispatch(pop())
                     dispatched += 1
         elif absorb is not None:
-            try:
-                while heap:
-                    if heap[0][0] > until_ms:
-                        break
-                    n = absorb(until_ms)
-                    if n:
-                        dispatched += n
-                        continue
-                    dispatch(pop())
-                    dispatched += 1
-            finally:
-                planner.flush()
+            while heap:
+                if heap[0][0] > until_ms:
+                    break
+                n = absorb(until_ms)
+                if n:
+                    dispatched += n
+                    continue
+                dispatch(pop())
+                dispatched += 1
         else:
             while heap:
                 if heap[0][0] > until_ms:

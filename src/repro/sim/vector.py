@@ -29,7 +29,7 @@ bit-identical by construction, and the randomized equivalence suite in
 The kernel is two pieces behind a short :meth:`BatchPlanner.absorb`:
 
 * :meth:`BatchPlanner._admit` is the strategy routine: it maps one job
-  step, records its arrival on the mirrors and returns a real
+  step, records its arrival in the monitor tables and returns a real
   ``DiskRequest``.  A ``StepIssue`` admits one step, a batch ``JobStart``
   all of them; on a busy device they only join the real SCAN queue (so
   cylinder keys, sequence numbers and pop order are the scalar ones), on
@@ -49,32 +49,26 @@ The kernel is two pieces behind a short :meth:`BatchPlanner.absorb`:
   service breakdown filled in, with its ``DeviceComplete`` scheduled.  A
   ``DeviceComplete`` at the head of the heap enters the same loop.
 
-Three implementation decisions carry the throughput:
+Two implementation decisions carry the throughput:
 
 * **Per-device contexts** (:class:`_DeviceContext`).  Typical stretches are
   short — a closed-loop session is a handful of requests — so re-binding
-  label geometry, seek tables and eighteen histogram objects on every
+  label geometry, seek tables and the monitor's statistics lists on every
   stretch would dominate.  The planner binds them once per device.
 
-* **Resident mirrors.**  The hot mutable state (disk head, access counter,
-  buffer interval, arrival chains, every histogram count/sum/max) lives in
-  the context *between* stretches, not just within one.  It is loaded from
-  the live objects on first use and written back only when the scalar
-  engine is about to run: every declined event flushes the mirrors before
-  the caller dispatches it, and :meth:`Simulation.run` flushes on exit.
-  Mid-run monitor ``read_and_clear`` (the analyzer's periodic poll) swaps
-  the table objects themselves; since that can only happen during a scalar
-  dispatch — when the mirrors are already flushed — an identity check on
-  reload catches exactly that.
-
-* **Inlined statistics.**  The scalar completion path costs ten histogram
-  method calls per request; the kernel instead folds counts/sums/maxima
-  through the mirrors and appends each bucket key to a per-histogram
-  log, which :meth:`_DeviceContext.count_buckets` counts into the
-  bucket ``Counter`` on flush (a C loop; a ``Counter`` item store costs
-  several times a list append).  The accumulation order per histogram
-  is the scalar order, and new bucket keys enter each ``Counter`` in
-  first-occurrence order, so the metrics are bit-identical.
+* **Inlined statistics, written in place.**  The kernel keeps no copy of
+  any device state.  :class:`~repro.driver.monitor.PerformanceMonitor`
+  owns one flat layout of its tables — per scope a counter list, a
+  bucket-key log per histogram and the last arrival cylinder — and the
+  kernel writes those very lists: it folds counts, sums and maxima into
+  the counter lists and appends each bucket key to its log, which the
+  monitor counts into the bucket ``Counter`` when a log grows long and
+  whenever the tables are read.  The slot order is the monitor's; the
+  accumulation order per histogram is the scalar order, so the metrics
+  are bit-identical.  ``_serve`` copies the disk head, access count and
+  track-buffer interval and counters into locals at entry and writes
+  them back to the disk and track buffer at exit, so every scalar
+  handler, callback and reader finds the live objects current.
 
 Fallback points — the planner declines (returns 0 absorbed events) and the
 scalar engine dispatches normally — are:
@@ -89,21 +83,20 @@ scalar engine dispatches normally — are:
   completion after a crash), migration requests (started in the loop when
   the SCAN pop yields one, then handed back in flight so the completion
   reaches the online arranger's sink), and every event the kernel has no
-  handler for — periodic analyzer polls, scheduled crashes, ineligible
-  devices' traffic — which also bound every loop via the horizon.
+  handler for — periodic analyzer polls, scheduled crashes, idle-window
+  events, ineligible devices' traffic — which also bound every loop via
+  the horizon.
 
-Online migration does not take a device off the kernel.  Idle-window
-events (``DeviceIdle``/``IdleCheck``) are declined *without* a flush: the
-mirrors stay resident across them, because their handlers reach mirrored
-state only through :meth:`Simulation.submit_migration`, which flushes the
-running planner first.  At every drain ``_serve`` pushes the scalar
-engine's ``DeviceIdle`` after any follow-up ``StepIssue`` and, with idle
-events on, never absorbs a follow-up across a drain.  ``_admit`` bumps the
-device's arrivals counter, the idle detector's activity sequence.
+Online migration does not take a device off the kernel.  At every drain
+``_serve`` pushes the scalar engine's ``DeviceIdle`` after any follow-up
+``StepIssue`` and, with idle events on, never absorbs a follow-up across
+a drain.  ``_admit`` bumps the device's arrivals counter, the idle
+detector's activity sequence.
 
 The kernel is therefore the engine's own choice, made per device from
-what the engine can observe; no argument selects it.  The scalar loops of :meth:`Simulation.run` stay the reference
-semantics.  Tests reach them by replacing this module's
+what the engine can observe; no argument selects it.  The scalar loops
+of :meth:`Simulation.run` stay the reference semantics.  Tests reach
+them by replacing this module's
 :class:`BatchPlanner` with one that finds no eligible device (the
 ``scalar_engine`` fixture in ``tests/conftest.py``): the engine then
 runs exactly its scalar loops, and forked fleet workers inherit the
@@ -125,11 +118,11 @@ import math
 from typing import TYPE_CHECKING
 
 from ..driver.driver import AdaptiveDiskDriver
-from ..driver.monitor import PerformanceMonitor, RequestMonitor
+from ..driver.monitor import _BUCKET_LOG_LIMIT, PerformanceMonitor, RequestMonitor
 from ..driver.queue import ScanQueue
 from ..driver.request import DiskRequest, Op
 from ..obs.tracer import NULL_TRACER
-from .events import DeviceComplete, DeviceIdle, IdleCheck, JobStart, StepIssue
+from .events import DeviceComplete, DeviceIdle, JobStart, StepIssue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import DeviceState, Simulation
@@ -137,31 +130,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _INF = math.inf
 READ_OP = Op.READ
 _ABSORBED = (StepIssue, JobStart, DeviceComplete)
-#: Declined without a flush: their handlers (the online idle detector)
-#: reach mirrored state only through ``Simulation.submit_migration``,
-#: which flushes first.
-_IDLE_EVENTS = (DeviceIdle, IdleCheck)
-#: Logged completions after which ``_serve`` counts the bucket logs even
-#: though no flush came (keeps their memory small on long stretches).
-_BUCKET_LOG_LIMIT = 1024
-
-_TIME_FIELDS = ("count", "total_ms", "total_sq_ms", "max_ms")
-#: Per-scope histograms and the scalar fields mirrored from each, in
-#: mirror-list order: arrival_seek 0–1, scheduled_seek 2–3, service 4–7,
-#: queueing 8–11, rotation 12–15, transfer 16–19; then ``requests`` (20)
-#: and ``buffer_hits`` (21).
-_MIRRORED = (
-    ("arrival_seek", ("count", "total")),
-    ("scheduled_seek", ("count", "total")),
-    ("service", _TIME_FIELDS),
-    ("queueing", _TIME_FIELDS),
-    ("rotation", _TIME_FIELDS),
-    ("transfer", _TIME_FIELDS),
-)
 
 
 class _DeviceContext:
-    """Bound constants and resident mirrored state for one device."""
+    """Bound constants and monitor tables for one device.
+
+    The statistics lists are the performance monitor's own (see
+    :class:`~repro.driver.monitor.PerformanceMonitor` for the slot order
+    of ``am``/``rmm``/``wmm``); its ``read_and_clear`` resets them in
+    place, so they are bound once.
+    """
 
     __slots__ = (
         "state",
@@ -187,33 +165,16 @@ class _DeviceContext:
         "b_cap",
         "b_ht",
         "b_holes",
-        # staleness sentinels
-        "m_classes",
-        "m_rm_table",
-        # stats objects, their bucket Counters and the bucket-key logs
-        # (all / read / write)
-        "a_st",
-        "r_st",
-        "w_st",
-        "counters",
-        "bucket_logs",
-        "a_b",
-        "r_b",
-        "w_b",
-        # resident mirrors (valid while ``live``)
-        "live",
-        "head",
-        "accs",
-        "b_start",
-        "b_end",
-        "b_hits",
-        "b_misses",
-        "last_all",
-        "last_read",
-        "last_write",
+        # the monitor's counter lists, bucket-key log appends and arrival
+        # chain (all / read / write), and the log its limit is checked on
         "am",
         "rmm",
         "wmm",
+        "a_b",
+        "r_b",
+        "w_b",
+        "last",
+        "limit_log",
     )
 
     def __init__(self, state: "DeviceState") -> None:
@@ -225,7 +186,7 @@ class _DeviceContext:
         self.queue = driver.queue
         self.q_entries = driver.queue._entries
         self.rm = driver.request_monitor
-        self.pm = driver.perf_monitor
+        pm = self.pm = driver.perf_monitor
         self.to_physical = driver.label.virtual_to_physical_block
         self.reserved_of = driver.block_table.reserved_of
         self.mark_dirty = driver.block_table.mark_dirty
@@ -242,117 +203,12 @@ class _DeviceContext:
         self.b_cap = buf._capacity_blocks if buf is not None else 0
         self.b_ht = buf.host_transfer_ms if buf is not None else 0.0
         self.b_holes = buf._holes if buf is not None else None
-        # One key log per histogram bucket Counter, in ``counters`` order;
-        # the kernel appends through the bound ``append`` methods.
-        self.bucket_logs = tuple([] for __ in range(3 * len(_MIRRORED)))
-        appends = tuple(log.append for log in self.bucket_logs)
-        n = len(_MIRRORED)
-        self.a_b, self.r_b, self.w_b = appends[:n], appends[n : 2 * n], appends[2 * n :]
-        self.live = False
-        self.refresh_tables()
-
-    def refresh_tables(self) -> None:
-        """Re-bind the monitor tables (swapped by ``read_and_clear``)."""
-        pm = self.pm
-        pairs = pm._scope_pairs
-        self.m_classes = pm._classes
-        self.m_rm_table = self.rm._table
-        self.a_st = pairs[True][0][1]
-        self.r_st = pairs[True][1][1]
-        self.w_st = pairs[False][1][1]
-        self.counters = tuple(
-            getattr(st, hist).buckets
-            for st in (self.a_st, self.r_st, self.w_st)
-            for hist, __ in _MIRRORED
+        self.am, self.rmm, self.wmm = pm._counters
+        self.a_b, self.r_b, self.w_b = (
+            tuple(log.append for log in logs) for logs in pm._bucket_logs
         )
-
-    def count_buckets(self) -> None:
-        """Count the logged bucket keys into the live Counters.
-
-        ``Counter.update`` on a list counts in C and inserts new keys in
-        first-occurrence order — the order one-at-a-time increments would
-        have inserted them, which the metrics' float sums depend on.
-        """
-        for counter, keys in zip(self.counters, self.bucket_logs):
-            if keys:
-                counter.update(keys)
-                keys.clear()
-
-    def load(self) -> None:
-        """Mirror the live mutable state into the context.
-
-        Called on the first kernel entry after a scalar dispatch.  The
-        monitor tables can only have been swapped *during* a scalar
-        dispatch (the mirrors are flushed around every one), so the
-        identity check here catches every mid-run ``read_and_clear``.
-        """
-        pm = self.pm
-        if (
-            self.m_classes is not pm._classes
-            or self.m_rm_table is not self.rm._table
-        ):
-            self.refresh_tables()
-        disk = self.disk
-        self.head = disk.head_cylinder
-        self.accs = disk.accesses
-        buf = self.buf
-        if buf is not None:
-            self.b_start = buf._start
-            self.b_end = buf._end
-            self.b_hits = buf.hits
-            self.b_misses = buf.misses
-        last = pm._last_arrival_cylinder
-        self.last_all = last["all"]
-        self.last_read = last["read"]
-        self.last_write = last["write"]
-        self.am = _load_scope(self.a_st)
-        self.rmm = _load_scope(self.r_st)
-        self.wmm = _load_scope(self.w_st)
-        self.live = True
-
-    def flush(self) -> None:
-        """Write the resident mirrors back to the live objects."""
-        if not self.live:
-            return
-        disk = self.disk
-        disk.head_cylinder = self.head
-        disk.accesses = self.accs
-        buf = self.buf
-        if buf is not None:
-            buf._start = self.b_start
-            buf._end = self.b_end
-            buf.hits = self.b_hits
-            buf.misses = self.b_misses
-        last = self.pm._last_arrival_cylinder
-        last["all"] = self.last_all
-        last["read"] = self.last_read
-        last["write"] = self.last_write
-        _store_scope(self.a_st, self.am)
-        _store_scope(self.r_st, self.rmm)
-        _store_scope(self.w_st, self.wmm)
-        self.count_buckets()
-        self.live = False
-
-
-def _load_scope(st) -> list:
-    """Mirror one scope's scalar counters into a mutable list."""
-    mirror = [
-        getattr(getattr(st, hist), name)
-        for hist, names in _MIRRORED
-        for name in names
-    ]
-    mirror += (st.requests, st.buffer_hits)
-    return mirror
-
-
-def _store_scope(st, mirror) -> None:
-    """Write a scope mirror produced by :func:`_load_scope` back."""
-    values = iter(mirror)
-    for hist, names in _MIRRORED:
-        histogram = getattr(st, hist)
-        for name in names:
-            setattr(histogram, name, next(values))
-    st.requests, st.buffer_hits = values
+        self.last = pm._last_arrival
+        self.limit_log = pm._bucket_logs[0][1]
 
 
 class BatchPlanner:
@@ -364,7 +220,7 @@ class BatchPlanner:
     re-checked on every :meth:`absorb` call.
     """
 
-    __slots__ = ("sim", "eligible", "contexts", "_ctx_list")
+    __slots__ = ("sim", "eligible", "contexts")
 
     def __init__(self, sim: "Simulation") -> None:
         self.sim = sim
@@ -389,26 +245,14 @@ class BatchPlanner:
                     continue
                 self.eligible[name] = state
                 self.contexts[name] = _DeviceContext(state)
-        self._ctx_list = tuple(self.contexts.values())
-
-    def flush(self) -> None:
-        """Write every live mirror back (scalar code is about to run)."""
-        for ctx in self._ctx_list:
-            if ctx.live:
-                ctx.flush()
-
-    def _decline(self) -> int:
-        self.flush()
-        return 0
 
     def absorb(self, until_ms: float) -> int:
         """Try to absorb the head heap event in the kernel.
 
         Returns the number of scalar events the kernel stands in for (0:
-        not absorbable — the mirrors are flushed and the caller
-        dispatches the event normally).  The caller guarantees the heap
-        is non-empty and, when running with a deadline, that the head
-        event is within it.
+        not absorbable — the caller dispatches the event normally).  The
+        caller guarantees the heap is non-empty and, when running with a
+        deadline, that the head event is within it.
         """
         sim = self.sim
         events = sim.events
@@ -434,15 +278,13 @@ class BatchPlanner:
             ):
                 events.push(t, StepIssue(job, 0, device))
                 return 1
-            if not ctx.live:
-                ctx.load()
             events.now_ms = t
             return 2 + self._arrive(ctx, job, (0,), device, t, until_ms)
         if cls not in _ABSORBED:
-            return 0 if cls in _IDLE_EVENTS else self._decline()
+            return 0
         ctx = self.contexts.get(event.device)
         if ctx is None:
-            return self._decline()
+            return 0
         current = ctx.driver._current
         if cls is DeviceComplete:
             if (
@@ -450,11 +292,9 @@ class BatchPlanner:
                 or current is None
                 or current.migration
             ):
-                return self._decline()  # stale (crash) or sink-routed
+                return 0  # stale (crash) or sink-routed
         elif current is None and ctx.q_entries:  # pragma: no cover
-            return self._decline()  # defensive: an idle device drains
-        if not ctx.live:
-            ctx.load()
+            return 0  # defensive: an idle device drains
         events.pop()
         if cls is DeviceComplete:
             return self._serve(ctx, current, current.submit_ms, until_ms, True)
@@ -481,11 +321,12 @@ class BatchPlanner:
                 qpush(request, request.target_block // bpc)
             return 0
         # Idle device: the first request starts at once — its push and
-        # single-entry pop only evolve the SCAN direction flag, mirrored
+        # single-entry pop only evolve the SCAN direction flag, set
         # here — and the rest of a batch queues behind it.
         first = admitted[0]
         cyl = first.target_block // bpc
-        queue.ascending = cyl >= ctx.head if queue.ascending else cyl > ctx.head
+        head = ctx.disk.head_cylinder
+        queue.ascending = cyl >= head if queue.ascending else cyl > head
         for request in admitted[1:]:
             qpush(request, request.target_block // bpc)
         return self._serve(ctx, first, t, until_ms)
@@ -495,8 +336,8 @@ class BatchPlanner:
 
         Maps the block through the label (which raises on an address
         outside the device, as the scalar path does) and the block table,
-        records the arrival in the request table and on the arrival-seek
-        mirrors, and registers a closed-loop follow-up.
+        records the arrival in the request table and the monitor's
+        arrival-seek tables, and registers a closed-loop follow-up.
         """
         step = job.steps[index]
         lb = step.logical_block
@@ -513,25 +354,27 @@ class BatchPlanner:
             request.target_block = physical
         is_read = step.op is READ_OP
         rm = ctx.rm
-        if len(ctx.m_rm_table) >= rm.capacity:
+        table = rm._table
+        if len(table) >= rm.capacity:
             rm.suspended_count += 1
         else:
-            ctx.m_rm_table.append(lb)
+            table.append(lb)
             rm.recorded_count += 1
         am = ctx.am
-        last = ctx.last_all
+        chain = ctx.last
+        last = chain[0]
         if last is not None:
             d = abs(home - last)
             ctx.a_b[0](d)
             am[0] += 1
             am[1] += d
-        ctx.last_all = home
+        chain[0] = home
         if is_read:
-            dm, buckets, last = ctx.rmm, ctx.r_b[0], ctx.last_read
-            ctx.last_read = home
+            dm, buckets, last = ctx.rmm, ctx.r_b[0], chain[1]
+            chain[1] = home
         else:
-            dm, buckets, last = ctx.wmm, ctx.w_b[0], ctx.last_write
-            ctx.last_write = home
+            dm, buckets, last = ctx.wmm, ctx.w_b[0], chain[2]
+            chain[2] = home
         if last is not None:
             d = abs(home - last)
             buckets(d)
@@ -576,17 +419,17 @@ class BatchPlanner:
         stt = ctx.stt
         rott = ctx.rott
         btm = ctx.btm
-        head = ctx.head
+        head = disk.head_cylinder
         mark_dirty = ctx.mark_dirty
         buf = ctx.buf
         if buf is not None:
-            b_start = ctx.b_start
-            b_end = ctx.b_end
+            b_start = buf._start
+            b_end = buf._end
             b_holes = ctx.b_holes
             b_cap = ctx.b_cap
             b_ht = ctx.b_ht
-            b_hits = ctx.b_hits
-            b_misses = ctx.b_misses
+            b_hits = buf.hits
+            b_misses = buf.misses
         all_scope = (ctx.am, ctx.a_b)
         read_scopes = (all_scope, (ctx.rmm, ctx.r_b))
         write_scopes = (all_scope, (ctx.wmm, ctx.w_b))
@@ -675,7 +518,8 @@ class BatchPlanner:
                     break
 
             # Complete `req` at `f` (PerformanceMonitor.note_completion,
-            # inlined): the "all" scope, then the request's class.
+            # inlined, in the monitor's slot order): the "all" scope, then
+            # the request's class.
             sv = f - t
             qv = t - req.arrival_ms
             bsv = int(sv)
@@ -741,25 +585,25 @@ class BatchPlanner:
                     push(f, DeviceIdle(state.name))
                 break
             # Admit the follow-up and start it on the idle device
-            # (mirroring the single-entry SCAN pop).
+            # (the single-entry SCAN pop, inlined).
             req = admit(ctx, job, index, device, t)
             follow_ups += 1
             now = t
             cyl = req.target_block // bpc
             queue.ascending = cyl >= head if queue.ascending else cyl > head
 
-        ctx.head = head
-        ctx.accs += accessed
+        disk.head_cylinder = head
+        disk.accesses += accessed
         if buf is not None:
-            ctx.b_start = b_start
-            ctx.b_end = b_end
-            ctx.b_hits = b_hits
-            ctx.b_misses = b_misses
+            buf._start = b_start
+            buf._end = b_end
+            buf.hits = b_hits
+            buf.misses = b_misses
         events.now_ms = now
         sim.absorbed_completions += completions
         state.outstanding += follow_ups - completions
-        if len(ctx.bucket_logs[1]) >= _BUCKET_LOG_LIMIT:
-            ctx.count_buckets()
+        if len(ctx.limit_log) >= _BUCKET_LOG_LIMIT:
+            ctx.pm.count_buckets()
         if handed_back:
             sim._schedule_completion(state, f)
         return completions + follow_ups

@@ -20,7 +20,7 @@ from repro.api import (
 )
 from repro.bench.runner import run_scenario, run_suite
 from repro.bench.scenarios import SCENARIOS
-from repro import driver
+from repro import driver, obs
 from repro.core.analyzer import ReferenceStreamAnalyzer
 from repro.core.arranger import BlockArranger
 from repro.core.placement import make_policy
@@ -396,6 +396,12 @@ for _counter in ("hits", "misses", "write_backs", "hit_ratio"):
     )
 REMOVED_NAMES["repro.sim.experiment.resolve_workers"] = (
     AttributeError, lambda: experiment.resolve_workers
+)
+REMOVED_NAMES["repro.obs.MetricsTracer"] = (
+    AttributeError, lambda: obs.MetricsTracer
+)
+REMOVED_NAMES["repro.obs.MulticastTracer"] = (
+    AttributeError, lambda: obs.MulticastTracer
 )
 REMOVED_NAMES["MultiDiskExperiment.fast"] = (
     AttributeError,

@@ -2,6 +2,8 @@
 protocol under injected crashes — dirty-bit semantics, mid-rearrangement
 crashes, engine-scheduled daytime crashes, and graceful degradation."""
 
+import json
+
 import pytest
 
 from repro.core.controller import RearrangementController
@@ -16,8 +18,6 @@ from repro.faults.invariants import BlockTableInvariants, InvariantViolation
 from repro.faults.plan import FaultPlan
 from repro.obs import (
     JsonlTraceWriter,
-    MetricsTracer,
-    MulticastTracer,
     TraceScanStats,
     replay_day_metrics,
     replay_monitors,
@@ -287,21 +287,32 @@ class TestInvariantChecker:
 
 class TestTraceReplayWithFaults:
     def test_faulty_trace_replays_to_identical_metrics(self, tmp_path):
+        # A plain day, then a rearranged one (redirected requests with
+        # injected errors and retries).  Each day's trace ends with its
+        # end-of-day rearrangement records, so splitting the trace there
+        # gives one replay per day to compare with that day's DayMetrics.
         path = tmp_path / "faulty.jsonl"
-        shadow = MetricsTracer()
         writer = JsonlTraceWriter(path)
         plan = FaultPlan(seed=4, transient_rate=0.01, max_retries=2)
-        run_campaign(
-            fast_config(plan),
-            [False, True],
-            tracer=MulticastTracer([writer, shadow]),
-        )
+        result = run_campaign(fast_config(plan), [False, True], tracer=writer)
         writer.close()
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        ends = [
+            index
+            for index, line in enumerate(lines)
+            if json.loads(line)["event"] == "rearrangement-end"
+        ]
+        assert len(ends) == 2
+        days = (lines[: ends[0] + 1], lines[ends[0] + 1 :])
         seek = disk_model("toshiba").seek
-        live = shadow.day_metrics("disk0", seek)
-        replayed = replay_day_metrics(path, seek)["disk0"]
-        assert live.all.errors > 0
-        assert replayed.scopes == live.scopes
+        for day, (records, live) in enumerate(zip(days, result.days)):
+            day_path = tmp_path / f"day{day}.jsonl"
+            day_path.write_text("".join(records), encoding="utf-8")
+            replayed = replay_day_metrics(
+                day_path, seek, day=day, rearranged=live.metrics.rearranged
+            )["disk0"]
+            assert live.metrics.all.errors > 0
+            assert replayed == live.metrics
 
     def test_truncated_trace_skipped_and_counted(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -1,5 +1,7 @@
 """Tests for repro.driver.monitor — request and performance monitoring."""
 
+import copy
+
 import pytest
 
 from repro.driver.monitor import PerformanceMonitor, RequestMonitor
@@ -117,6 +119,25 @@ class TestPerformanceMonitorCompletion:
         with pytest.raises(ValueError):
             monitor.note_completion(request)
 
+    @pytest.mark.parametrize("sample", ["rotation", "transfer"])
+    def test_negative_sample_rejected_before_recording(self, sample):
+        monitor = PerformanceMonitor()
+        request = finished_request(1, cylinder=10, **{sample: -1.0})
+        monitor.note_arrival(request)
+        with pytest.raises(ValueError):
+            monitor.note_completion(request)
+        assert monitor.stats("all").scheduled_seek.count == 0
+        assert monitor.stats("all").service.count == 0
+
+    def test_distance_is_recorded_as_whole_cylinders(self):
+        monitor = PerformanceMonitor()
+        request = finished_request(1, cylinder=10, seek_distance=7.9)
+        monitor.note_arrival(request)
+        monitor.note_completion(request)
+        seek = monitor.stats("all").scheduled_seek
+        assert seek.total == 7
+        assert dict(seek.buckets) == {7: 1}
+
     def test_writes_do_not_pollute_read_stats(self):
         monitor = PerformanceMonitor()
         request = finished_request(1, cylinder=10, is_read=False)
@@ -139,6 +160,22 @@ class TestReadAndClear:
         # The arrival-distance chain also resets.
         monitor.note_arrival(finished_request(2, cylinder=400))
         assert monitor.stats("all").arrival_seek.count == 0
+        # The tables read out, and a snapshot, are copies: the monitor
+        # resets and keeps writing its own layout, never theirs.
+        snapshot = monitor.stats("read")
+        kept = copy.deepcopy((tables, snapshot))
+        for block, cylinder in [(3, 90), (4, 7), (5, 400)]:
+            later = finished_request(
+                block, cylinder, seek_distance=cylinder, buffer_hit=True
+            )
+            monitor.note_arrival(later)
+            monitor.note_completion(later)
+            monitor.note_fault(True)
+            monitor.note_retry(True)
+        assert (tables, snapshot) == kept
+        assert monitor.stats("read").requests == 4
+        assert monitor.read_and_clear()["read"].scheduled_seek.count == 3
+        assert (tables, snapshot) == kept
 
     def test_unknown_scope(self):
         with pytest.raises(KeyError):

@@ -354,8 +354,8 @@ class TestDeterminism:
     def test_batch_kernel_matches_scalar(self, crash, scalar_engine):
         """The batch kernel serves the online device: idle windows,
         closed-loop traffic that drains between steps and cancels moves
-        mid-flight, windows opening with the kernel's mirrors resident
-        (polls are 300 ms apart) and, optionally, a crash mid-move.  Every
+        mid-flight, windows opening between kernel stretches (polls are
+        300 ms apart) and, optionally, a crash mid-move.  Every
         migration counter, table state and metric equals the scalar
         engine's."""
         burst = [hot_burst()]

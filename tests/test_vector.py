@@ -9,6 +9,8 @@ order changes the digest, so equality is the strongest equivalence
 statement the metrics layer can express.
 """
 
+import dataclasses
+import itertools
 import os
 import random
 
@@ -20,6 +22,7 @@ from repro.disk.disk import Disk
 from repro.disk.label import DiskLabel
 from repro.disk.models import disk_model
 from repro.driver.driver import AdaptiveDiskDriver
+from repro.driver.monitor import _SCOPES
 from repro.driver.ioctl import IoctlInterface
 from repro.driver.queue import make_queue
 from repro.driver.request import Op
@@ -103,8 +106,8 @@ class TestUnitEquivalence:
         assert kernel == scalar
 
     def test_long_stretch_without_a_flush(self, scalar_engine):
-        # Thousands of completions with nothing to decline: the kernel
-        # counts its histogram bucket logs midway, not only on flush.
+        # Thousands of completions with nothing to decline: the monitor
+        # counts its bucket-key logs midway, not only when read.
         make = lambda: [
             sequential_job(0.0, [b * 7 % 9000 for b in range(3000)], Op.READ, 0.5),
             batch_job(50.0, list(range(100, 9000, 13)), Op.WRITE),
@@ -224,10 +227,13 @@ def _faulty_device():
 
 
 def _traced_device():
-    from repro.obs import MetricsTracer
+    from repro.obs import Tracer
+
+    class LocalTracer(Tracer):
+        """Any tracer but ``NULL_TRACER`` keeps a device scalar."""
 
     driver, requests = _stock_device()
-    driver.tracer = MetricsTracer()
+    driver.tracer = LocalTracer()
     return driver, requests
 
 
@@ -262,7 +268,7 @@ class TestEngineChoosesTheKernel:
 
 
 def _device_fingerprint(driver) -> tuple:
-    """Everything the kernel mirrors for one device, read back live."""
+    """Everything the kernel writes for one device, read back live."""
     metrics = DayMetrics.from_tables(
         IoctlInterface(driver).read_stats(),
         driver.disk.model.seek,
@@ -369,7 +375,7 @@ FLEET_CASES = {
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("case", sorted(FLEET_CASES))
 def test_fast_matches_scalar(case, seed, scalar_engine):
-    """Per-device digests and mirrored state, ``events_dispatched`` and
+    """Per-device digests and device state, ``events_dispatched`` and
     completed-plus-absorbed counts agree between the kernel and the
     scalar engine — and the kernel absorbs every completion."""
     kernel, scalar = _kernel_and_scalar(
@@ -410,6 +416,91 @@ def test_randomized_equivalence_stress(seed, scalar_engine):
             overrides["policy"] = "online"
         kernel, scalar = _kernel_and_scalar_digests(scalar_engine, **overrides)
         assert kernel == scalar, f"digest divergence for {overrides}"
+
+
+def _tables_snapshot(stats) -> list:
+    """One scope's tables as plain values, field by field: a counter's
+    value, or a histogram's scalar fields and its buckets in insertion
+    order."""
+    snapshot = []
+    for table in dataclasses.fields(stats):
+        value = getattr(stats, table.name)
+        if isinstance(value, int):
+            snapshot.append((table.name, value))
+            continue
+        scalars = dict(vars(value))
+        buckets = list(scalars.pop("buckets").items())
+        snapshot.append((table.name, sorted(scalars.items()), buckets))
+    return snapshot
+
+
+def _observe_mid_run(seed):
+    """Everything a periodic callback sees of three devices on one heap:
+    two the kernel serves (one with a track buffer) and one it cannot
+    (an FCFS queue).  Every third fire also polls the monitor tables of
+    every device with ``read_and_clear``, as the reference stream
+    analyzer does."""
+    rng = random.Random(seed)
+    drivers = {}
+    jobs = {}
+    for index, (model_name, policy) in enumerate(
+        [("toshiba", "scan"), ("fujitsu", "scan"), ("toshiba", "fcfs")]
+    ):
+        model = disk_model(model_name)
+        label = DiskLabel(model.geometry, reserved_cylinders=48)
+        driver = AdaptiveDiskDriver(
+            disk=Disk(model), label=label, queue=make_queue(policy)
+        )
+        driver.request_monitor.capacity = 40  # suspends between polls
+        name = f"dev{index}"
+        drivers[name] = driver
+        jobs[name], __ = _random_jobs(rng, label, 30, think_zero=False)
+    simulation = Simulation(drivers=drivers)
+    for name, device_jobs in jobs.items():
+        simulation.add_jobs(device_jobs, device=name)
+    seen = []
+    fires = itertools.count(1)
+
+    def observe(now_ms):
+        poll = next(fires) % 3 == 0
+        for name, driver in drivers.items():
+            monitor = driver.perf_monitor
+            buffer = driver.disk._track_buffer
+            requests = driver.request_monitor
+            seen.append(
+                (
+                    now_ms,
+                    name,
+                    [_tables_snapshot(monitor.stats(s)) for s in _SCOPES],
+                    driver.disk.head_cylinder,
+                    driver.disk.accesses,
+                    None if buffer is None else (buffer.hits, buffer.misses),
+                    requests.recorded_count,
+                    requests.suspended_count,
+                )
+            )
+            if poll:
+                tables = monitor.read_and_clear()
+                seen.append(
+                    [_tables_snapshot(tables[s]) for s in _SCOPES]
+                    + [requests.read_and_clear()]
+                )
+
+    simulation.add_periodic(rng.uniform(9.0, 17.0), observe)
+    simulation.run()
+    return seen, simulation.absorbed_completions
+
+
+@pytest.mark.parametrize("seed", STRESS_SEEDS)
+def test_callback_sees_current_state_on_every_device(seed, scalar_engine):
+    """A callback between kernel stretches reads every device's monitor
+    tables, disk head, access count, track buffer and request table as
+    the scalar engine leaves them, and its ``read_and_clear`` polls reset
+    the tables the kernel goes on writing."""
+    kernel, scalar = _kernel_and_scalar(scalar_engine, _observe_mid_run, seed)
+    assert scalar[1] == 0 < kernel[1]
+    assert len(kernel[0]) > 30
+    assert kernel[0] == scalar[0]
 
 
 def test_finished_run_releases_its_devices():
