@@ -208,14 +208,8 @@ class AdaptiveDiskDriver:
         # The label always yields an in-range physical block, so the
         # cylinder is plain integer division (no re-validation).
         request.home_cylinder = physical // self._blocks_per_cylinder
-
-        reserved = self.block_table.reserved_of(physical)
-        if reserved >= 0:
-            request.target_block = reserved
-            request.redirected = True
-        else:
-            request.target_block = self._apply_cylinder_map(physical)
-            request.redirected = request.target_block != physical
+        target = request.target_block = self._route(physical)
+        request.redirected = target != physical
 
         self.request_monitor.record(request)
         self.perf_monitor.note_arrival(request)
@@ -253,13 +247,8 @@ class AdaptiveDiskDriver:
         """
         physical = self.label.virtual_to_physical_block(request.logical_block)
         request.physical_block = physical
-        reserved = self.block_table.reserved_of(physical)
-        if reserved >= 0:
-            request.target_block = reserved
-            request.redirected = True
-        else:
-            request.target_block = self._apply_cylinder_map(physical)
-            request.redirected = request.target_block != physical
+        target = request.target_block = self._route(physical)
+        request.redirected = target != physical
         return self._enqueue(request, now_ms, record=False)
 
     def _enqueue(
@@ -403,8 +392,12 @@ class AdaptiveDiskDriver:
         request.transfer_ms = breakdown.transfer_ms
         request.buffer_hit = breakdown.buffer_hit
 
-    def _apply_cylinder_map(self, physical_block: int) -> int:
-        """Remap a block through the cylinder permutation, if one is set."""
+    def _route(self, physical_block: int) -> int:
+        """The block that serves ``physical_block``: its reserved-area copy
+        if the block table holds one, else its cylinder-map target."""
+        reserved = self.block_table.reserved_of(physical_block)
+        if reserved >= 0:
+            return reserved
         if self.cylinder_map is None:
             return physical_block
         per_cyl = self.disk.geometry.blocks_per_cylinder
@@ -428,12 +421,7 @@ class AdaptiveDiskDriver:
         redirection exactly as the file system would.
         """
         physical = self.label.virtual_to_physical_block(logical_block)
-        reserved = self.block_table.reserved_of(physical)
-        if reserved >= 0:
-            target = reserved
-        else:
-            target = self._apply_cylinder_map(physical)
-        return self.disk.read_data(target)
+        return self.disk.read_data(self._route(physical))
 
     # ------------------------------------------------------------------
     # Block movement (DKIOCBCOPY / DKIOCCLEAN, Section 4.1.3)

@@ -19,11 +19,14 @@ Two independent facilities, both modelled on the paper's driver tables:
   and the combined stream.  Arrival-order distances are computed over the
   *home* (original, un-rearranged) cylinders so that on rearranged days the
   counterfactual still reflects "no block rearrangement" (Table 3).
-  The monitor owns the one layout of these tables: per scope a flat
-  counter list, a bucket-key log per histogram and the last arrival
-  cylinder.  The scalar driver writes it through the ``note_*`` methods
-  and the batch kernel (:mod:`repro.sim.vector`) writes the same lists
-  in place; :meth:`~PerformanceMonitor.stats` and
+  The monitor owns the one layout of these tables, private to this
+  module: per scope a flat counter list (ending in the last arrival
+  cylinder) and a bucket-key log per histogram.  Only
+  :meth:`~PerformanceMonitor.record_arrival` and
+  :meth:`~PerformanceMonitor.record_completion` write it — the scalar
+  driver reaches them through the checked ``note_*`` methods, the batch
+  kernel (:mod:`repro.sim.vector`) directly — and
+  :meth:`~PerformanceMonitor.stats` and
   :meth:`~PerformanceMonitor.read_and_clear` copy it out as
   :class:`ClassStats` with real histograms, as the paper's monitoring
   ioctl copies its tables out of the driver.
@@ -125,12 +128,13 @@ class FaultStats:
         self.day_errors = 0
 
 
-#: The per-scope layout both engines write.  Each scope's counter list
-#: holds the scalar fields of its histograms in this order — arrival_seek
-#: 0–1, scheduled_seek 2–3, service 4–7, queueing 8–11, rotation 12–15,
+#: The per-scope layout of the tables.  Each scope's counter list holds
+#: the scalar fields of its histograms in this order — arrival_seek 0–1,
+#: scheduled_seek 2–3, service 4–7, queueing 8–11, rotation 12–15,
 #: transfer 16–19 — then the counters of ``_COUNTERS``: requests 20,
-#: buffer_hits 21, errors 22, retries 23.  The bucket-key logs and bucket
-#: ``Counter`` objects of a scope follow the histogram order.
+#: buffer_hits 21, errors 22, retries 23 — and last the scope's last
+#: arrival cylinder, 24.  The bucket-key logs and bucket ``Counter``
+#: objects of a scope follow the histogram order.
 _TIME_FIELDS = ("count", "total_ms", "total_sq_ms", "max_ms")
 _HISTOGRAMS = (
     ("arrival_seek", DistanceHistogram, ("count", "total")),
@@ -143,14 +147,14 @@ _HISTOGRAMS = (
 _COUNTERS = ("requests", "buffer_hits", "errors", "retries")
 _EMPTY_SCOPE = tuple(
     getattr(kind(), name) for __, kind, names in _HISTOGRAMS for name in names
-) + (0,) * len(_COUNTERS)
+) + (0,) * len(_COUNTERS) + (None,)
 _SCOPES = ("all", "read", "write")
 """Scope order of the layout: the direction scope of a read is 1, of a
 write 2."""
 _BUCKET_LOG_LIMIT = 1024
-"""Logged completions after which a writer counts the bucket logs into
-their Counters even though no one read the tables (keeps the logs'
-memory small on long runs)."""
+"""Logged completions after which :meth:`PerformanceMonitor
+.record_completion` counts the bucket logs into their Counters even though
+no one read the tables (keeps the logs' memory small on long runs)."""
 
 
 class PerformanceMonitor:
@@ -158,23 +162,29 @@ class PerformanceMonitor:
 
     Call :meth:`note_arrival` when strategy receives a request (this feeds
     the arrival-order/FCFS seek-distance distribution) and
-    :meth:`note_completion` when the disk finishes it.
+    :meth:`note_completion` when the disk finishes it.  Both check the
+    request and hand its samples to :meth:`record_arrival` and
+    :meth:`record_completion`, the only code that writes the tables; the
+    batch kernel (:mod:`repro.sim.vector`), whose samples are correct by
+    construction, calls those two directly.
 
     The tables are one flat layout per scope (``_SCOPES``): a counter
-    list in the slot order above, one bucket-key log per histogram and
-    the scope's last arrival cylinder.  Writers append a sample's bucket
-    key to its log instead of incrementing the bucket ``Counter``; the
-    logs are counted in when they reach ``_BUCKET_LOG_LIMIT`` and
-    whenever the tables are read.  ``Counter.update`` on a list counts in
-    C and inserts new keys in first-occurrence order, the order
-    one-at-a-time increments would have inserted them, which the
-    metrics' float sums depend on.  The batch kernel
-    (:mod:`repro.sim.vector`) binds these lists once and writes them in
-    place; :meth:`read_and_clear` resets them in place, so those
-    bindings stay valid.
+    list in the slot order above and one bucket-key log per histogram.
+    A sample's bucket key is appended to its log instead of incrementing
+    the bucket ``Counter``; the logs are counted in when they reach
+    ``_BUCKET_LOG_LIMIT`` and whenever the tables are read.
+    ``Counter.update`` on a list counts in C and inserts new keys in
+    first-occurrence order, the order one-at-a-time increments would have
+    inserted them, which the metrics' float sums depend on.  Each sample
+    is written to the "all" scope first, then to its direction's, in the
+    same order that :meth:`TimeHistogram.record
+    <repro.stats.histogram.TimeHistogram.record>` and
+    :meth:`DistanceHistogram.record
+    <repro.stats.histogram.DistanceHistogram.record>` accumulate, so the
+    tables equal histograms fed one sample at a time.
     """
 
-    __slots__ = ("_counters", "_bucket_logs", "_buckets", "_last_arrival")
+    __slots__ = ("_counters", "_bucket_logs", "_buckets", "_by_class")
 
     def __init__(self) -> None:
         self._counters = tuple(list(_EMPTY_SCOPE) for __ in _SCOPES)
@@ -182,23 +192,16 @@ class PerformanceMonitor:
             tuple([] for __ in _HISTOGRAMS) for __ in _SCOPES
         )
         self._buckets = [[Counter() for __ in _HISTOGRAMS] for __ in _SCOPES]
-        self._last_arrival: list[int | None] = [None] * len(_SCOPES)
+        scopes = tuple(zip(self._counters, self._bucket_logs))
+        # The scopes a sample is written to, indexed by ``is_read``:
+        # "all", then the write or the read scope.
+        self._by_class = ((scopes[0], scopes[2]), (scopes[0], scopes[1]))
 
     def note_arrival(self, request: DiskRequest) -> None:
         home = request.home_cylinder
         if home is None:
             raise ValueError("request has no home cylinder; map it first")
-        last = self._last_arrival
-        for scope in (0, 1 if request.is_read else 2):
-            counters = self._counters[scope]
-            previous = last[scope]
-            if previous is not None:
-                distance = abs(home - previous)
-                self._bucket_logs[scope][0].append(distance)
-                counters[0] += 1
-                counters[1] += distance
-            last[scope] = home
-            counters[20] += 1
+        self.record_arrival(home, request.is_read)
 
     def note_completion(self, request: DiskRequest) -> None:
         distance = request.seek_distance
@@ -216,40 +219,72 @@ class PerformanceMonitor:
             or (transfer is not None and transfer < 0)
         ):
             raise ValueError(f"negative sample in completed request {request}")
-        distance = int(distance)
-        for scope in (0, 1 if request.is_read else 2):
-            m = self._counters[scope]
-            logs = self._bucket_logs[scope]
+        self.record_completion(
+            int(distance),
+            service,
+            queueing,
+            rotation,
+            transfer,
+            request.buffer_hit,
+            request.is_read,
+        )
+
+    def record_arrival(self, home: int, is_read: bool) -> None:
+        """Write one arrival at home cylinder ``home`` (unchecked)."""
+        for counters, logs in self._by_class[is_read]:
+            previous = counters[24]
+            if previous is not None:
+                distance = abs(home - previous)
+                logs[0].append(distance)
+                counters[0] += 1
+                counters[1] += distance
+            counters[24] = home
+            counters[20] += 1
+
+    def record_completion(
+        self,
+        distance: int,
+        service_ms: float,
+        queueing_ms: float,
+        rotation_ms: float | None,
+        transfer_ms: float | None,
+        buffer_hit: bool,
+        is_read: bool,
+    ) -> None:
+        """Write one completion's samples (unchecked: ``distance`` whole
+        cylinders, no sample negative; ``None`` rotation or transfer is
+        not recorded)."""
+        for m, logs in self._by_class[is_read]:
             logs[1].append(distance)
             m[2] += 1
             m[3] += distance
-            logs[2].append(int(service))
+            logs[2].append(int(service_ms))
             m[4] += 1
-            m[5] += service
-            m[6] += service * service
-            if service > m[7]:
-                m[7] = service
-            logs[3].append(int(queueing))
+            m[5] += service_ms
+            m[6] += service_ms * service_ms
+            if service_ms > m[7]:
+                m[7] = service_ms
+            logs[3].append(int(queueing_ms))
             m[8] += 1
-            m[9] += queueing
-            m[10] += queueing * queueing
-            if queueing > m[11]:
-                m[11] = queueing
-            if rotation is not None:
-                logs[4].append(int(rotation))
+            m[9] += queueing_ms
+            m[10] += queueing_ms * queueing_ms
+            if queueing_ms > m[11]:
+                m[11] = queueing_ms
+            if rotation_ms is not None:
+                logs[4].append(int(rotation_ms))
                 m[12] += 1
-                m[13] += rotation
-                m[14] += rotation * rotation
-                if rotation > m[15]:
-                    m[15] = rotation
-            if transfer is not None:
-                logs[5].append(int(transfer))
+                m[13] += rotation_ms
+                m[14] += rotation_ms * rotation_ms
+                if rotation_ms > m[15]:
+                    m[15] = rotation_ms
+            if transfer_ms is not None:
+                logs[5].append(int(transfer_ms))
                 m[16] += 1
-                m[17] += transfer
-                m[18] += transfer * transfer
-                if transfer > m[19]:
-                    m[19] = transfer
-            if request.buffer_hit:
+                m[17] += transfer_ms
+                m[18] += transfer_ms * transfer_ms
+                if transfer_ms > m[19]:
+                    m[19] = transfer_ms
+            if buffer_hit:
                 m[21] += 1
         if len(self._bucket_logs[0][1]) >= _BUCKET_LOG_LIMIT:
             self.count_buckets()
@@ -303,5 +338,4 @@ class PerformanceMonitor:
         for counters in self._counters:
             counters[:] = _EMPTY_SCOPE
         self._buckets = [[Counter() for __ in _HISTOGRAMS] for __ in _SCOPES]
-        self._last_arrival[:] = [None] * len(_SCOPES)
         return tables

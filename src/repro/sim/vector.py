@@ -49,26 +49,25 @@ The kernel is two pieces behind a short :meth:`BatchPlanner.absorb`:
   service breakdown filled in, with its ``DeviceComplete`` scheduled.  A
   ``DeviceComplete`` at the head of the heap enters the same loop.
 
-Two implementation decisions carry the throughput:
+Two implementation decisions shape the kernel:
 
 * **Per-device contexts** (:class:`_DeviceContext`).  Typical stretches are
   short — a closed-loop session is a handful of requests — so re-binding
-  label geometry, seek tables and the monitor's statistics lists on every
+  label geometry, seek tables and the monitors' write methods on every
   stretch would dominate.  The planner binds them once per device.
 
-* **Inlined statistics, written in place.**  The kernel keeps no copy of
-  any device state.  :class:`~repro.driver.monitor.PerformanceMonitor`
-  owns one flat layout of its tables — per scope a counter list, a
-  bucket-key log per histogram and the last arrival cylinder — and the
-  kernel writes those very lists: it folds counts, sums and maxima into
-  the counter lists and appends each bucket key to its log, which the
-  monitor counts into the bucket ``Counter`` when a log grows long and
-  whenever the tables are read.  The slot order is the monitor's; the
-  accumulation order per histogram is the scalar order, so the metrics
-  are bit-identical.  ``_serve`` copies the disk head, access count and
-  track-buffer interval and counters into locals at entry and writes
-  them back to the disk and track buffer at exit, so every scalar
-  handler, callback and reader finds the live objects current.
+* **No copy of any device state.**  The kernel records through the
+  monitors' own write methods, the very code the scalar driver's checked
+  ``note_*`` path ends in: :meth:`RequestMonitor.record
+  <repro.driver.monitor.RequestMonitor.record>` and
+  :meth:`~repro.driver.monitor.PerformanceMonitor.record_arrival` per
+  arrival, :meth:`~repro.driver.monitor.PerformanceMonitor
+  .record_completion` per completion.  The monitor's table layout stays
+  private to it, and the metrics are bit-identical because both engines
+  run one accumulation.  ``_serve`` copies the disk head, access count
+  and track-buffer interval and counters into locals at entry and
+  writes them back to the disk and track buffer at exit, so every
+  scalar handler, callback and reader finds the live objects current.
 
 Fallback points — the planner declines (returns 0 absorbed events) and the
 scalar engine dispatches normally — are:
@@ -118,7 +117,7 @@ import math
 from typing import TYPE_CHECKING
 
 from ..driver.driver import AdaptiveDiskDriver
-from ..driver.monitor import _BUCKET_LOG_LIMIT, PerformanceMonitor, RequestMonitor
+from ..driver.monitor import PerformanceMonitor, RequestMonitor
 from ..driver.queue import ScanQueue
 from ..driver.request import DiskRequest, Op
 from ..obs.tracer import NULL_TRACER
@@ -133,12 +132,10 @@ _ABSORBED = (StepIssue, JobStart, DeviceComplete)
 
 
 class _DeviceContext:
-    """Bound constants and monitor tables for one device.
+    """Bound constants and monitor write methods for one device.
 
-    The statistics lists are the performance monitor's own (see
-    :class:`~repro.driver.monitor.PerformanceMonitor` for the slot order
-    of ``am``/``rmm``/``wmm``); its ``read_and_clear`` resets them in
-    place, so they are bound once.
+    The monitors' ``read_and_clear`` leave the monitor objects in place,
+    so their bound write methods stay valid for the whole run.
     """
 
     __slots__ = (
@@ -147,8 +144,9 @@ class _DeviceContext:
         "disk",
         "queue",
         "q_entries",
-        "rm",
-        "pm",
+        "record_request",
+        "record_arrival",
+        "record_completion",
         "to_physical",
         "reserved_of",
         "mark_dirty",
@@ -165,16 +163,6 @@ class _DeviceContext:
         "b_cap",
         "b_ht",
         "b_holes",
-        # the monitor's counter lists, bucket-key log appends and arrival
-        # chain (all / read / write), and the log its limit is checked on
-        "am",
-        "rmm",
-        "wmm",
-        "a_b",
-        "r_b",
-        "w_b",
-        "last",
-        "limit_log",
     )
 
     def __init__(self, state: "DeviceState") -> None:
@@ -185,8 +173,9 @@ class _DeviceContext:
         self.disk = disk
         self.queue = driver.queue
         self.q_entries = driver.queue._entries
-        self.rm = driver.request_monitor
-        pm = self.pm = driver.perf_monitor
+        self.record_request = driver.request_monitor.record
+        self.record_arrival = driver.perf_monitor.record_arrival
+        self.record_completion = driver.perf_monitor.record_completion
         self.to_physical = driver.label.virtual_to_physical_block
         self.reserved_of = driver.block_table.reserved_of
         self.mark_dirty = driver.block_table.mark_dirty
@@ -203,12 +192,6 @@ class _DeviceContext:
         self.b_cap = buf._capacity_blocks if buf is not None else 0
         self.b_ht = buf.host_transfer_ms if buf is not None else 0.0
         self.b_holes = buf._holes if buf is not None else None
-        self.am, self.rmm, self.wmm = pm._counters
-        self.a_b, self.r_b, self.w_b = (
-            tuple(log.append for log in logs) for logs in pm._bucket_logs
-        )
-        self.last = pm._last_arrival
-        self.limit_log = pm._bucket_logs[0][1]
 
 
 class BatchPlanner:
@@ -336,8 +319,8 @@ class BatchPlanner:
 
         Maps the block through the label (which raises on an address
         outside the device, as the scalar path does) and the block table,
-        records the arrival in the request table and the monitor's
-        arrival-seek tables, and registers a closed-loop follow-up.
+        records the arrival in the request table and the performance
+        monitor, and registers a closed-loop follow-up.
         """
         step = job.steps[index]
         lb = step.logical_block
@@ -352,36 +335,8 @@ class BatchPlanner:
             request.redirected = True
         else:
             request.target_block = physical
-        is_read = step.op is READ_OP
-        rm = ctx.rm
-        table = rm._table
-        if len(table) >= rm.capacity:
-            rm.suspended_count += 1
-        else:
-            table.append(lb)
-            rm.recorded_count += 1
-        am = ctx.am
-        chain = ctx.last
-        last = chain[0]
-        if last is not None:
-            d = abs(home - last)
-            ctx.a_b[0](d)
-            am[0] += 1
-            am[1] += d
-        chain[0] = home
-        if is_read:
-            dm, buckets, last = ctx.rmm, ctx.r_b[0], chain[1]
-            chain[1] = home
-        else:
-            dm, buckets, last = ctx.wmm, ctx.w_b[0], chain[2]
-            chain[2] = home
-        if last is not None:
-            d = abs(home - last)
-            buckets(d)
-            dm[0] += 1
-            dm[1] += d
-        am[20] += 1
-        dm[20] += 1
+        ctx.record_request(request)
+        ctx.record_arrival(home, step.op is READ_OP)
         if job.sequential and index + 1 < len(job.steps):
             self.sim._waiting_jobs[request.request_id] = (job, index + 1, device)
         return request
@@ -430,9 +385,7 @@ class BatchPlanner:
             b_ht = ctx.b_ht
             b_hits = buf.hits
             b_misses = buf.misses
-        all_scope = (ctx.am, ctx.a_b)
-        read_scopes = (all_scope, (ctx.rmm, ctx.r_b))
-        write_scopes = (all_scope, (ctx.wmm, ctx.w_b))
+        record_completion = ctx.record_completion
         READ = READ_OP
         queue = ctx.queue
         q_entries = ctx.q_entries
@@ -517,45 +470,17 @@ class BatchPlanner:
                     handed_back = True
                     break
 
-            # Complete `req` at `f` (PerformanceMonitor.note_completion,
-            # inlined, in the monitor's slot order): the "all" scope, then
-            # the request's class.
-            sv = f - t
-            qv = t - req.arrival_ms
-            bsv = int(sv)
-            bqv = int(qv)
-            bro = int(rotation_ms)
-            btr = int(transfer_ms)
-            for m, b in read_scopes if is_read else write_scopes:
-                b[1](distance)
-                m[2] += 1
-                m[3] += distance
-                b[2](bsv)
-                m[4] += 1
-                m[5] += sv
-                m[6] += sv * sv
-                if sv > m[7]:
-                    m[7] = sv
-                b[3](bqv)
-                m[8] += 1
-                m[9] += qv
-                m[10] += qv * qv
-                if qv > m[11]:
-                    m[11] = qv
-                b[4](bro)
-                m[12] += 1
-                m[13] += rotation_ms
-                m[14] += rotation_ms * rotation_ms
-                if rotation_ms > m[15]:
-                    m[15] = rotation_ms
-                b[5](btr)
-                m[16] += 1
-                m[17] += transfer_ms
-                m[18] += transfer_ms * transfer_ms
-                if transfer_ms > m[19]:
-                    m[19] = transfer_ms
-                if hit:
-                    m[21] += 1
+            # Complete `req` at `f` (the monitor's share of
+            # PerformanceMonitor.note_completion).
+            record_completion(
+                distance,
+                f - t,
+                t - req.arrival_ms,
+                rotation_ms,
+                transfer_ms,
+                hit,
+                is_read,
+            )
             completions += 1
             now = f
 
@@ -602,8 +527,6 @@ class BatchPlanner:
         events.now_ms = now
         sim.absorbed_completions += completions
         state.outstanding += follow_ups - completions
-        if len(ctx.limit_log) >= _BUCKET_LOG_LIMIT:
-            ctx.pm.count_buckets()
         if handed_back:
             sim._schedule_completion(state, f)
         return completions + follow_ups

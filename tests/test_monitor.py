@@ -1,10 +1,12 @@
 """Tests for repro.driver.monitor — request and performance monitoring."""
 
 import copy
+import os
+import random
 
 import pytest
 
-from repro.driver.monitor import PerformanceMonitor, RequestMonitor
+from repro.driver.monitor import ClassStats, PerformanceMonitor, RequestMonitor
 from repro.driver.request import DiskRequest, Op, read_request, write_request
 
 
@@ -180,3 +182,129 @@ class TestReadAndClear:
     def test_unknown_scope(self):
         with pytest.raises(KeyError):
             PerformanceMonitor().stats("meta")
+
+
+STRESS_SEEDS = [11, 23, 37]
+if os.environ.get("VECTOR_STRESS_SEED"):
+    # CI runs extra pinned seeds; a failure reproduces with
+    # ``VECTOR_STRESS_SEED=<n>``.
+    STRESS_SEEDS.append(int(os.environ["VECTOR_STRESS_SEED"]))
+
+
+class _ReferenceTables:
+    """The monitor's tables rebuilt one sample at a time with
+    ``TimeHistogram.record`` and ``DistanceHistogram.record``."""
+
+    def __init__(self):
+        self.scopes = {scope: ClassStats() for scope in ("all", "read", "write")}
+        self.last = dict.fromkeys(self.scopes)
+
+    def arrival(self, request):
+        for scope in ("all", "read" if request.is_read else "write"):
+            stats = self.scopes[scope]
+            if self.last[scope] is not None:
+                stats.arrival_seek.record(
+                    abs(request.home_cylinder - self.last[scope])
+                )
+            self.last[scope] = request.home_cylinder
+            stats.requests += 1
+
+    def completion(self, request):
+        for scope in ("all", "read" if request.is_read else "write"):
+            stats = self.scopes[scope]
+            stats.scheduled_seek.record(request.seek_distance)
+            stats.service.record(request.service_ms)
+            stats.queueing.record(request.queueing_ms)
+            if request.rotation_ms is not None:
+                stats.rotation.record(request.rotation_ms)
+            if request.transfer_ms is not None:
+                stats.transfer.record(request.transfer_ms)
+            if request.buffer_hit:
+                stats.buffer_hits += 1
+
+
+def _assert_tables_equal(got, want):
+    assert got.requests == want.requests
+    assert got.buffer_hits == want.buffer_hits
+    for name in ("arrival_seek", "scheduled_seek"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.count, a.total) == (b.count, b.total), name
+        assert list(a.buckets.items()) == list(b.buckets.items()), name
+    for name in ("service", "queueing", "rotation", "transfer"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.count, a.total_ms, a.total_sq_ms, a.max_ms) == (
+            b.count,
+            b.total_ms,
+            b.total_sq_ms,
+            b.max_ms,
+        ), name
+        assert list(a.buckets.items()) == list(b.buckets.items()), name
+
+
+def _random_request(rng, block, clock):
+    request = DiskRequest(
+        logical_block=block,
+        op=Op.READ if rng.random() < 0.6 else Op.WRITE,
+        arrival_ms=clock,
+    )
+    request.home_cylinder = rng.randrange(1000)
+    request.submit_ms = clock + rng.expovariate(0.1)
+    request.complete_ms = request.submit_ms + rng.uniform(0.0, 40.0)
+    # Trace replay may carry a fractional distance; the tables keep
+    # whole cylinders.
+    request.seek_distance = rng.randrange(1000) + rng.choice((0, 0, 0.5))
+    request.rotation_ms = None if rng.random() < 0.1 else rng.uniform(0, 16.7)
+    request.transfer_ms = None if rng.random() < 0.1 else rng.uniform(0.1, 2)
+    request.buffer_hit = rng.random() < 0.2
+    return request
+
+
+@pytest.mark.parametrize("seed", STRESS_SEEDS)
+def test_tables_match_histograms_recorded_one_sample_at_a_time(
+    seed, monkeypatch
+):
+    """Oracle: the monitor's flat tables equal per-scope histograms fed
+    with ``record``, in every field and in bucket key order, across the
+    bucket-log limit and a ``read_and_clear`` that restarts the arrival
+    chains."""
+    counted = []
+    count_buckets = PerformanceMonitor.count_buckets
+
+    def counting(monitor):
+        counted.append(True)
+        count_buckets(monitor)
+
+    monkeypatch.setattr(PerformanceMonitor, "count_buckets", counting)
+    rng = random.Random(seed)
+    monitor = PerformanceMonitor()
+    reference = _ReferenceTables()
+    pending = []
+    clock = 0.0
+    completions = 0
+    for block in range(4000):
+        clock += rng.expovariate(0.5)
+        request = _random_request(rng, block, clock)
+        monitor.note_arrival(request)
+        reference.arrival(request)
+        pending.append(request)
+        while pending and rng.random() < 0.55:
+            done = pending.pop(rng.randrange(len(pending)))
+            monitor.note_completion(done)
+            reference.completion(done)
+            completions += 1
+        if block == 2000:
+            # Past the bucket-log limit with no read yet: the logs were
+            # counted in by the writes themselves.
+            assert completions > 1024 and counted
+            tables = monitor.read_and_clear()
+            for scope, want in reference.scopes.items():
+                _assert_tables_equal(tables[scope], want)
+            reference = _ReferenceTables()
+    for done in pending:
+        monitor.note_completion(done)
+        reference.completion(done)
+    for scope, want in reference.scopes.items():
+        assert 0 < want.rotation.count < want.scheduled_seek.count
+        assert 0 < want.transfer.count < want.scheduled_seek.count
+        assert want.buffer_hits > 0
+        _assert_tables_equal(monitor.stats(scope), want)
