@@ -20,22 +20,27 @@ Two independent facilities, both modelled on the paper's driver tables:
   *home* (original, un-rearranged) cylinders so that on rearranged days the
   counterfactual still reflects "no block rearrangement" (Table 3).
   The monitor owns the one layout of these tables, private to this
-  module: per scope a flat counter list (ending in the last arrival
-  cylinder) and a bucket-key log per histogram.  Only
-  :meth:`~PerformanceMonitor.record_arrival` and
+  module.  Only :meth:`~PerformanceMonitor.record_arrival` and
   :meth:`~PerformanceMonitor.record_completion` write it — the scalar
   driver reaches them through the checked ``note_*`` methods, the batch
-  kernel (:mod:`repro.sim.vector`) directly — and
+  kernel (:mod:`repro.sim.vector`) directly.  They append each raw
+  sample once to typed columns, and :meth:`~PerformanceMonitor.fold`
+  computes the tables from the columns in bulk: per scope a flat counter
+  list and one bucket ``Counter`` per histogram.
   :meth:`~PerformanceMonitor.stats` and
-  :meth:`~PerformanceMonitor.read_and_clear` copy it out as
-  :class:`ClassStats` with real histograms, as the paper's monitoring
-  ioctl copies its tables out of the driver.
+  :meth:`~PerformanceMonitor.read_and_clear` fold, then copy the tables
+  out as :class:`ClassStats` with real histograms, as the paper's
+  monitoring ioctl copies its tables out of the driver.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..stats.histogram import DistanceHistogram, TimeHistogram
 from .request import DiskRequest
@@ -132,9 +137,8 @@ class FaultStats:
 #: the scalar fields of its histograms in this order — arrival_seek 0–1,
 #: scheduled_seek 2–3, service 4–7, queueing 8–11, rotation 12–15,
 #: transfer 16–19 — then the counters of ``_COUNTERS``: requests 20,
-#: buffer_hits 21, errors 22, retries 23 — and last the scope's last
-#: arrival cylinder, 24.  The bucket-key logs and bucket ``Counter``
-#: objects of a scope follow the histogram order.
+#: buffer_hits 21, errors 22, retries 23.  The bucket ``Counter`` objects
+#: of a scope follow the histogram order.
 _TIME_FIELDS = ("count", "total_ms", "total_sq_ms", "max_ms")
 _HISTOGRAMS = (
     ("arrival_seek", DistanceHistogram, ("count", "total")),
@@ -147,14 +151,24 @@ _HISTOGRAMS = (
 _COUNTERS = ("requests", "buffer_hits", "errors", "retries")
 _EMPTY_SCOPE = tuple(
     getattr(kind(), name) for __, kind, names in _HISTOGRAMS for name in names
-) + (0,) * len(_COUNTERS) + (None,)
+) + (0,) * len(_COUNTERS)
 _SCOPES = ("all", "read", "write")
 """Scope order of the layout: the direction scope of a read is 1, of a
 write 2."""
-_BUCKET_LOG_LIMIT = 1024
-"""Logged completions after which :meth:`PerformanceMonitor
-.record_completion` counts the bucket logs into their Counters even though
-no one read the tables (keeps the logs' memory small on long runs)."""
+_NAN = math.nan
+"""The column value of a rotation or transfer time that was not
+recorded."""
+_SUM_SLOTS = (5, 9, 13, 17, 6, 10, 14, 18)
+"""The totals of the service, queueing, rotation and transfer times,
+then their sums of squares."""
+_MAX_SLOTS = (7, 11, 15, 19)
+"""The max of the service, queueing, rotation and transfer times."""
+FOLD_LIMIT = 2048
+"""Samples a column holds before :meth:`PerformanceMonitor.fold` empties
+it into the tables even though no one read them: enough to spread a
+fold's fixed cost, some eighty numpy calls, thin; few enough that the
+columns and a fold's temporary arrays stay within a few hundred
+kilobytes."""
 
 
 class PerformanceMonitor:
@@ -168,34 +182,71 @@ class PerformanceMonitor:
     batch kernel (:mod:`repro.sim.vector`), whose samples are correct by
     construction, calls those two directly.
 
-    The tables are one flat layout per scope (``_SCOPES``): a counter
-    list in the slot order above and one bucket-key log per histogram.
-    A sample's bucket key is appended to its log instead of incrementing
-    the bucket ``Counter``; the logs are counted in when they reach
-    ``_BUCKET_LOG_LIMIT`` and whenever the tables are read.
-    ``Counter.update`` on a list counts in C and inserts new keys in
-    first-occurrence order, the order one-at-a-time increments would have
-    inserted them, which the metrics' float sums depend on.  Each sample
-    is written to the "all" scope first, then to its direction's, in the
-    same order that :meth:`TimeHistogram.record
+    The write methods append each sample once, whatever its scope, to
+    typed columns: the home cylinder and direction of each arrival, and
+    the seek distance, service, queueing, rotation and transfer times,
+    buffer hit and direction of each completion (a ``None`` rotation or
+    transfer is stored as NaN).  :meth:`fold` empties the columns into
+    the tables — per scope (``_SCOPES``) a counter list in the slot
+    order above and one bucket ``Counter`` per histogram — when a column
+    reaches ``FOLD_LIMIT`` samples and whenever the tables are read.  A
+    fold gives the tables the exact values that
+    :meth:`TimeHistogram.record
     <repro.stats.histogram.TimeHistogram.record>` and
     :meth:`DistanceHistogram.record
-    <repro.stats.histogram.DistanceHistogram.record>` accumulate, so the
-    tables equal histograms fed one sample at a time.
+    <repro.stats.histogram.DistanceHistogram.record>` fed one sample at a
+    time would hold:
+
+    * the "all" scope is the whole column and the read and write scopes
+      are its masked subsequences, so each scope keeps arrival (or
+      completion) order;
+    * float totals and sums of squares come from ``np.add.accumulate``
+      seeded with the running value, the same left-to-right sequence of
+      roundings as ``+=`` (``np.sum`` is pairwise and Python 3.12's
+      ``sum()`` compensated, so neither would do);
+    * a NaN sample adds 0.0 to the sums, which leaves a running total
+      that is at least +0.0 unchanged, and is left out of the counts and
+      buckets;
+    * bucket keys are truncated to integers and counted with
+      ``Counter.update`` on a list, which counts in C and inserts new
+      keys in first-occurrence order, the order the metrics' float sums
+      over buckets depend on;
+    * arrival distances are the absolute differences of each scope's
+      home cylinders, the last home carried from fold to fold until
+      :meth:`read_and_clear` restarts the chains.
     """
 
-    __slots__ = ("_counters", "_bucket_logs", "_buckets", "_by_class")
+    __slots__ = (
+        "_homes",
+        "_arrival_reads",
+        "_distances",
+        "_services",
+        "_queueings",
+        "_rotations",
+        "_transfers",
+        "_hits",
+        "_reads",
+        "_last_homes",
+        "_counters",
+        "_buckets",
+    )
 
     def __init__(self) -> None:
+        self._empty_columns()
+        self._last_homes = [None, None, None]
         self._counters = tuple(list(_EMPTY_SCOPE) for __ in _SCOPES)
-        self._bucket_logs = tuple(
-            tuple([] for __ in _HISTOGRAMS) for __ in _SCOPES
-        )
         self._buckets = [[Counter() for __ in _HISTOGRAMS] for __ in _SCOPES]
-        scopes = tuple(zip(self._counters, self._bucket_logs))
-        # The scopes a sample is written to, indexed by ``is_read``:
-        # "all", then the write or the read scope.
-        self._by_class = ((scopes[0], scopes[2]), (scopes[0], scopes[1]))
+
+    def _empty_columns(self) -> None:
+        self._homes = array("q")
+        self._arrival_reads = bytearray()
+        self._distances = array("q")
+        self._services = array("d")
+        self._queueings = array("d")
+        self._rotations = array("d")
+        self._transfers = array("d")
+        self._hits = bytearray()
+        self._reads = bytearray()
 
     def note_arrival(self, request: DiskRequest) -> None:
         home = request.home_cylinder
@@ -231,15 +282,11 @@ class PerformanceMonitor:
 
     def record_arrival(self, home: int, is_read: bool) -> None:
         """Write one arrival at home cylinder ``home`` (unchecked)."""
-        for counters, logs in self._by_class[is_read]:
-            previous = counters[24]
-            if previous is not None:
-                distance = abs(home - previous)
-                logs[0].append(distance)
-                counters[0] += 1
-                counters[1] += distance
-            counters[24] = home
-            counters[20] += 1
+        homes = self._homes
+        homes.append(home)
+        self._arrival_reads.append(is_read)
+        if len(homes) >= FOLD_LIMIT:
+            self.fold()
 
     def record_completion(
         self,
@@ -254,40 +301,16 @@ class PerformanceMonitor:
         """Write one completion's samples (unchecked: ``distance`` whole
         cylinders, no sample negative; ``None`` rotation or transfer is
         not recorded)."""
-        for m, logs in self._by_class[is_read]:
-            logs[1].append(distance)
-            m[2] += 1
-            m[3] += distance
-            logs[2].append(int(service_ms))
-            m[4] += 1
-            m[5] += service_ms
-            m[6] += service_ms * service_ms
-            if service_ms > m[7]:
-                m[7] = service_ms
-            logs[3].append(int(queueing_ms))
-            m[8] += 1
-            m[9] += queueing_ms
-            m[10] += queueing_ms * queueing_ms
-            if queueing_ms > m[11]:
-                m[11] = queueing_ms
-            if rotation_ms is not None:
-                logs[4].append(int(rotation_ms))
-                m[12] += 1
-                m[13] += rotation_ms
-                m[14] += rotation_ms * rotation_ms
-                if rotation_ms > m[15]:
-                    m[15] = rotation_ms
-            if transfer_ms is not None:
-                logs[5].append(int(transfer_ms))
-                m[16] += 1
-                m[17] += transfer_ms
-                m[18] += transfer_ms * transfer_ms
-                if transfer_ms > m[19]:
-                    m[19] = transfer_ms
-            if buffer_hit:
-                m[21] += 1
-        if len(self._bucket_logs[0][1]) >= _BUCKET_LOG_LIMIT:
-            self.count_buckets()
+        self._distances.append(distance)
+        self._services.append(service_ms)
+        self._queueings.append(queueing_ms)
+        self._rotations.append(_NAN if rotation_ms is None else rotation_ms)
+        self._transfers.append(_NAN if transfer_ms is None else transfer_ms)
+        self._hits.append(buffer_hit)
+        reads = self._reads
+        reads.append(is_read)
+        if len(reads) >= FOLD_LIMIT:
+            self.fold()
 
     def note_fault(self, is_read: bool) -> None:
         """Count one injected device error against the request classes."""
@@ -299,13 +322,90 @@ class PerformanceMonitor:
         self._counters[0][23] += 1
         self._counters[1 if is_read else 2][23] += 1
 
-    def count_buckets(self) -> None:
-        """Count the logged bucket keys into the bucket Counters."""
-        for logs, counters in zip(self._bucket_logs, self._buckets):
-            for keys, counter in zip(logs, counters):
-                if keys:
-                    counter.update(keys)
-                    keys.clear()
+    def fold(self) -> None:
+        """Fold the sample columns into the tables and empty them."""
+        if self._homes:
+            self._fold_arrivals()
+        if self._reads:
+            self._fold_completions()
+        self._empty_columns()
+
+    def _fold_arrivals(self) -> None:
+        homes = np.frombuffer(self._homes, np.int64)
+        reads = np.frombuffer(self._arrival_reads, np.bool_)
+        for scope, chain in enumerate((homes, homes[reads], homes[~reads])):
+            if not len(chain):
+                continue
+            counters = self._counters[scope]
+            counters[20] += len(chain)
+            last = self._last_homes[scope]
+            if last is not None:
+                chain = np.concatenate(((last,), chain))
+            self._last_homes[scope] = int(chain[-1])
+            distances = np.abs(chain[1:] - chain[:-1]).tolist()
+            if distances:
+                counters[0] += len(distances)
+                counters[1] += sum(distances)
+                self._buckets[scope][0].update(distances)
+
+    def _fold_completions(self) -> None:
+        # Rows: 0 the scheduled seek distance; 1-4 the service, queueing,
+        # rotation and transfer times; 5-8 their squares; 9-11 the buffer
+        # hit, rotation recorded and transfer recorded flags (1.0 or 0.0).
+        # Column 0 holds the running values of the scope being folded,
+        # then one column per completion.
+        rows = np.empty((12, len(self._reads) + 1))
+        samples = rows[:, 1:]
+        samples[0] = np.frombuffer(self._distances, np.int64)
+        samples[1] = np.frombuffer(self._services)
+        samples[2] = np.frombuffer(self._queueings)
+        samples[3] = np.frombuffer(self._rotations)
+        samples[4] = np.frombuffer(self._transfers)
+        recorded = ~np.isnan(samples[3:5])
+        # A NaN's stand-in 0.0 leaves the sums alone and never beats a
+        # max, which starts at 0.0.
+        samples[3:5][~recorded] = 0.0
+        np.multiply(samples[1:5], samples[1:5], out=samples[5:9])
+        samples[9] = np.frombuffer(self._hits, np.bool_)
+        samples[10:12] = recorded
+        # The columns of the read and of the write scope, column 0 kept.
+        reads = np.empty(rows.shape[1], np.bool_)
+        reads[1:] = np.frombuffer(self._reads, np.bool_)
+        writes = ~reads
+        reads[0] = writes[0] = True
+        # The "all" scope comes last, so that it may accumulate in place.
+        for index, columns in ((1, reads), (2, writes), (0, None)):
+            counters = self._counters[index]
+            # Rows 1-8 continue from the tables' float totals; the
+            # distance and flag sums (exact integers) start from zero.
+            running = map(counters.__getitem__, _SUM_SLOTS)
+            rows[:, 0] = [0.0, *running, 0.0, 0.0, 0.0]
+            scope = rows if columns is None else rows.compress(columns, axis=1)
+            n = scope.shape[1] - 1
+            if not n:
+                continue
+            peaks = np.maximum.reduce(scope[1:5, 1:], axis=1).tolist()
+            # Bucket keys: the whole cylinders or milliseconds of the
+            # distance and the four times, of recorded samples only.
+            for row, counter in enumerate(self._buckets[index][1:]):
+                keys = scope[row, 1:]
+                if row > 2:
+                    keys = keys[scope[row + 7, 1:] > 0.0]
+                counter.update(keys.astype(np.int64).tolist())
+            sums = np.add.accumulate(scope, axis=1, out=scope)[:, -1].tolist()
+            distance_total, *totals, hits, rotations, transfers = sums
+            counters[2] += n
+            counters[3] += int(distance_total)
+            counters[4] += n
+            counters[8] += n
+            counters[12] += int(rotations)
+            counters[16] += int(transfers)
+            counters[21] += int(hits)
+            for slot, total in zip(_SUM_SLOTS, totals):
+                counters[slot] = total
+            for slot, peak in zip(_MAX_SLOTS, peaks):
+                if peak > counters[slot]:
+                    counters[slot] = peak
 
     def _class_stats(self, scope: int, buckets: list[Counter]) -> ClassStats:
         """Copy one scope out of the layout into a :class:`ClassStats`."""
@@ -323,19 +423,20 @@ class PerformanceMonitor:
                 f"unknown scope {scope!r}; use 'all', 'read' or 'write'"
             )
         index = _SCOPES.index(scope)
-        self.count_buckets()
+        self.fold()
         return self._class_stats(
             index, [Counter(counter) for counter in self._buckets[index]]
         )
 
     def read_and_clear(self) -> dict[str, ClassStats]:
         """The ioctl semantics: copy the tables out and reset them."""
-        self.count_buckets()
+        self.fold()
         tables = {
             scope: self._class_stats(index, self._buckets[index])
             for index, scope in enumerate(_SCOPES)
         }
         for counters in self._counters:
             counters[:] = _EMPTY_SCOPE
+        self._last_homes = [None, None, None]
         self._buckets = [[Counter() for __ in _HISTOGRAMS] for __ in _SCOPES]
         return tables

@@ -4,9 +4,15 @@ import copy
 import os
 import random
 
+import numpy as np
 import pytest
 
-from repro.driver.monitor import ClassStats, PerformanceMonitor, RequestMonitor
+from repro.driver.monitor import (
+    FOLD_LIMIT,
+    ClassStats,
+    PerformanceMonitor,
+    RequestMonitor,
+)
 from repro.driver.request import DiskRequest, Op, read_request, write_request
 
 
@@ -184,6 +190,7 @@ class TestReadAndClear:
             PerformanceMonitor().stats("meta")
 
 
+_SCOPES = ("all", "read", "write")
 STRESS_SEEDS = [11, 23, 37]
 if os.environ.get("VECTOR_STRESS_SEED"):
     # CI runs extra pinned seeds; a failure reproduces with
@@ -196,7 +203,7 @@ class _ReferenceTables:
     ``TimeHistogram.record`` and ``DistanceHistogram.record``."""
 
     def __init__(self):
-        self.scopes = {scope: ClassStats() for scope in ("all", "read", "write")}
+        self.scopes = {scope: ClassStats() for scope in _SCOPES}
         self.last = dict.fromkeys(self.scopes)
 
     def arrival(self, request):
@@ -241,10 +248,10 @@ def _assert_tables_equal(got, want):
         assert list(a.buckets.items()) == list(b.buckets.items()), name
 
 
-def _random_request(rng, block, clock):
+def _random_request(rng, block, clock, read_fraction=0.6):
     request = DiskRequest(
         logical_block=block,
-        op=Op.READ if rng.random() < 0.6 else Op.WRITE,
+        op=Op.READ if rng.random() < read_fraction else Op.WRITE,
         arrival_ms=clock,
     )
     request.home_cylinder = rng.randrange(1000)
@@ -263,48 +270,124 @@ def _random_request(rng, block, clock):
 def test_tables_match_histograms_recorded_one_sample_at_a_time(
     seed, monkeypatch
 ):
-    """Oracle: the monitor's flat tables equal per-scope histograms fed
-    with ``record``, in every field and in bucket key order, across the
-    bucket-log limit and a ``read_and_clear`` that restarts the arrival
-    chains."""
-    counted = []
-    count_buckets = PerformanceMonitor.count_buckets
+    """Oracle: the monitor's folded tables equal per-scope histograms fed
+    with ``record``, in every field and in bucket key order.  The stream
+    crosses the fold limit twice before the first read (so later folds
+    start from non-zero running totals), is read by ``stats`` and by a
+    ``read_and_clear`` that restarts the arrival chains, both with part
+    of a chunk still in the columns, has read-only and write-only
+    stretches long enough to fold chunks with no writes and no reads,
+    and ends draining a backlog, so the completions reach the limit on
+    their own; about a tenth of the rotation and transfer samples are
+    ``None``."""
+    chunks = []
+    fold = PerformanceMonitor.fold
 
-    def counting(monitor):
-        counted.append(True)
-        count_buckets(monitor)
+    def spying(monitor):
+        # The direction flags of the arrivals and completions folded.
+        chunks.append(
+            (bytes(monitor._arrival_reads), bytes(monitor._reads))
+        )
+        fold(monitor)
 
-    monkeypatch.setattr(PerformanceMonitor, "count_buckets", counting)
+    monkeypatch.setattr(PerformanceMonitor, "fold", spying)
     rng = random.Random(seed)
     monitor = PerformanceMonitor()
     reference = _ReferenceTables()
     pending = []
     clock = 0.0
-    completions = 0
-    for block in range(4000):
-        clock += rng.expovariate(0.5)
-        request = _random_request(rng, block, clock)
-        monitor.note_arrival(request)
-        reference.arrival(request)
-        pending.append(request)
-        while pending and rng.random() < 0.55:
-            done = pending.pop(rng.randrange(len(pending)))
-            monitor.note_completion(done)
-            reference.completion(done)
-            completions += 1
-        if block == 2000:
-            # Past the bucket-log limit with no read yet: the logs were
-            # counted in by the writes themselves.
-            assert completions > 1024 and counted
-            tables = monitor.read_and_clear()
-            for scope, want in reference.scopes.items():
-                _assert_tables_equal(tables[scope], want)
-            reference = _ReferenceTables()
+    block = 0
+
+    def run(requests, read_fraction, completing=0.55):
+        nonlocal clock, block
+        for __ in range(requests):
+            clock += rng.expovariate(0.5)
+            request = _random_request(rng, block, clock, read_fraction)
+            block += 1
+            monitor.note_arrival(request)
+            reference.arrival(request)
+            pending.append(request)
+            while pending and rng.random() < completing:
+                done = pending.pop(rng.randrange(len(pending)))
+                monitor.note_completion(done)
+                reference.completion(done)
+
+    def check(read):
+        folds = len(chunks)
+        tables = read()
+        assert 0 < len(chunks[folds][1]) < FOLD_LIMIT  # read mid-chunk
+        for scope, want in reference.scopes.items():
+            assert 0 < want.rotation.count < want.scheduled_seek.count
+            assert 0 < want.transfer.count < want.scheduled_seek.count
+            assert want.buffer_hits > 0
+            _assert_tables_equal(tables[scope], want)
+
+    run(2 * FOLD_LIMIT + FOLD_LIMIT // 2, 0.6)
+    assert len(chunks) >= 2  # two full chunks folded before any read
+    check(lambda: {scope: monitor.stats(scope) for scope in _SCOPES})
+    run(FOLD_LIMIT // 3, 0.6)
+    check(monitor.read_and_clear)
+    reference = _ReferenceTables()
+    run(3 * FOLD_LIMIT, 1.0)
+    run(3 * FOLD_LIMIT, 0.0, completing=0.3)
+    run(FOLD_LIMIT // 2, 0.6)
+    assert len(pending) > FOLD_LIMIT
     for done in pending:
         monitor.note_completion(done)
         reference.completion(done)
-    for scope, want in reference.scopes.items():
-        assert 0 < want.rotation.count < want.scheduled_seek.count
-        assert 0 < want.transfer.count < want.scheduled_seek.count
-        assert want.buffer_hits > 0
-        _assert_tables_equal(monitor.stats(scope), want)
+    assert any(
+        not arrived and len(done) == FOLD_LIMIT for arrived, done in chunks
+    )
+    check(lambda: {scope: monitor.stats(scope) for scope in _SCOPES})
+    folded = [flags for chunk in chunks for flags in chunk if flags]
+    assert any(set(flags) == {1} for flags in folded)  # no writes
+    assert any(set(flags) == {0} for flags in folded)  # no reads
+
+
+@pytest.mark.parametrize("seed", STRESS_SEEDS)
+def test_seeded_accumulate_matches_running_sum(seed):
+    """Guard: the fold's float totals rely on ``np.add.accumulate``
+    seeded with the running value adding left to right, exactly as
+    ``+=`` does, also along the rows of a 2-D array.  A numpy release
+    that reordered accumulation would move every digest; this fails
+    first, and names the cause."""
+    rng = np.random.default_rng(seed)
+    for trial in range(50):
+        rows = rng.exponential(rng.uniform(0.1, 100.0), (3, 700))
+        rows[1] *= rows[1]
+        rows[2, rng.random(700) < 0.1] = 0.0
+        start = [float(rng.uniform(0.0, 1e6)) for __ in rows]
+        want = []
+        for total, row in zip(start, rows.tolist()):
+            for value in row:
+                total += value
+            want.append(total)
+        seeded = np.concatenate(([[value] for value in start], rows), axis=1)
+        assert [np.add.accumulate(row)[-1] for row in seeded] == want
+        assert np.add.accumulate(seeded, axis=1)[:, -1].tolist() == want
+        # In place, as the fold accumulates.
+        np.add.accumulate(seeded, axis=1, out=seeded)
+        assert seeded[:, -1].tolist() == want
+
+
+def test_columns_stay_below_the_fold_limit():
+    """An arrival-only stream (no completion ever triggers a fold) is
+    folded by its own arrivals: no column grows to the limit."""
+    columns = (
+        "_homes",
+        "_arrival_reads",
+        "_distances",
+        "_services",
+        "_queueings",
+        "_rotations",
+        "_transfers",
+        "_hits",
+        "_reads",
+    )
+    monitor = PerformanceMonitor()
+    for home in range(5 * FOLD_LIMIT):
+        monitor.record_arrival(home % 977, home % 3 == 0)
+        for name in columns:
+            assert len(getattr(monitor, name)) < FOLD_LIMIT, name
+    assert monitor.stats("all").requests == 5 * FOLD_LIMIT
+    assert monitor.stats("all").arrival_seek.count == 5 * FOLD_LIMIT - 1
