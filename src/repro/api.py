@@ -175,11 +175,13 @@ def simulate_day(
         config = replace(config, policy=policy)
     resolved = config.resolved_policy()
     experiment = Experiment(config, tracer=tracer)
+    experiment._days = 1
     if isinstance(resolved, OnlinePolicy):
         return experiment.run_day(rearranged=True, rearrange_tomorrow=False)
     if isinstance(resolved, NightlyPolicy) and (
         policy is not None or config.policy is not None
     ):
+        experiment._days = 2
         experiment.run_day(rearranged=False, rearrange_tomorrow=True)
         return experiment.run_day(rearranged=True, rearrange_tomorrow=False)
     return experiment.run_day(rearranged=False, rearrange_tomorrow=False)

@@ -367,7 +367,7 @@ class IncrementalArranger:
             self._free_slot = next(
                 (
                     slot
-                    for slot in self._layout.center_out_slots
+                    for slot in self._layout.center_out_slots()
                     if slot not in occupied
                 ),
                 None,

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain
+from typing import Iterator
 
 from ..disk.label import BLOCK_TABLE_BLOCKS, DiskLabel
 from .hotlist import HotBlockList
@@ -49,12 +50,18 @@ class ReservedCylinder:
     """One reserved cylinder's usable data blocks, in layout order."""
 
     cylinder: int
-    blocks: tuple[int, ...]
+    blocks: range
 
 
 @dataclass(frozen=True)
 class ReservedLayout:
-    """The reserved area, cylinder by cylinder, in disk order."""
+    """The reserved area, cylinder by cylinder, in disk order.
+
+    Every cylinder's blocks are a ``range`` (one contiguous run), so a
+    layout is one small object per reserved cylinder and holds no block
+    list: each device builds its own cheaply, and nothing in it can
+    change once built.
+    """
 
     cylinders: tuple[ReservedCylinder, ...]
 
@@ -82,7 +89,7 @@ class ReservedLayout:
                 cylinders.append(
                     ReservedCylinder(
                         cylinder=cyl,
-                        blocks=tuple(range(first + skip, first + per_cylinder)),
+                        blocks=range(first + skip, first + per_cylinder),
                     )
                 )
         return cls(tuple(cylinders))
@@ -110,17 +117,14 @@ class ReservedLayout:
             blocks.extend(cylinder.blocks)
         return sorted(blocks)
 
-    @cached_property
-    def center_out_slots(self) -> tuple[int, ...]:
-        """All reserved blocks in organ-pipe fill order.
-
-        Cached on the (frozen) layout so the nightly cycle does not
-        rebuild a reserved-area-sized list every rearrangement.
-        """
-        slots: list[int] = []
-        for cylinder_index in self.center_out_indices():
-            slots.extend(self.cylinders[cylinder_index].blocks)
-        return tuple(slots)
+    def center_out_slots(self) -> Iterator[int]:
+        """All reserved blocks in organ-pipe fill order, produced on
+        demand: a plan or a free-slot search takes only the slots it
+        reaches."""
+        cylinders = self.cylinders
+        return chain.from_iterable(
+            cylinders[index].blocks for index in self.center_out_indices()
+        )
 
 
 class PlacementPolicy(ABC):
@@ -145,19 +149,12 @@ class OrganPipePlacement(PlacementPolicy):
     def place(
         self, hot_list: HotBlockList, layout: ReservedLayout
     ) -> list[Placement]:
-        placements: list[Placement] = []
-        slots = layout.center_out_slots
-        for rank, entry in enumerate(hot_list):
-            if rank >= len(slots):
-                break
-            placements.append(
-                Placement(
-                    logical_block=entry.block,
-                    reserved_block=slots[rank],
-                    rank=rank,
-                )
+        return [
+            Placement(logical_block=entry.block, reserved_block=slot, rank=rank)
+            for rank, (entry, slot) in enumerate(
+                zip(hot_list, layout.center_out_slots())
             )
-        return placements
+        ]
 
 
 class SerialPlacement(PlacementPolicy):

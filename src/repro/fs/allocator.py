@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import mmap
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_CYLINDERS_PER_GROUP = 16
 DEFAULT_INODE_BLOCKS_PER_GROUP = 2
@@ -225,6 +225,10 @@ class FFSAllocator:
     it is made, which commits every page of a two-million-block device,
     while a fresh map reads as zeros (all free) and commits a page only
     when a block on it is first allocated.
+
+    Groups are built on first use (:meth:`group`): a two-million-block
+    device has hundreds of them and its files use a few.  A group not
+    yet built is all free, which is what it would be if it were.
     """
 
     total_blocks: int
@@ -232,7 +236,6 @@ class FFSAllocator:
     cylinders_per_group: int = DEFAULT_CYLINDERS_PER_GROUP
     inode_blocks_per_group: int = DEFAULT_INODE_BLOCKS_PER_GROUP
     interleave: int = DEFAULT_INTERLEAVE
-    groups: list[CylinderGroup] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.total_blocks <= 0:
@@ -242,43 +245,46 @@ class FFSAllocator:
         if group_blocks <= inode_blocks:
             raise ValueError("cylinder group too small for its inode area")
         full, tail = divmod(self.total_blocks, group_blocks)
-        sizes = [group_blocks] * full
-        if tail > inode_blocks:  # a shorter tail is left unallocated
-            sizes.append(tail)
-        if not sizes:
+        if tail <= inode_blocks:  # a shorter tail is left unallocated
+            tail = 0
+        if not full and not tail:
             raise ValueError("partition too small for any cylinder group")
-        bits = _zeroed_map(self.total_blocks)
-        self.groups = [
-            CylinderGroup(
-                index,
-                index * group_blocks,
-                size,
-                inode_blocks,
-                FreeMap(
-                    index * group_blocks + inode_blocks,
-                    size - inode_blocks,
-                    bits,
-                ),
-            )
-            for index, size in enumerate(sizes)
-        ]
+        self._bits = _zeroed_map(self.total_blocks)
+        self._built: list[CylinderGroup | None] = [None] * (full + bool(tail))
         self._group_blocks = group_blocks
-        self._end_block = self.groups[-1].end_block
+        self._end_block = full * group_blocks + tail
 
     @property
     def num_groups(self) -> int:
-        return len(self.groups)
+        return len(self._built)
+
+    def group(self, index: int) -> CylinderGroup:
+        """Cylinder group ``index`` (``0 <= index < num_groups``)."""
+        group = self._built[index]
+        if group is None:
+            first = index * self._group_blocks
+            size = min(self._group_blocks, self._end_block - first)
+            inode_blocks = self.inode_blocks_per_group
+            window = FreeMap(first + inode_blocks, size - inode_blocks, self._bits)
+            group = CylinderGroup(index, first, size, inode_blocks, window)
+            self._built[index] = group
+        return group
+
+    @property
+    def groups(self) -> list[CylinderGroup]:
+        """Every cylinder group, in disk order (built now if not yet)."""
+        return [self.group(index) for index in range(self.num_groups)]
 
     def group_of_block(self, block: int) -> CylinderGroup:
         if not 0 <= block < self._end_block:
             raise ValueError(f"block {block} is outside every cylinder group")
-        return self.groups[block // self._group_blocks]
+        return self.group(block // self._group_blocks)
 
     def _group_with_space(self, preferred: int, needed: int) -> CylinderGroup:
         """Preferred group if it has room, else the next group that does."""
         order = range(preferred, preferred + self.num_groups)
         for raw_index in order:
-            group = self.groups[raw_index % self.num_groups]
+            group = self.group(raw_index % self.num_groups)
             if group.free_count >= needed:
                 return group
         raise AllocationError("file system is full")
@@ -288,31 +294,37 @@ class FFSAllocator:
     ) -> list[int]:
         """Allocate ``num_blocks`` for a new file, interleaved, preferring
         the hinted cylinder group and spilling to later groups when full."""
-        return next(self.allocate_files((num_blocks,), group_hint))
+        blocks = next(self.allocate_files((num_blocks,), group_hint))
+        if isinstance(blocks, int):
+            step = 1 + self.interleave
+            return list(range(blocks, blocks + num_blocks * step, step))
+        return blocks
 
     def allocate_files(
         self, sizes: Iterable[int], group_hint: int = 0
-    ) -> Iterator[list[int]]:
-        """Blocks for new files of ``sizes`` blocks in one directory, one
-        list per file, each claimed as it is yielded.
+    ) -> Iterator[int | list[int]]:
+        """Blocks for new files of ``sizes`` blocks in one directory, each
+        file claimed as it is yielded.
 
         The same blocks, in the same order, as one
         :meth:`allocate_file_blocks` call per file.  A file whose run
         from the head of the hinted group's data area is all free is
-        taken with one strided slice (:meth:`FreeMap.take_run`); any
-        other walks :meth:`CylinderGroup.allocate_near` block by block.
+        taken with one strided slice (:meth:`FreeMap.take_run`) and
+        yielded as its first block: its blocks are every
+        ``1 + interleave``-th from there.  Any other walks
+        :meth:`CylinderGroup.allocate_near` block by block and is
+        yielded as its list of blocks.
         """
-        group = self.groups[group_hint % self.num_groups]
+        group = self.group(group_hint % self.num_groups)
         take_run = group.free.take_run
         step = 1 + self.interleave
         for size in sizes:
             if size <= 0:
                 raise ValueError("num_blocks must be positive")
             first = take_run(size, step)
-            if first >= 0:
-                yield list(range(first, first + size * step, step))
-            else:
-                yield self._allocate_near_each(size, group.index)
+            yield first if first >= 0 else self._allocate_near_each(
+                size, group.index
+            )
 
     def _allocate_near_each(self, num_blocks: int, hint: int) -> list[int]:
         """:meth:`allocate_file_blocks` one ``allocate_near`` at a time."""

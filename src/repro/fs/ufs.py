@@ -106,7 +106,7 @@ class FileSystem:
         cylinder group's inode area, round-robin across the group's inode
         blocks as the group fills.
         """
-        group = self._allocator.groups[group_hint % self._allocator.num_groups]
+        group = self._allocator.group(group_hint % self._allocator.num_groups)
         slot = (inumber // INODES_PER_BLOCK) % group.inode_blocks
         return self._to_logical(group.first_block + slot)
 
@@ -152,25 +152,37 @@ class FileSystem:
         """
         dir_entry = self._directory(directory)
         files = list(files)
-        names = [name for name, __ in files]
         seen = set(dir_entry.files)
-        for name in names:
+        for name, __ in files:
             if name in seen:
                 raise FileSystemError(f"file {directory}/{name} exists")
             seen.add(name)
+        # What _inode_block_for and _to_logical compute per file, bound
+        # once for the directory's group.
         hint = dir_entry.group_hint
+        allocator = self._allocator
+        group = allocator.group(hint % allocator.num_groups)
         start = self.partition.start_block
-        runs = self._allocator.allocate_files(
+        inode_area = start + group.first_block
+        inode_blocks = group.inode_blocks
+        step = 1 + self.interleave
+        runs = allocator.allocate_files(
             [num_blocks for __, num_blocks in files], group_hint=hint
         )
         created: list[Inode] = []
-        for name in names:
+        for name, num_blocks in files:
             inumber = self._next_inumber
             self._next_inumber = inumber + 1
+            run = next(runs)
+            if isinstance(run, int):
+                first = start + run
+                data = list(range(first, first + num_blocks * step, step))
+            else:
+                data = [start + block for block in run]
             inode = Inode(
                 inumber,
-                self._inode_block_for(inumber, hint),
-                [start + block for block in next(runs)],
+                inode_area + (inumber // INODES_PER_BLOCK) % inode_blocks,
+                data,
             )
             dir_entry.files[name] = inode
             created.append(inode)
@@ -260,9 +272,9 @@ class FileSystem:
         if block is not None:
             return block
         directory = self._directory(name)
-        group = self._allocator.groups[
+        group = self._allocator.group(
             directory.group_hint % self._allocator.num_groups
-        ]
+        )
         block = self._to_logical(group.first_block)
         self._dir_inode_cache[name] = block
         return block

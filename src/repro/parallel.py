@@ -709,8 +709,9 @@ class AheadWorker(Generic[_R]):
         self._proc.start()
         child_end.close()
 
-    def take(self, context: str) -> _R:
-        """The next result; ``context`` names it in a failure."""
+    def take(self, context: str, last: bool = False) -> _R:
+        """The next result; ``context`` names it in a failure.  After the
+        ``last`` one the worker is closed instead of making another."""
         conn, proc = self._conn, self._proc
         try:
             multiprocessing.connection.wait([conn, proc.sentinel])
@@ -725,6 +726,9 @@ class AheadWorker(Generic[_R]):
         if not ok:
             self.close()
             raise WorkerTaskError(context, *payload)
+        if last:
+            self.close()
+            return payload
         try:
             conn.send(True)  # make the next one
         except OSError:

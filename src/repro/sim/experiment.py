@@ -361,6 +361,11 @@ class Experiment:
         this copy stays where day 0 left it and the worker's copy makes
         every later day."""
         self._ahead: AheadWorker[DayWorkload] | None = None
+        self._days: int | None = None
+        """How many days the caller runs, when it knows in advance
+        (:func:`run_campaign` and ``api.simulate_day`` do): a one-day
+        run starts no worker, and the worker makes no day past the
+        last."""
         self._day_index = 0
         self.events_dispatched = 0
         """Simulation events processed across every day run so far."""
@@ -369,11 +374,13 @@ class Experiment:
         """Day ``day``'s workload, from the worker once it runs."""
         if self._ahead is not None:
             return self._ahead.take(
-                f"workload day {day} (seed {self.config.seed})"
+                f"workload day {day} (seed {self.config.seed})",
+                last=day + 1 == self._days,
             )
         workload = self.generator.generate_day()
         if (
             day == 0
+            and self._days != 1
             and workload.num_requests >= DAY_AHEAD_MIN_REQUESTS
             and can_work_ahead()
         ):
@@ -466,6 +473,7 @@ def run_campaign(
             "day 0 cannot be an 'on' day: no reference counts exist yet"
         )
     experiment = Experiment(config, tracer=tracer)
+    experiment._days = len(schedule)
     results: list[DayResult] = []
     for day, on_today in enumerate(schedule):
         on_tomorrow = schedule[day + 1] if day + 1 < len(schedule) else False

@@ -173,6 +173,7 @@ class WorkloadGenerator:
         self._probs: np.ndarray | None = None
         self._cdf: np.ndarray | None = None
         self._cdf_list: list[float] | None = None
+        self._dir_cdfs: dict[str, list[float] | None] = {}
         self._last_dir: str | None = None
         self._day_steps: dict[tuple[Op, float | None], dict[int, Step]] = {}
 
@@ -226,6 +227,7 @@ class WorkloadGenerator:
             self._probs_dirty = False
             self._cdf = None
             self._cdf_list = None
+            self._dir_cdfs = {}
         return self._probs
 
     def _file_cdf(self) -> np.ndarray:
@@ -397,9 +399,14 @@ class WorkloadGenerator:
     # -- sessions -----------------------------------------------------
 
     def _pick_session_file(self) -> int:
-        """Choose the session's file, honoring user (directory) locality."""
+        """Choose the session's file, honoring user (directory) locality.
+
+        A local pick is ``choice(len(indices), p=weights / total)`` over
+        the directory's files, drawn as :meth:`_pick_file` draws: through
+        the CDF ``choice`` would build, kept per directory until the
+        popularities change, with the same single uniform."""
         profile = self.profile
-        probs = self._file_probabilities()
+        self._file_probabilities()  # refresh drift; invalidates the CDFs
         if (
             profile.user_locality > 0
             and self._last_dir is not None
@@ -407,12 +414,27 @@ class WorkloadGenerator:
         ):
             indices = self._dir_files.get(self._last_dir)
             if indices:
-                weights = probs[indices]
-                total = weights.sum()
-                if total > 0:
-                    pick = self.rng.choice(len(indices), p=weights / total)
-                    return indices[int(pick)]
+                cdf = self._dir_cdf(self._last_dir, indices)
+                if cdf is not None:
+                    return indices[bisect_right(cdf, self.rng.random())]
         return self._pick_file()
+
+    def _dir_cdf(self, directory: str, indices: list[int]) -> list[float] | None:
+        """``directory``'s local popularity CDF, or None if its files
+        have no weight."""
+        try:
+            return self._dir_cdfs[directory]
+        except KeyError:
+            pass
+        weights = self._probs[indices]
+        total = weights.sum()
+        cdf = None
+        if total > 0:
+            cdf = (weights / total).cumsum()
+            cdf /= cdf[-1]
+            cdf = cdf.tolist()
+        self._dir_cdfs[directory] = cdf
+        return cdf
 
     def _emit_session(self, when: float, jobs: list[Job]) -> None:
         profile = self.profile

@@ -27,6 +27,19 @@ class TestGroupLayout:
         for a, b in zip(allocator.groups, allocator.groups[1:]):
             assert a.end_block == b.first_block
 
+    def test_groups_are_built_on_first_use(self):
+        """A group nothing touched is not built, and reads as the all-free
+        group it would be."""
+        allocator = make_allocator(total_blocks=6 * 336 + 200)
+        blocks = allocator.allocate_file_blocks(3, group_hint=4)
+        assert [g is not None for g in allocator._built] == [
+            False, False, False, False, True, False, False
+        ]
+        assert allocator.group_of_block(blocks[0]).index == 4
+        assert allocator.free_blocks == 6 * 334 + 198 - 3
+        assert all(g is not None for g in allocator._built)
+        assert allocator.groups[6].num_blocks == 200
+
     def test_inode_area_excluded_from_data(self):
         allocator = make_allocator(inode_blocks_per_group=2)
         group = allocator.groups[0]

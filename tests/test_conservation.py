@@ -1,14 +1,27 @@
-"""Conservation invariants of the driver's monitor tables, day by day.
+"""Conservation invariants, checked independently of the twin
+implementations that the equivalence harnesses compare.
 
-Every request is counted once in the "all" scope and once in its
-direction's scope, so each day's tables must split exactly: read plus
-write equals all for the request, buffer-hit, error and retry counters
-and for the count and bucket counts of every histogram of completions.
-The arrival-order seek distances are not split but chained per scope:
-a scope with ``n`` requests holds ``n - 1`` of them (the chains restart
-at every read).  Each histogram's bucket counts sum to its count.  The campaigns run on the batch kernel and on the scalar
-reference engine (the ``scalar_engine`` fixture); the fault plan keeps
-its device on the scalar path under both.
+The driver's monitor tables, day by day. Every request is counted once
+in the "all" scope and once in its direction's scope, so each day's
+tables must split exactly: read plus write equals all for the request,
+buffer-hit, error and retry counters and for the count and bucket counts
+of every histogram of completions. The arrival-order seek distances are
+not split but chained per scope: a scope with ``n`` requests holds
+``n - 1`` of them (the chains restart at every read). Each histogram's bucket
+counts sum to its count. The campaigns run on the batch kernel and on
+the scalar reference engine (the ``scalar_engine`` fixture); the fault
+plan keeps its device on the scalar path under both.
+
+The file system's free map.  In every cylinder group the free blocks
+plus the blocks that files hold make up the group's data area, no
+block belongs to two files, and every block a file holds is marked
+used: after the initial tree is laid out, and again after days of
+creations, extensions and rewrites.
+
+The block table, after every nightly cycle of a small fleet: a
+bijection between home blocks and reserved slots, inside the reserved
+data area (:class:`~repro.faults.invariants.BlockTableInvariants`), on
+both engines.
 """
 
 import os
@@ -16,10 +29,19 @@ from collections import Counter
 
 import pytest
 
+from repro.core.controller import RearrangementController
 from repro.driver.monitor import FOLD_LIMIT, PerformanceMonitor
+from repro.faults.invariants import BlockTableInvariants
 from repro.faults.plan import FaultPlan
-from repro.sim.experiment import Experiment, ExperimentConfig, alternating_schedule
+from repro.fleet import FleetSpec, run_fleet
+from repro.sim.experiment import (
+    Experiment,
+    ExperimentConfig,
+    alternating_schedule,
+    build_disk,
+)
 from repro.workload.profiles import SYSTEM_FS_PROFILE, USERS_FS_PROFILE
+from repro.workload.tenancy import TenancySpec, device_profiles
 
 COMPLETIONS = (
     "scheduled_seek",
@@ -109,3 +131,101 @@ def test_each_days_tables_are_conserved(
         assert min(tables["all"].requests for tables in days) > FOLD_LIMIT
     if campaign == "users-faults":
         assert sum(tables["all"].errors for tables in days) > 0
+
+
+# ----------------------------------------------------------------------
+# The file system's free map
+# ----------------------------------------------------------------------
+
+FS_CASES = {
+    # case: (profile, disk)
+    "system": (SYSTEM_FS_PROFILE.scaled(hours=1.0), "toshiba"),
+    "users": (USERS_FS_PROFILE.scaled(hours=2.0), "fujitsu"),
+    "fleet-tenant": (
+        device_profiles(TenancySpec(tenants=16), 2, hours=2.0)[0],
+        "modern",
+    ),
+}
+
+
+def _check_free_map(fs):
+    """The allocator's free map against the blocks the files hold."""
+    start = fs.partition.start_block
+    held = [
+        block - start
+        for __, __, inode in fs.all_files()
+        for block in inode.data_blocks
+    ]
+    assert len(set(held)) == len(held), "a block belongs to two files"
+    groups = fs._allocator.groups
+    per_group = Counter()
+    for block in held:
+        group = groups[min(block // groups[0].num_blocks, len(groups) - 1)]
+        assert group.data_first_block <= block < group.end_block, block
+        assert block not in group.free, f"block {block} is held but free"
+        per_group[group.index] += 1
+    for group in groups:
+        data_area = group.end_block - group.data_first_block
+        free = group.free
+        # The map's own bytes, not its running count: 0 marks a free block.
+        marked_free = free._bits[free._lo : free._hi].count(b"\x00")
+        assert marked_free == free.count, group.index
+        assert free.count + per_group[group.index] == data_area, group.index
+    return len(held)
+
+
+@pytest.mark.parametrize("case", sorted(FS_CASES))
+def test_the_free_map_and_the_files_hold_every_block_once(case):
+    profile, disk = FS_CASES[case]
+    rig = build_disk(ExperimentConfig(profile=profile, disk=disk, seed=5))
+    (generator,) = rig.generators
+    fs = generator.fs
+    files = len(fs.all_files())
+    held = _check_free_map(fs)
+    assert held > 0
+    for __ in range(2):
+        generator.generate_day()
+        _check_free_map(fs)
+    if profile.new_files_per_day:
+        # The days created, extended and rewrote files.
+        assert len(fs.all_files()) > files
+        assert profile.extend_sessions_per_day > 0
+        assert generator._new_file_serial > len(fs.all_files()) - files
+
+
+# ----------------------------------------------------------------------
+# The block table after every nightly cycle of a small fleet
+# ----------------------------------------------------------------------
+
+FLEET = FleetSpec(
+    devices=2,
+    disk="toshiba",
+    devices_per_shard=2,
+    days=4,
+    hours=0.1,
+    tenancy=TenancySpec(tenants=8, sessions_per_tenant_hour=40.0),
+)
+
+
+@pytest.mark.parametrize("engine", ["kernel", "scalar"])
+def test_every_night_leaves_the_block_table_a_bijection(
+    engine, monkeypatch, scalar_engine
+):
+    checked = []
+    end_of_day = RearrangementController.end_of_day
+
+    def checking(controller, *args, **kwargs):
+        finish = end_of_day(controller, *args, **kwargs)
+        driver = controller.ioctl.driver
+        BlockTableInvariants(driver.label).check(driver.block_table)
+        checked.append(len(driver.block_table))
+        return finish
+
+    monkeypatch.setattr(RearrangementController, "end_of_day", checking)
+    if engine == "scalar":
+        with scalar_engine():
+            run_fleet(FLEET, workers=1)
+    else:
+        run_fleet(FLEET, workers=1)
+    assert len(checked) == FLEET.devices * FLEET.days
+    assert max(checked) > 0  # some night moved blocks

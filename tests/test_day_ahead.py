@@ -241,3 +241,70 @@ def _days_in_pool_worker(_: int) -> tuple[bool, int]:
 
 def test_a_daemonic_pool_worker_stays_in_process(ahead):
     assert fan_out(_days_in_pool_worker, [0, 1], workers=2) == [(True, 0)] * 2
+
+
+class Recorded(Experiment):
+    """An experiment that the test can still reach after the campaign."""
+
+    made: list[Experiment] = []
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        Recorded.made.append(self)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    import repro.api
+
+    Recorded.made = []
+    monkeypatch.setattr(experiment_module, "Experiment", Recorded)
+    monkeypatch.setattr(repro.api, "Experiment", Recorded)
+    return Recorded.made
+
+
+@needs_worker
+def test_a_campaign_generates_no_day_past_its_last(ahead, recorded,
+                                                   monkeypatch, tmp_path):
+    """The worker makes days 1 to 2 of a three-day campaign and is closed
+    when day 2 is taken, before it could start a day 3."""
+    log = tmp_path / "days"
+    generate_day = WorkloadGenerator.generate_day
+
+    def logged(self):
+        with open(log, "a") as out:  # the worker's days land here too
+            out.write(f"{self._day}\n")
+        return generate_day(self)
+
+    monkeypatch.setattr(WorkloadGenerator, "generate_day", logged)
+    config = config_for("system-nightly", 1993)
+    result = experiment_module.run_campaign(config, [False, True, False])
+    (experiment,) = recorded
+    assert experiment._ahead is not None
+    assert experiment._ahead._proc.exitcode is not None
+    assert multiprocessing.active_children() == []
+    assert log.read_text().split() == ["0", "1", "2"]
+    assert len(result.days) == 3
+
+
+def test_a_one_day_run_never_starts_the_worker(ahead, recorded):
+    import repro.api
+
+    config = config_for("system-nightly", 1993)
+    experiment_module.run_campaign(config, [False])
+    repro.api.simulate_day(config)
+    repro.api.simulate_day(config, policy="online")
+    assert [experiment._ahead for experiment in recorded] == [None] * 3
+    assert multiprocessing.active_children() == []
+
+
+@needs_worker
+def test_a_nightly_simulate_day_takes_both_days_from_one_worker(ahead, recorded):
+    import repro.api
+
+    day = repro.api.simulate_day(config_for("system-nightly", 1993),
+                                 policy="nightly")
+    assert day.metrics.rearranged
+    (experiment,) = recorded
+    assert experiment._ahead._proc.exitcode is not None
+    assert multiprocessing.active_children() == []

@@ -12,7 +12,7 @@ import multiprocessing
 
 import pytest
 
-from repro.fleet import FleetSpec, build_shard_tasks
+from repro.fleet import FleetSpec, build_shard_tasks, run_fleet
 from repro.fleet.runner import _run_shard
 from repro.parallel import fan_out
 from repro.workload import TenancySpec
@@ -69,3 +69,21 @@ def test_kernel_engages_in_spawned_workers(spawn_only):
     assert [mark for __, mark in results] == [None, None]  # really spawned
     counts = [built for built, __ in results]
     assert all(count > 0 for count in counts), counts
+
+
+def test_a_rearranging_fleet_digest_is_the_same_in_spawned_workers(spawn_only):
+    """Each device builds its own reserved layout in whatever process
+    runs its shard; the digest cannot tell a spawned worker from the
+    caller's process."""
+    spec = FleetSpec(
+        devices=4,
+        disk="modern",
+        devices_per_shard=2,
+        days=3,
+        hours=0.02,
+        tenancy=TenancySpec(tenants=8, sessions_per_tenant_hour=40.0),
+    )
+    serial = run_fleet(spec, workers=1)
+    spawned = run_fleet(spec, workers=2)
+    assert serial.rearranged_blocks > 0
+    assert spawned.digest() == serial.digest()

@@ -284,6 +284,36 @@ class TestMultiDiskExperiment:
                 < off.per_device[device].all.mean_seek_time_ms
             )
 
+    def test_one_devices_night_leaves_the_others_layout(self):
+        """Two devices of one geometry: device A's clean and moves change
+        A's block table only.  B's reserved layout, its organ-pipe slot
+        order and its (empty) block table stay as they were."""
+        experiment = MultiDiskExperiment(
+            [
+                ExperimentConfig(profile=SHORT_PROFILE, name=name, seed=seed)
+                for name, seed in (("a", 21), ("b", 22))
+            ]
+        )
+        experiment.run_day(rearranged=False, rearrange_tomorrow=False)
+        a, b = (experiment.rigs[name] for name in ("a", "b"))
+        layout_a = a.controller.arranger.reserved_layout()
+        layout_b = b.controller.arranger.reserved_layout()
+        before = (layout_b, list(layout_b.center_out_slots()))
+        assert layout_a == layout_b  # one geometry, one layout...
+        assert layout_a is not layout_b  # ...but each device's own
+        a.controller.analyzer.observe_blocks(list(range(0, 4000, 7)))
+        a.controller.end_of_day(now_ms=0.0, rearrange_tomorrow=True,
+                                num_blocks=a.num_blocks)
+        assert len(a.driver.block_table) > 0
+        assert len(b.driver.block_table) == 0
+        after = b.controller.arranger.reserved_layout()
+        assert after is layout_b
+        assert (after, list(after.center_out_slots())) == before
+        # A's copies went to the head of its organ-pipe order.
+        slots = list(layout_a.center_out_slots())
+        placed = a.driver.block_table.occupied_reserved_blocks()
+        assert placed == set(slots[: len(placed)])
+
     def test_jsonl_trace_replays_into_same_day_metrics(self, tmp_path):
         """Acceptance: the JSONL tracer's request-lifecycle events replay
         into exactly the per-device DayMetrics the live run reported."""

@@ -82,7 +82,7 @@ class ReferenceArranger(IncrementalArranger):
 
     def _next_free_slot(self):
         occupied = self.driver.block_table.occupied_reserved_blocks()
-        for slot in self._layout.center_out_slots:
+        for slot in self._layout.center_out_slots():
             if slot not in occupied:
                 return slot
         return None
@@ -274,7 +274,7 @@ def test_a_removal_behind_an_open_hole_changes_the_verdict():
         for cls in (IncrementalArranger, ReferenceArranger)
     ]
     label = pair[0]._label
-    slots = pair[0]._layout.center_out_slots
+    slots = list(pair[0]._layout.center_out_slots())
     cool, hot = 5, 16_000  # both far from the reserved center
     analyzer.observe_blocks([cool] * 10 + [hot] * 20)
     for arranger in pair:

@@ -25,7 +25,7 @@ def small_layout(cylinders=3, blocks_per_cylinder=4, first_cyl=100):
         cyls.append(
             ReservedCylinder(
                 cylinder=first_cyl + i,
-                blocks=tuple(range(base, base + blocks_per_cylinder)),
+                blocks=range(base, base + blocks_per_cylinder),
             )
         )
     return ReservedLayout(tuple(cyls))
