@@ -7,7 +7,6 @@ analyzer ingestion, placement planning, and workload generation.
 """
 
 from repro.core.analyzer import ReferenceStreamAnalyzer
-from repro.core.hotlist import HotBlockList
 from repro.core.placement import ReservedLayout, make_policy
 from repro.disk.disk import Disk
 from repro.disk.label import DiskLabel
@@ -80,10 +79,10 @@ def test_analyzer_ingest_bounded(benchmark):
 
 
 def test_organ_pipe_planning(benchmark):
-    """Planning 1000 placements over the full reserved layout."""
+    """Planning 1000 moves over the full reserved layout."""
     label = DiskLabel(TOSHIBA_MK156F.geometry, reserved_cylinders=48)
     layout = ReservedLayout.from_label(label)
-    hot = HotBlockList.from_pairs([(b * 3, 5000 - b) for b in range(1000)])
+    hot = [(b * 3, 5000 - b) for b in range(1000)]
     policy = make_policy("organ-pipe")
 
     result = benchmark(policy.place, hot, layout)
@@ -93,7 +92,7 @@ def test_organ_pipe_planning(benchmark):
 def test_interleaved_planning(benchmark):
     label = DiskLabel(TOSHIBA_MK156F.geometry, reserved_cylinders=48)
     layout = ReservedLayout.from_label(label)
-    hot = HotBlockList.from_pairs([(b * 2, 5000 - b) for b in range(1000)])
+    hot = [(b * 2, 5000 - b) for b in range(1000)]
     policy = make_policy("interleaved")
 
     result = benchmark(policy.place, hot, layout)

@@ -29,7 +29,7 @@ from repro import (
     WorkloadProfile,
     make_queue,
 )
-from repro.core import BlockArranger, HotBlockList, ReferenceStreamAnalyzer
+from repro.core import BlockArranger, ReferenceStreamAnalyzer
 from repro.workload import load_trace, save_trace
 
 MAIL_SPOOL = WorkloadProfile(
@@ -66,9 +66,10 @@ def replay(jobs, queue_policy, rearrange):
             for step in job.steps:
                 analyzer.observe(step.logical_block)
         arranger = BlockArranger(IoctlInterface(driver))
-        hot = HotBlockList.from_pairs(analyzer.hot_blocks())
-        plan, __ = arranger.rearrange(hot, num_blocks=1018, now_ms=0.0)
-        print(f"   rearranged {len(plan)} blocks")
+        moves, __ = arranger.rearrange(
+            analyzer.hot_blocks(1018), num_blocks=1018, now_ms=0.0
+        )
+        print(f"   rearranged {len(moves)} blocks")
         driver.perf_monitor.read_and_clear()
 
     simulation = Simulation(driver)

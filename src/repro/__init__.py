@@ -61,8 +61,6 @@ Subpackages
 from . import api, traces
 from .core import (
     BlockArranger,
-    HotBlock,
-    HotBlockList,
     InterleavedPlacement,
     OrganPipePlacement,
     RearrangementController,
@@ -143,8 +141,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FileSystem",
-    "HotBlock",
-    "HotBlockList",
     "InterleavedPlacement",
     "IoctlInterface",
     "NightlyPolicy",

@@ -1,14 +1,14 @@
 """The paper's contribution: adaptive block rearrangement.
 
-Reference-frequency estimation from the monitored request stream
-(:mod:`analyzer`), the ranked hot block list (:mod:`hotlist`), the three
-placement policies for the reserved region (:mod:`placement`), the block
-arranger that turns a hot list into ``DKIOCBCOPY`` calls (:mod:`arranger`),
-and the daily monitoring/rearrangement cycle (:mod:`controller`).
+Reference-frequency estimation from the monitored request stream and its
+ranked hot block list (:mod:`analyzer`), the three placement policies for
+the reserved region (:mod:`placement`), the block arranger that turns a
+hot list into ``DKIOCBCOPY`` calls (:mod:`arranger`), and the daily
+monitoring/rearrangement cycle (:mod:`controller`).
 """
 
 from .analyzer import REPLACEMENT_HEURISTICS, ReferenceStreamAnalyzer
-from .arranger import BlockArranger, RearrangementPlan
+from .arranger import BlockArranger
 from .cylshuffle import (
     CylinderShufflePlan,
     CylinderShuffler,
@@ -19,14 +19,12 @@ from .controller import (
     MONITOR_POLL_INTERVAL_MS,
     RearrangementController,
 )
-from .hotlist import HotBlock, HotBlockList
 from .loge import FreeBlockPool, LogeDriver
 from .placement import (
     CLOSE_FREQUENCY_RATIO,
     InterleavedPlacement,
     OrganPipePlacement,
     PLACEMENT_POLICIES,
-    Placement,
     PlacementPolicy,
     ReservedCylinder,
     ReservedLayout,
@@ -43,17 +41,13 @@ __all__ = [
     "plan_organ_pipe_shuffle",
     "FreeBlockPool",
     "LogeDriver",
-    "HotBlock",
-    "HotBlockList",
     "InterleavedPlacement",
     "MONITOR_POLL_INTERVAL_MS",
     "OrganPipePlacement",
     "PLACEMENT_POLICIES",
-    "Placement",
     "PlacementPolicy",
     "REPLACEMENT_HEURISTICS",
     "RearrangementController",
-    "RearrangementPlan",
     "ReferenceStreamAnalyzer",
     "ReservedCylinder",
     "ReservedLayout",

@@ -2,9 +2,11 @@
 
 A user-level process that "selects the most frequently requested blocks
 for rearrangement and controls their placement in the reserved area."  It
-consumes the analyzer's hot block list, truncates it to the number of
-blocks to rearrange, runs a placement policy, and converts the result into
-a sequence of ``DKIOCBCOPY`` calls.
+takes the analyzer's ranked hot list (``(logical block, count)`` pairs
+from :meth:`~repro.core.analyzer.ReferenceStreamAnalyzer.hot_blocks`),
+truncates it to the number of blocks to rearrange, runs a placement
+policy, and issues one ``DKIOCBCOPY`` per ``(logical block, reserved
+block)`` move the policy returns, in order.
 """
 
 from __future__ import annotations
@@ -13,30 +15,7 @@ from dataclasses import dataclass, field
 
 from ..driver.errors import DeviceTimeout, MediaError
 from ..driver.ioctl import IoctlInterface
-from .hotlist import HotBlockList
-from .placement import (
-    Placement,
-    PlacementPolicy,
-    ReservedLayout,
-    make_policy,
-)
-
-
-@dataclass(frozen=True)
-class RearrangementPlan:
-    """A fully resolved set of planned block copies."""
-
-    placements: tuple[Placement, ...]
-    policy: str
-
-    def __len__(self) -> int:
-        return len(self.placements)
-
-    def logical_blocks(self) -> list[int]:
-        return [p.logical_block for p in self.placements]
-
-    def reserved_blocks(self) -> list[int]:
-        return [p.reserved_block for p in self.placements]
+from .placement import PlacementPolicy, ReservedLayout, make_policy
 
 
 @dataclass
@@ -46,7 +25,7 @@ class BlockArranger:
     ioctl: IoctlInterface
     policy: PlacementPolicy = field(default_factory=lambda: make_policy("organ-pipe"))
     last_skipped: int = 0
-    """Placements skipped by the most recent :meth:`execute` because
+    """Moves skipped by the most recent :meth:`execute` because
     their copy-in hit an unrecoverable device error."""
 
     _layout: ReservedLayout | None = field(default=None, repr=False)
@@ -55,42 +34,40 @@ class BlockArranger:
         """The driver's reserved-area layout, built once per arranger.
 
         The label's reserved region is fixed at initialization, so the
-        layout (and its cached organ-pipe fill order) is reused across
-        nightly cycles instead of being regrouped every plan.
+        layout is reused across nightly cycles instead of being
+        regrouped every plan.
         """
         if self._layout is None:
             self._layout = ReservedLayout.from_label(self.ioctl.driver.label)
         return self._layout
 
     def plan(
-        self, hot_list: HotBlockList, num_blocks: int
-    ) -> RearrangementPlan:
-        """Select up to ``num_blocks`` hot blocks and place them."""
+        self, ranked: list[tuple[int, int]], num_blocks: int
+    ) -> list[tuple[int, int]]:
+        """Select up to ``num_blocks`` of the ranked hot blocks and place
+        them: the ``(logical block, reserved block)`` moves, in copy
+        order."""
         if num_blocks < 0:
             raise ValueError("num_blocks must be non-negative")
         layout = self.reserved_layout()
-        selected = hot_list.top(min(num_blocks, layout.capacity))
-        placements = self.policy.place(selected, layout)
-        return RearrangementPlan(
-            placements=tuple(placements), policy=self.policy.name
+        return self.policy.place(
+            ranked[: min(num_blocks, layout.capacity)], layout
         )
 
-    def execute(self, plan: RearrangementPlan, now_ms: float) -> float:
+    def execute(self, moves: list[tuple[int, int]], now_ms: float) -> float:
         """Clean the reserved area, then copy the planned blocks in.
 
         Returns the time at which the rearrangement finished.  Issues one
-        ``DKIOCCLEAN`` followed by one ``DKIOCBCOPY`` per placement, as the
-        paper's nightly cycle does.  A placement whose copy-in hits an
+        ``DKIOCCLEAN`` followed by one ``DKIOCBCOPY`` per move, as the
+        paper's nightly cycle does.  A move whose copy-in hits an
         unrecoverable device error is skipped — the home copy stays
         authoritative and the cycle moves on to the next hot block.
         """
         clock = self.ioctl.clean(now_ms)
         self.last_skipped = 0
-        for placement in plan.placements:
+        for logical_block, reserved_block in moves:
             try:
-                clock = self.ioctl.bcopy(
-                    placement.logical_block, placement.reserved_block, clock
-                )
+                clock = self.ioctl.bcopy(logical_block, reserved_block, clock)
             except (MediaError, DeviceTimeout) as exc:
                 if exc.now_ms is not None:
                     clock = exc.now_ms
@@ -99,9 +76,8 @@ class BlockArranger:
         return clock
 
     def rearrange(
-        self, hot_list: HotBlockList, num_blocks: int, now_ms: float
-    ) -> tuple[RearrangementPlan, float]:
-        """Plan and execute in one step; returns (plan, finish time)."""
-        plan = self.plan(hot_list, num_blocks)
-        finish = self.execute(plan, now_ms)
-        return plan, finish
+        self, ranked: list[tuple[int, int]], num_blocks: int, now_ms: float
+    ) -> tuple[list[tuple[int, int]], float]:
+        """Plan and execute in one step; returns (moves, finish time)."""
+        moves = self.plan(ranked, num_blocks)
+        return moves, self.execute(moves, now_ms)

@@ -22,13 +22,12 @@ from ..faults.plan import DEGRADE_ACTIONS
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..policy import NightlyPolicy, OnlinePolicy, RearrangementPolicy
 from .analyzer import ReferenceStreamAnalyzer
+from .arranger import BlockArranger
 
 if TYPE_CHECKING:  # avoid a circular import with repro.sim
     from ..sim.engine import Simulation
 
     from .online import MigrationStats, OnlineRearranger
-from .arranger import BlockArranger, RearrangementPlan
-from .hotlist import HotBlockList
 
 MONITOR_POLL_INTERVAL_MS = 120_000.0
 """The paper polled the request table every two minutes (Section 4.1.4)."""
@@ -51,7 +50,9 @@ class RearrangementController:
     :class:`~repro.policy.NoRearrangement` only monitors.  The health
     monitor (:attr:`max_error_rate`) applies to the nightly cycle."""
     poll_interval_ms: float = MONITOR_POLL_INTERVAL_MS
-    last_plan: RearrangementPlan | None = None
+    last_plan: list[tuple[int, int]] | None = None
+    """The last nightly cycle's ``(logical block, reserved block)``
+    moves, or ``None`` after a night that copied nothing in."""
     tracer: Tracer = NULL_TRACER
     """Observation hooks for the nightly cycle; adopted from the
     simulation on :meth:`attach_to` unless one was set explicitly."""
@@ -133,9 +134,6 @@ class RearrangementController:
             self._online.drain()
         self.analyzer.poll(self.ioctl)
 
-    def hot_list(self, limit: int | None = None) -> HotBlockList:
-        return HotBlockList.from_pairs(self.analyzer.hot_blocks(limit))
-
     # ------------------------------------------------------------------
     # End-of-day transitions
     # ------------------------------------------------------------------
@@ -193,10 +191,10 @@ class RearrangementController:
             if rearrange_tomorrow:
                 # Only the hottest ``num_blocks`` can be selected: skip
                 # materializing the (potentially device-sized) full ranking.
-                plan, finish = self.arranger.rearrange(
-                    self.hot_list(num_blocks), num_blocks, now_ms
+                moves, finish = self.arranger.rearrange(
+                    self.analyzer.hot_blocks(num_blocks), num_blocks, now_ms
                 )
-                self.last_plan = plan
+                self.last_plan = moves
             elif degraded and self.degrade_action == "skip":
                 finish = now_ms  # no rearrangement I/O at all
                 self.last_plan = None

@@ -1,7 +1,11 @@
 """Placement policies for the reserved region (Section 4.2, Figure 3).
 
-Given the hot block list and the reserved area's cylinders, a policy
-decides which reserved-area physical block each hot block is copied to:
+A policy takes the analyzer's ranked hot list — ``(logical block,
+count)`` pairs by decreasing count, ties by block number, exactly as
+:meth:`~repro.core.analyzer.ReferenceStreamAnalyzer.hot_blocks` returns
+them — and the reserved area's cylinders, and returns the nightly moves:
+``(logical block, reserved block)`` pairs in the order the arranger
+copies them in.
 
 * **Organ-pipe** — the hottest blocks fill the *center* cylinder of the
   reserved area; the next hottest fill one adjacent cylinder, then the
@@ -30,19 +34,9 @@ from itertools import chain
 from typing import Iterator
 
 from ..disk.label import BLOCK_TABLE_BLOCKS, DiskLabel
-from .hotlist import HotBlockList
 
 CLOSE_FREQUENCY_RATIO = 0.5
 """Y is a successor of X only if count(Y) >= 0.5 * count(X) (Section 4.2)."""
-
-
-@dataclass(frozen=True)
-class Placement:
-    """One planned copy: a hot block and its reserved-area destination."""
-
-    logical_block: int
-    reserved_block: int
-    rank: int  # position in the hot block list (0 = hottest)
 
 
 @dataclass(frozen=True)
@@ -128,17 +122,20 @@ class ReservedLayout:
 
 
 class PlacementPolicy(ABC):
-    """Interface: map a hot block list onto the reserved layout."""
+    """Interface: map a ranked hot list onto the reserved layout."""
 
     name: str = "abstract"
 
     @abstractmethod
     def place(
-        self, hot_list: HotBlockList, layout: ReservedLayout
-    ) -> list[Placement]:
-        """Plan the copies.  ``hot_list`` must already be truncated to the
-        number of blocks to rearrange; policies place every entry that
-        fits (and silently drop overflow beyond the area's capacity)."""
+        self, ranked: list[tuple[int, int]], layout: ReservedLayout
+    ) -> list[tuple[int, int]]:
+        """Plan the copies as ``(logical block, reserved block)`` moves,
+        in copy order.  ``ranked`` is the hot list as
+        :meth:`~repro.core.analyzer.ReferenceStreamAnalyzer.hot_blocks`
+        returns it, already truncated to the number of blocks to
+        rearrange; policies place every entry that fits (and silently
+        drop overflow beyond the area's capacity)."""
 
 
 class OrganPipePlacement(PlacementPolicy):
@@ -147,13 +144,11 @@ class OrganPipePlacement(PlacementPolicy):
     name = "organ-pipe"
 
     def place(
-        self, hot_list: HotBlockList, layout: ReservedLayout
-    ) -> list[Placement]:
+        self, ranked: list[tuple[int, int]], layout: ReservedLayout
+    ) -> list[tuple[int, int]]:
         return [
-            Placement(logical_block=entry.block, reserved_block=slot, rank=rank)
-            for rank, (entry, slot) in enumerate(
-                zip(hot_list, layout.center_out_slots())
-            )
+            (block, slot)
+            for (block, __), slot in zip(ranked, layout.center_out_slots())
         ]
 
 
@@ -163,20 +158,11 @@ class SerialPlacement(PlacementPolicy):
     name = "serial"
 
     def place(
-        self, hot_list: HotBlockList, layout: ReservedLayout
-    ) -> list[Placement]:
+        self, ranked: list[tuple[int, int]], layout: ReservedLayout
+    ) -> list[tuple[int, int]]:
         slots = layout.blocks_in_ascending_order()
-        chosen = list(hot_list)[: len(slots)]
-        rank_of = {entry.block: rank for rank, entry in enumerate(hot_list)}
-        ordered = sorted(chosen, key=lambda entry: entry.block)
-        return [
-            Placement(
-                logical_block=entry.block,
-                reserved_block=slot,
-                rank=rank_of[entry.block],
-            )
-            for entry, slot in zip(ordered, slots)
-        ]
+        chosen = sorted(block for block, __ in ranked[: len(slots)])
+        return list(zip(chosen, slots))
 
 
 class InterleavedPlacement(PlacementPolicy):
@@ -194,59 +180,47 @@ class InterleavedPlacement(PlacementPolicy):
         self.gap_blocks = gap_blocks
 
     def place(
-        self, hot_list: HotBlockList, layout: ReservedLayout
-    ) -> list[Placement]:
-        counts = {entry.block: entry.count for entry in hot_list}
-        rank_of = {entry.block: rank for rank, entry in enumerate(hot_list)}
-        unplaced = dict(counts)  # insertion order == hot order
-        placements: list[Placement] = []
+        self, ranked: list[tuple[int, int]], layout: ReservedLayout
+    ) -> list[tuple[int, int]]:
+        """Each chain starts at the hottest unplaced block, which is the
+        first unplaced one in ranked order: a cursor into ``ranked``
+        finds it, so the whole plan is linear in the list."""
+        counts = dict(ranked)
+        gap = self.gap_blocks
+        placed: set[int] = set()
+        moves: list[tuple[int, int]] = []
+        head = 0  # ranked[:head] are all placed
 
-        cylinder_order = layout.center_out_indices()
-        for cylinder_index in cylinder_order:
-            cylinder = layout.cylinders[cylinder_index]
-            free = [True] * len(cylinder.blocks)
-            cursor = 0
-            while unplaced and cursor < len(free):
+        for cylinder_index in layout.center_out_indices():
+            blocks = layout.cylinders[cylinder_index].blocks
+            free = [True] * len(blocks)
+            for cursor in range(len(free)):
                 if not free[cursor]:
-                    cursor += 1
                     continue
-                chain_head = self._hottest(unplaced)
+                while head < len(ranked) and ranked[head][0] in placed:
+                    head += 1
+                if head == len(ranked):
+                    return moves
+                block = ranked[head][0]
                 slot = cursor
-                block = chain_head
-                while block is not None and slot < len(free) and free[slot]:
-                    placements.append(
-                        Placement(
-                            logical_block=block,
-                            reserved_block=cylinder.blocks[slot],
-                            rank=rank_of[block],
-                        )
-                    )
+                while slot < len(free) and free[slot]:
+                    moves.append((block, blocks[slot]))
                     free[slot] = False
-                    del unplaced[block]
-                    block = self._successor(block, counts, unplaced)
-                    slot += self.gap_blocks
-            if not unplaced:
-                break
-        return placements
-
-    @staticmethod
-    def _hottest(unplaced: dict[int, int]) -> int:
-        return max(unplaced, key=lambda b: (unplaced[b], -b))
-
-    def _successor(
-        self,
-        block: int,
-        counts: dict[int, int],
-        unplaced: dict[int, int],
-    ) -> int | None:
-        """The file-successor guess of Section 4.2: the block one interleave
-        gap later whose frequency is close to this block's."""
-        candidate = block + self.gap_blocks
-        if candidate not in unplaced:
-            return None
-        if counts[candidate] < CLOSE_FREQUENCY_RATIO * counts[block]:
-            return None
-        return candidate
+                    placed.add(block)
+                    # The file-successor guess of Section 4.2: the block
+                    # one interleave gap later whose frequency is close
+                    # to this block's.
+                    successor = block + gap
+                    if (
+                        successor not in counts
+                        or successor in placed
+                        or counts[successor]
+                        < CLOSE_FREQUENCY_RATIO * counts[block]
+                    ):
+                        break
+                    block = successor
+                    slot += gap
+        return moves
 
 
 PLACEMENT_POLICIES: dict[str, type[PlacementPolicy]] = {

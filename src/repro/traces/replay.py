@@ -139,10 +139,12 @@ def replay_jobs(
             for step in job.steps:
                 controller.analyzer.observe(step.logical_block)
         assert controller.arranger is not None
-        plan, __ = controller.arranger.rearrange(
-            controller.hot_list(), rig.num_blocks, now_ms=0.0
+        moves, __ = controller.arranger.rearrange(
+            controller.analyzer.hot_blocks(rig.num_blocks),
+            rig.num_blocks,
+            now_ms=0.0,
         )
-        rearranged_blocks = len(plan)
+        rearranged_blocks = len(moves)
         rig.driver.perf_monitor.read_and_clear()
     simulation = Simulation(rig.driver, tracer=tracer)
     simulation.add_jobs(jobs)

@@ -1,7 +1,7 @@
 """Tests for repro.core.analyzer — the reference stream analyzer."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.analyzer import ReferenceStreamAnalyzer
 
@@ -276,3 +276,34 @@ def test_hot_blocks_cache_follows_every_count_change():
     assert analyzer.hot_blocks(1) == [(7, 1100)]
     analyzer.reset()
     assert analyzer.hot_blocks(1) == []
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    counter=st.sampled_from(sorted(RANKING_COUNTERS)),
+    polls=st.lists(
+        st.lists(st.integers(min_value=0, max_value=80), max_size=120),
+        min_size=1,
+        max_size=6,
+    ),
+    n=st.integers(min_value=0, max_value=60),
+)
+def test_hot_blocks_is_the_ranked_hot_list(counter, polls, n):
+    """``hot_blocks`` is the paper's hot block list, ranked at the
+    source: counts never increase down the list, equal counts go by
+    ascending block number, and every tracked block appears once.  An
+    analyzer asked only for its top ``n`` after each poll (which merges
+    the cached prefix with the blocks counted since) answers exactly the
+    first ``n`` of a full re-ranking of a twin that saw the same polls."""
+    options = RANKING_COUNTERS[counter]
+    prefix_only = ReferenceStreamAnalyzer(**options)
+    full = ReferenceStreamAnalyzer(**options)
+    for poll in polls:
+        prefix_only.observe_blocks(poll)
+        full.observe_blocks(poll)
+        ranked = full.hot_blocks()
+        keys = [(-count, block) for block, count in ranked]
+        assert keys == sorted(keys)
+        assert len({block for block, __ in ranked}) == len(ranked)
+        assert len(ranked) == full.distinct_blocks()
+        assert prefix_only.hot_blocks(n) == ranked[:n]

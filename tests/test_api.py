@@ -411,6 +411,19 @@ REMOVED_NAMES["MultiFSExperiment.fast"] = (
     AttributeError,
     lambda: MultiFSExperiment([FileSystemSpec(SYSTEM_FS_PROFILE, 1.0)]).fast,
 )
+# The nightly plan is plain data: ranked (block, count) pairs from the
+# analyzer, (logical, reserved) moves from the placement policy.
+REMOVED_NAMES["repro.HotBlock"] = (AttributeError, lambda: repro.HotBlock)
+REMOVED_NAMES["repro.HotBlockList"] = (AttributeError, lambda: repro.HotBlockList)
+REMOVED_NAMES["repro.core.Placement"] = (
+    AttributeError, lambda: repro.core.Placement
+)
+REMOVED_NAMES["repro.core.RearrangementPlan"] = (
+    AttributeError, lambda: repro.core.RearrangementPlan
+)
+REMOVED_NAMES["RearrangementController.hot_list"] = (
+    AttributeError, lambda: repro.core.RearrangementController.hot_list
+)
 for _owner, (_build, _knobs) in [
     *_DEAD_KNOBS.items(),
     *_SPEC_SHORTHAND.items(),

@@ -58,14 +58,6 @@ class TestMonitoring:
         controller.final_poll()
         assert driver.request_monitor.suspended_count == 0
 
-    def test_hot_list_ranked(self, rig):
-        __, __, controller = rig
-        controller.analyzer.observe(5)
-        controller.analyzer.observe(5)
-        controller.analyzer.observe(9)
-        hot = controller.hot_list()
-        assert hot.blocks() == [5, 9]
-
 
 class TestEndOfDay:
     def test_on_day_rearranges_from_counts(self, rig):
@@ -78,7 +70,7 @@ class TestEndOfDay:
         assert finish > 0
         assert len(driver.block_table) == 2
         assert controller.last_plan is not None
-        assert sorted(controller.last_plan.logical_blocks()) == [1, 2]
+        assert [block for block, __ in controller.last_plan] == [1, 2]
         # Counts reset for the next day.
         assert controller.analyzer.observed == 0
 

@@ -80,13 +80,12 @@ class TestTinyReservedArea:
         capacity = driver.label.reserved_capacity_blocks()
         assert capacity == 21 - 2
         from repro.core.arranger import BlockArranger
-        from repro.core.hotlist import HotBlockList
         from repro.driver.ioctl import IoctlInterface
 
         arranger = BlockArranger(IoctlInterface(driver))
-        hot = HotBlockList.from_pairs([(b, 10) for b in range(100)])
-        plan, __ = arranger.rearrange(hot, num_blocks=100, now_ms=0.0)
-        assert len(plan) == capacity
+        hot = [(b, 10) for b in range(100)]
+        moves, __ = arranger.rearrange(hot, num_blocks=100, now_ms=0.0)
+        assert len(moves) == capacity
 
 
 class TestUsersProfileFallbacks:

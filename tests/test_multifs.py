@@ -86,13 +86,12 @@ class TestSharedReservedArea:
         of the tail slots)."""
         experiment = make_experiment()
         experiment.run_day(rearranged=False, rearrange_tomorrow=True)
-        plan = experiment.controller.last_plan
-        assert plan is not None
+        moves = experiment.controller.last_plan
+        assert moves is not None
         system_partition = experiment.partitions[0]
-        top_ranks = sorted(plan.placements, key=lambda p: p.rank)[:10]
+        # Organ-pipe moves come in hot-list order: the first ten are the
+        # ten hottest blocks.
         system_hits = sum(
-            1
-            for placement in top_ranks
-            if system_partition.contains(placement.logical_block)
+            1 for block, __ in moves[:10] if system_partition.contains(block)
         )
         assert system_hits >= 7

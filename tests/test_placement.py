@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.hotlist import HotBlockList
 from repro.core.placement import (
     InterleavedPlacement,
     OrganPipePlacement,
@@ -65,9 +64,8 @@ class TestOrganPipe:
         """Figure 3 semantics: the four hottest blocks land on the middle
         cylinder, the next four on one adjacent cylinder, and so on."""
         layout = small_layout()
-        hot = HotBlockList.from_pairs([(b, 100 - b) for b in range(12)])
-        placements = OrganPipePlacement().place(hot, layout)
-        by_block = {p.logical_block: p.reserved_block for p in placements}
+        hot = [(b, 100 - b) for b in range(12)]
+        by_block = dict(OrganPipePlacement().place(hot, layout))
         center_blocks = set(layout.cylinders[1].blocks)
         assert {by_block[b] for b in range(4)} == center_blocks
         upper_blocks = set(layout.cylinders[2].blocks)
@@ -75,17 +73,15 @@ class TestOrganPipe:
         lower_blocks = set(layout.cylinders[0].blocks)
         assert {by_block[b] for b in range(8, 12)} == lower_blocks
 
-    def test_ranks_recorded(self):
+    def test_moves_in_hot_list_order(self):
         layout = small_layout()
-        hot = HotBlockList.from_pairs([(5, 10), (6, 9)])
-        placements = OrganPipePlacement().place(hot, layout)
-        assert [p.rank for p in placements] == [0, 1]
+        moves = OrganPipePlacement().place([(5, 10), (6, 9)], layout)
+        assert [block for block, __ in moves] == [5, 6]
 
     def test_overflow_dropped(self):
         layout = small_layout(cylinders=1)  # 4 slots
-        hot = HotBlockList.from_pairs([(b, 10) for b in range(9)])
-        placements = OrganPipePlacement().place(hot, layout)
-        assert len(placements) == 4
+        hot = [(b, 10) for b in range(9)]
+        assert len(OrganPipePlacement().place(hot, layout)) == 4
 
 
 class TestSerial:
@@ -93,26 +89,18 @@ class TestSerial:
         """Blocks are placed in ascending order of their *original* block
         numbers, regardless of frequency."""
         layout = small_layout()
-        hot = HotBlockList.from_pairs([(30, 100), (10, 50), (20, 75)])
-        placements = SerialPlacement().place(hot, layout)
+        hot = [(30, 100), (20, 75), (10, 50)]
+        by_block = dict(SerialPlacement().place(hot, layout))
         slots = layout.blocks_in_ascending_order()
-        by_block = {p.logical_block: p.reserved_block for p in placements}
         assert by_block[10] == slots[0]
         assert by_block[20] == slots[1]
         assert by_block[30] == slots[2]
 
     def test_frequency_still_selects_which_blocks_move(self):
         layout = small_layout(cylinders=1)  # 4 slots
-        hot = HotBlockList.from_pairs([(b, 100 - b) for b in range(10)])
-        placements = SerialPlacement().place(hot, layout)
-        assert sorted(p.logical_block for p in placements) == [0, 1, 2, 3]
-
-    def test_rank_preserved_from_hot_list(self):
-        layout = small_layout()
-        hot = HotBlockList.from_pairs([(30, 100), (10, 50)])
-        placements = SerialPlacement().place(hot, layout)
-        rank = {p.logical_block: p.rank for p in placements}
-        assert rank[30] == 0 and rank[10] == 1
+        hot = [(b, 100 - b) for b in range(10)]
+        moves = SerialPlacement().place(hot, layout)
+        assert sorted(block for block, __ in moves) == [0, 1, 2, 3]
 
 
 class TestInterleaved:
@@ -121,9 +109,8 @@ class TestInterleaved:
         s + 2 inside the reserved cylinder."""
         layout = small_layout(blocks_per_cylinder=6)
         # Blocks 100, 102, 104 form a chain with close frequencies.
-        hot = HotBlockList.from_pairs([(100, 100), (102, 90), (104, 85)])
-        placements = InterleavedPlacement(gap_blocks=2).place(hot, layout)
-        by_block = {p.logical_block: p.reserved_block for p in placements}
+        hot = [(100, 100), (102, 90), (104, 85)]
+        by_block = dict(InterleavedPlacement(gap_blocks=2).place(hot, layout))
         center = layout.cylinders[1].blocks
         assert by_block[100] == center[0]
         assert by_block[102] == center[2]
@@ -132,9 +119,8 @@ class TestInterleaved:
     def test_cold_successor_breaks_chain(self):
         """Y is only a successor if count(Y) >= 50% of count(X)."""
         layout = small_layout(blocks_per_cylinder=6)
-        hot = HotBlockList.from_pairs([(100, 100), (102, 10)])
-        placements = InterleavedPlacement(gap_blocks=2).place(hot, layout)
-        by_block = {p.logical_block: p.reserved_block for p in placements}
+        hot = [(100, 100), (102, 10)]
+        by_block = dict(InterleavedPlacement(gap_blocks=2).place(hot, layout))
         center = layout.cylinders[1].blocks
         assert by_block[100] == center[0]
         # 102 starts its own chain at the next free slot, not slot 2.
@@ -142,20 +128,18 @@ class TestInterleaved:
 
     def test_gap_slots_filled_by_new_chains(self):
         layout = small_layout(blocks_per_cylinder=4)
-        hot = HotBlockList.from_pairs(
-            [(100, 100), (102, 90), (7, 80), (9, 40)]
-        )
-        placements = InterleavedPlacement(gap_blocks=2).place(hot, layout)
-        assert len(placements) == 4  # everything fits in the center cylinder
+        hot = [(100, 100), (102, 90), (7, 80), (9, 40)]
+        moves = InterleavedPlacement(gap_blocks=2).place(hot, layout)
+        assert len(moves) == 4  # everything fits in the center cylinder
         center = set(layout.cylinders[1].blocks)
-        assert {p.reserved_block for p in placements} == center
+        assert {slot for __, slot in moves} == center
 
     def test_all_blocks_placed_without_duplicates(self):
         layout = small_layout(cylinders=5, blocks_per_cylinder=8)
-        hot = HotBlockList.from_pairs([(b * 2, 100 - b) for b in range(30)])
-        placements = InterleavedPlacement().place(hot, layout)
-        assert len(placements) == 30
-        targets = [p.reserved_block for p in placements]
+        hot = [(b * 2, 100 - b) for b in range(30)]
+        moves = InterleavedPlacement().place(hot, layout)
+        assert len(moves) == 30
+        targets = [slot for __, slot in moves]
         assert len(set(targets)) == len(targets)
 
     def test_gap_validation(self):
@@ -190,12 +174,12 @@ def test_policies_produce_valid_injective_placements(policy_name, pairs):
     """Every policy: no duplicate sources, no duplicate targets, all
     targets inside the reserved area, never exceeding capacity."""
     layout = small_layout(cylinders=5, blocks_per_cylinder=8)
-    hot = HotBlockList.from_pairs(pairs)
-    placements = make_policy(policy_name).place(hot, layout)
-    sources = [p.logical_block for p in placements]
-    targets = [p.reserved_block for p in placements]
+    hot = sorted(pairs, key=lambda pair: (-pair[1], pair[0]))  # ranked
+    moves = make_policy(policy_name).place(hot, layout)
+    sources = [block for block, __ in moves]
+    targets = [slot for __, slot in moves]
     assert len(set(sources)) == len(sources)
     assert len(set(targets)) == len(targets)
     all_slots = {b for c in layout.cylinders for b in c.blocks}
     assert set(targets) <= all_slots
-    assert len(placements) == min(len(pairs), layout.capacity)
+    assert len(moves) == min(len(pairs), layout.capacity)
