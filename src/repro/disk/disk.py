@@ -14,23 +14,12 @@ the buffer (Fujitsu M2266 only).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 from .geometry import DiskGeometry
 from .models import DiskModel
 from .rotation import RotationModel
-from .seek import SeekModel
+from .seek import SeekModel, seek_table
 from .trackbuffer import TrackBuffer
-
-
-@cache
-def seek_table(seek: SeekModel, cylinders: int) -> tuple[float, ...]:
-    """``seek.time(d)`` for every cylinder delta ``d`` below ``cylinders``.
-
-    Built once per (model, cylinder count) and shared, immutable, by every
-    :class:`Disk` of that model.
-    """
-    return tuple(seek.time(d) for d in range(cylinders))
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Mapping
 
 
@@ -83,15 +84,22 @@ class SeekModel:
 
         This is the paper's methodology: "seek times ... were computed using
         the measured seek distance distribution and the seek time functions"
-        (Section 5.2).
+        (Section 5.2).  Each bucket's time is read from the shared
+        :func:`seek_table`, which holds exactly what :meth:`time` returns.
         """
+        table = seek_table(self, self.max_cylinders)
         total = 0
         weighted = 0.0
         for distance, count in distance_counts.items():
             if count < 0:
                 raise ValueError("histogram counts must be non-negative")
+            d = abs(int(distance))
+            if d >= self.max_cylinders:
+                raise ValueError(
+                    f"seek distance {d} exceeds disk span {self.max_cylinders}"
+                )
             total += count
-            weighted += count * self.time(distance)
+            weighted += count * table[d]
         if total == 0:
             return 0.0
         return weighted / total
@@ -99,3 +107,14 @@ class SeekModel:
     def times(self, distances: Iterable[int]) -> list[float]:
         """Seek times for a sequence of distances."""
         return [self.time(d) for d in distances]
+
+
+@cache
+def seek_table(seek: SeekModel, cylinders: int) -> tuple[float, ...]:
+    """``seek.time(d)`` for every cylinder delta ``d`` below ``cylinders``.
+
+    Built once per (model, cylinder count) and shared, immutable, by every
+    :class:`~repro.disk.disk.Disk` of that model and by
+    :meth:`SeekModel.mean_time`.
+    """
+    return tuple(seek.time(d) for d in range(cylinders))

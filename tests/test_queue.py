@@ -131,9 +131,15 @@ def head_movement(queue, head, cylinders):
     return travelled
 
 
+#: Tanenbaum's example (Modern Operating Systems, disk arm scheduling):
+#: the head rests on cylinder 11 with six requests queued.
+TANENBAUM_HEAD = 11
+TANENBAUM_CYLINDERS = [1, 36, 16, 34, 9, 12]
+
+
 class TestHeadMovementOracle:
-    """Hand-computed total head movement for each policy on the textbook
-    sequence: an independent check of pop order, not a comparison of the
+    """Hand-computed total head movement for each policy on two textbook
+    sequences: an independent check of pop order, not a comparison of the
     queue with another copy of itself."""
 
     def test_fcfs(self):
@@ -161,6 +167,31 @@ class TestHeadMovementOracle:
         130 + 169 + 23 = 322."""
         movement = head_movement(CScanQueue(), TEXTBOOK_HEAD, TEXTBOOK_CYLINDERS)
         assert movement == 322
+
+    def test_fcfs_tanenbaum(self):
+        """Arrival order 11→1→36→16→34→9→12:
+        10 + 35 + 20 + 18 + 25 + 3 = 111."""
+        movement = head_movement(FCFSQueue(), TANENBAUM_HEAD, TANENBAUM_CYLINDERS)
+        assert movement == 111
+
+    def test_sstf_tanenbaum(self):
+        """Nearest first 11→12→9→16→1→34→36 (from 9, 16 is 7 away and 1
+        is 8; from 16, 1 is 15 and 34 is 18): 1 + 3 + 7 + 15 + 33 + 2 = 61."""
+        movement = head_movement(SSTFQueue(), TANENBAUM_HEAD, TANENBAUM_CYLINDERS)
+        assert movement == 61
+
+    def test_scan_tanenbaum(self):
+        """Upward first, reversing at the last pending request:
+        11→12→16→34→36 is 36 − 11 = 25, then down 36→9→1 is 27 + 8 = 35;
+        25 + 35 = 60."""
+        movement = head_movement(ScanQueue(), TANENBAUM_HEAD, TANENBAUM_CYLINDERS)
+        assert movement == 60
+
+    def test_cscan_tanenbaum(self):
+        """Upward only: 11→…→36 is 25, the return seek to the lowest
+        pending request 36→1 is 35, then 1→9 is 8; 25 + 35 + 8 = 68."""
+        movement = head_movement(CScanQueue(), TANENBAUM_HEAD, TANENBAUM_CYLINDERS)
+        assert movement == 68
 
 
 class TestRegistry:

@@ -5,8 +5,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.disk.models import FUJITSU_M2266, TOSHIBA_MK156F
-from repro.disk.seek import SeekCurve
+from repro.disk.disk import Disk
+from repro.disk.models import FUJITSU_M2266, MODERN_DISK, TOSHIBA_MK156F
+from repro.disk.seek import SeekCurve, seek_table
 
 
 class TestPublishedToshibaFunction:
@@ -106,6 +107,27 @@ class TestMeanTime:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             TOSHIBA_MK156F.seek.mean_time({10: -1})
+
+    def test_distance_beyond_the_span_rejected(self):
+        seek = TOSHIBA_MK156F.seek
+        with pytest.raises(ValueError, match="exceeds disk span"):
+            seek.mean_time({seek.max_cylinders: 1})
+
+    @pytest.mark.parametrize("model", [TOSHIBA_MK156F, FUJITSU_M2266, MODERN_DISK])
+    def test_sum_matches_the_curve_bucket_by_bucket(self, model):
+        """Read from the shared table, in bucket order, the mean is the
+        very float that evaluating the curve per bucket gives."""
+        seek = model.seek
+        counts = {d: 1 + d % 7 for d in range(seek.max_cylinders - 1, -1, -37)}
+        weighted = 0.0
+        for distance, count in counts.items():
+            weighted += count * seek.time(distance)
+        assert seek.mean_time(counts) == weighted / sum(counts.values())
+
+    def test_reads_the_table_every_disk_shares(self):
+        disk = Disk(TOSHIBA_MK156F)
+        seek = TOSHIBA_MK156F.seek
+        assert seek_table(seek, seek.max_cylinders) is disk._seek_table
 
     def test_times_list(self):
         seek = TOSHIBA_MK156F.seek
