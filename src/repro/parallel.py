@@ -29,11 +29,14 @@ paper-shaped experiment campaigns and the fleet shard runner
   task up to the CPU count; explicit values are validated, then clamped
   to the task count with a warning when they exceed it).
 * :class:`AheadWorker` — one forked process that calls a producer one
-  result ahead of its consumer, so the next result is made on a second
-  CPU while the caller works on the last one.  A single-disk
-  :class:`~repro.sim.experiment.Experiment` uses it to generate day
-  *d+1* while day *d* simulates; :func:`can_work_ahead` is the rule for
-  whether such a worker can run beside this process at all.
+  result ahead of its consumer and streams each result in pieces, so
+  the next result is made on a second CPU while the caller works on
+  the last one, and a result's first pieces are used while its later
+  ones are made.  A single-disk :class:`~repro.sim.experiment.Experiment`
+  uses it to generate each later day in time slices while the days
+  before it, and that day's own earlier slices, simulate;
+  :func:`can_work_ahead` is the rule for whether such a worker can run
+  beside this process at all.
 
 Determinism contract: tasks must be self-contained (their own seeds, no
 shared state), so results are byte-identical at any worker count, with
@@ -52,9 +55,12 @@ recovery paths.  Attaching chaos forces pool execution even for
 from __future__ import annotations
 
 import heapq
+import io
 import multiprocessing
 import multiprocessing.connection
 import os
+import pickle
+import queue
 import random
 import sys
 import threading
@@ -63,7 +69,8 @@ import traceback
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, Sequence, TypeVar
+from multiprocessing.reduction import ForkingPickler
+from typing import Any, Callable, Generic, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -659,46 +666,119 @@ def can_work_ahead() -> bool:
 
 
 def _ahead_main(produce, conn, parent_end) -> None:
-    """Worker loop: make one result, send it, wait until it is taken.
+    """Worker loop: stream one result's pieces, then wait for the next
+    grant.
 
-    Each reply is one ``(ok, payload)`` pair, as in :func:`_worker_main`;
-    after an exception the worker sends its ``(repr, traceback)`` and
-    exits.  It also exits once the parent is gone: its only copy of the
-    parent's end is closed here, so the parent's exit reads as EOF on
-    ``recv`` or EPIPE on ``send``.
+    Each message is a ``(kind, payload)`` pair: ``("piece", piece)`` for
+    every piece ``produce()`` yields, ``("end", None)`` after a result's
+    last piece, and ``("error", (repr, traceback))`` if ``produce``
+    raised, after which the worker exits.  Pieces are pickled here and
+    written by a sender thread, so a full pipe never holds up the next
+    piece.  The worker also exits once the parent is gone: its only copy
+    of the parent's end is closed here, so the parent's exit reads as EOF
+    on ``recv`` or EPIPE on ``send``.
     """
     parent_end.close()
+    outbox: queue.SimpleQueue = queue.SimpleQueue()
+    sender = threading.Thread(target=_send_all, args=(conn, outbox), daemon=True)
+    sender.start()
     try:
-        while True:
-            try:
-                result = produce()
-            except Exception as exc:  # noqa: BLE001 - shipped to parent
-                conn.send((False, (repr(exc), traceback.format_exc())))
-                return
-            conn.send((True, result))
-            conn.recv()  # the parent has taken the result: make the next
+        while _queue_result(produce, outbox):
+            conn.recv()  # the parent has granted the next result
+        outbox.put(None)
+        sender.join()
     except (EOFError, OSError, KeyboardInterrupt):
         return
 
 
-class AheadWorker(Generic[_R]):
-    """``produce()`` on a forked process, exactly one result ahead.
+def _queue_result(produce, outbox: queue.SimpleQueue) -> bool:
+    """Queue one result's messages for the sender; False after an error."""
+    dumps = _ResultPickler().dumps
+    try:
+        for piece in produce():
+            outbox.put(dumps(("piece", piece)))
+    except Exception as exc:  # noqa: BLE001 - shipped to parent
+        outbox.put(dumps(("error", (repr(exc), traceback.format_exc()))))
+        return False
+    outbox.put(dumps(("end", None)))
+    return True
 
-    The worker calls ``produce`` as soon as it starts, and again each time
-    :meth:`take` has taken the last result, so result *k+1* is made while
-    the caller works with result *k*.  ``produce`` runs on the fork's copy
-    of whatever it is bound to: from the fork on, the worker's copy is the
-    one that advances and the caller's stays where the fork left it.
 
-    :meth:`take` raises :class:`WorkerTaskError` with the given context if
-    ``produce`` raised (with the worker's traceback) or the worker died;
-    it never hangs on a dead worker.  :meth:`close` terminates and joins
-    the worker; the owner should tie it to its own lifetime with
-    :func:`weakref.finalize`.  The worker is daemonic, so it also ends
-    when this process exits.  Check :func:`can_work_ahead` first.
+class _ResultPickler:
+    """The messages of one result, pickled by one pickler.
+
+    The pickler's memo outlives each message, so a message refers to an
+    object an earlier message of the result carried (a step that every
+    slice of a day uses, say) instead of carrying it again.
+    :class:`_ResultUnpickler` reads the messages back in order.
     """
 
-    def __init__(self, produce: Callable[[], _R]) -> None:
+    def __init__(self) -> None:
+        self._buffer = io.BytesIO()
+        self._pickler = ForkingPickler(self._buffer, pickle.HIGHEST_PROTOCOL)
+
+    def dumps(self, message: Any) -> bytes:
+        buffer = self._buffer
+        self._pickler.dump(message)
+        data = buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate()
+        return data
+
+
+class _ResultUnpickler:
+    """Loads the messages of one :class:`_ResultPickler`, in order.
+
+    The unpickler reads each message from one buffer it does not point
+    back from, so the memo, which holds every object of the result, is
+    freed by reference counting once the result is read.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = io.BytesIO()
+        self._unpickler = pickle.Unpickler(self._buffer)
+
+    def loads(self, data: bytes) -> Any:
+        buffer = self._buffer
+        buffer.seek(0)
+        buffer.truncate()
+        buffer.write(data)
+        buffer.seek(0)
+        return self._unpickler.load()
+
+
+def _send_all(conn, outbox: queue.SimpleQueue) -> None:
+    """Write the outbox's pickled messages to ``conn`` until ``None``."""
+    while (payload := outbox.get()) is not None:
+        try:
+            conn.send_bytes(payload)
+        except OSError:
+            return  # the parent is gone
+
+
+class AheadWorker(Generic[_R]):
+    """``produce()`` on a forked process, streamed one result ahead.
+
+    ``produce`` returns the pieces of one result as an iterable.  The
+    worker calls it as soon as it starts and sends each piece as it is
+    made; :meth:`take` yields the next result's pieces as they arrive.
+    Each :meth:`take` but the ``last`` grants the worker the result after
+    it, so result *k+1* is made while the caller works with result *k*,
+    and the caller can use a result's first pieces while its later ones
+    are still being made.  ``produce`` runs on the fork's copy of whatever
+    it is bound to: from the fork on, the worker's copy is the one that
+    advances and the caller's stays where the fork left it.
+
+    The pieces of :meth:`take` raise :class:`WorkerTaskError` with the
+    given context if ``produce`` raised (with the worker's traceback) or
+    the worker died; they never hang on a dead worker.  :meth:`close`
+    terminates and joins the worker; the owner should tie it to its own
+    lifetime with :func:`weakref.finalize`.  The worker is daemonic, so
+    it also ends when this process exits.  Check :func:`can_work_ahead`
+    first.
+    """
+
+    def __init__(self, produce: Callable[[], Iterable[_R]]) -> None:
         ctx = multiprocessing.get_context("fork")
         self._conn, child_end = ctx.Pipe()
         self._proc = ctx.Process(
@@ -709,31 +789,44 @@ class AheadWorker(Generic[_R]):
         self._proc.start()
         child_end.close()
 
-    def take(self, context: str, last: bool = False) -> _R:
-        """The next result; ``context`` names it in a failure.  After the
-        ``last`` one the worker is closed instead of making another."""
+    def take(self, context: str, last: bool = False) -> Iterator[_R]:
+        """The next result's pieces, as the worker sends them; ``context``
+        names the result in a failure.  After the ``last`` result's final
+        piece the worker is closed instead of making another.  The caller
+        must read the pieces to the end: one that stops early closes the
+        worker."""
+        if not last:
+            try:
+                self._conn.send(True)  # make the result after this one
+            except OSError:
+                pass  # died: reading the pieces reports it
+        return self._pieces(context, last)
+
+    def _pieces(self, context: str, last: bool) -> Iterator[_R]:
         conn, proc = self._conn, self._proc
+        loads = _ResultUnpickler().loads
+        ended = False
         try:
-            multiprocessing.connection.wait([conn, proc.sentinel])
-            ok, payload = conn.recv()
-        except (EOFError, OSError):
-            self.close()
-            raise WorkerTaskError(
-                context,
-                f"worker process died (exit code {proc.exitcode})",
-                "",
-            ) from None
-        if not ok:
-            self.close()
-            raise WorkerTaskError(context, *payload)
-        if last:
-            self.close()
-            return payload
-        try:
-            conn.send(True)  # make the next one
-        except OSError:
-            pass  # died since sending: the next take reports it
-        return payload
+            while True:
+                try:
+                    multiprocessing.connection.wait([conn, proc.sentinel])
+                    kind, payload = loads(conn.recv_bytes())
+                except (EOFError, OSError):
+                    self.close()
+                    raise WorkerTaskError(
+                        context,
+                        f"worker process died (exit code {proc.exitcode})",
+                        "",
+                    ) from None
+                if kind == "end":
+                    ended = True
+                    return
+                if kind == "error":
+                    raise WorkerTaskError(context, *payload)
+                yield payload
+        finally:
+            if last or not ended:
+                self.close()
 
     def close(self) -> None:
         """Stop the worker, whatever it is doing; idempotent."""

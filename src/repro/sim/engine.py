@@ -45,6 +45,10 @@ _WORK_EVENTS = (JobStart, StepIssue, DeviceComplete)
 """Event kinds that represent outstanding workload (periodic daemon fires
 do not keep the simulation alive by themselves)."""
 
+JOB_FEED_BAND = 1 << 32
+"""Sequence numbers a :class:`JobFeed` sets aside: more jobs than a day
+holds."""
+
 _RUN_WALL_NS = 0
 
 
@@ -93,6 +97,43 @@ class DeviceState:
     sequence."""
 
 
+class JobFeed:
+    """Jobs that reach a running :class:`Simulation` in time-ordered slices.
+
+    :meth:`Simulation.feed_jobs` opens a feed and reserves a band of
+    :data:`JOB_FEED_BAND` sequence numbers for it, so each job added
+    later sorts among same-time events exactly as if
+    :meth:`Simulation.add_jobs` had scheduled it when the feed opened.
+    The caller adds each slice before the clock reaches its jobs: after
+    a slice it runs the simulation strictly before the next slice's first
+    start, ``run(until_ms=math.nextafter(start, -math.inf))``, and it
+    closes the feed as it adds the last slice.  While a feed is open
+    :attr:`Simulation.has_pending_work` holds, as it would with the later
+    jobs already scheduled, so periodic tasks keep re-arming; a feed must
+    therefore stay open only while a later slice holds a job.
+    """
+
+    def __init__(self, simulation: Simulation, device: str) -> None:
+        self.device = device
+        self._simulation = simulation
+        self._push = simulation.events.reserve(JOB_FEED_BAND)
+        self._open = True
+        simulation._open_feeds += 1
+
+    def add(self, jobs: Iterable[Job]) -> None:
+        """Schedule ``jobs``, none of which may start before the clock."""
+        push = self._push
+        device = self.device
+        for job in jobs:
+            push(job.start_ms, JobStart(job, device))
+
+    def close(self) -> None:
+        """No job follows; idempotent."""
+        if self._open:
+            self._open = False
+            self._simulation._open_feeds -= 1
+
+
 class Simulation:
     """Event loop joining jobs, one or more drivers, and their disks.
 
@@ -124,6 +165,7 @@ class Simulation:
         the delta of this counter across the call."""
         self._devices: dict[str, DeviceState] = {}
         self._waiting_jobs: dict[int, tuple[Job, int, str]] = {}
+        self._open_feeds = 0
         self._idle_events = False
         self._migration_sinks: dict[
             str, Callable[[DiskRequest, float], None]
@@ -220,14 +262,25 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def add_job(self, job: Job, device: str | None = None) -> None:
+        self.add_jobs((job,), device=device)
+
+    def add_jobs(self, jobs: Iterable[Job], device: str | None = None) -> None:
+        target = self._target(device)
+        push = self.events.push
+        for job in jobs:
+            push(job.start_ms, JobStart(job, target))
+
+    def feed_jobs(self, device: str | None = None) -> JobFeed:
+        """A :class:`JobFeed` onto ``device``: jobs added to it while the
+        simulation runs sort as if :meth:`add_jobs` had scheduled them
+        now."""
+        return JobFeed(self, self._target(device))
+
+    def _target(self, device: str | None) -> str:
         target = device if device is not None else self._default_device()
         if target not in self._devices:
             raise KeyError(f"unknown device {target!r}")
-        self.events.push(job.start_ms, JobStart(job, target))
-
-    def add_jobs(self, jobs: Iterable[Job], device: str | None = None) -> None:
-        for job in jobs:
-            self.add_job(job, device=device)
+        return target
 
     def add_periodic(
         self,
@@ -386,7 +439,10 @@ class Simulation:
 
     @property
     def has_pending_work(self) -> bool:
-        """True while requests are in flight or jobs are still scheduled."""
+        """True while requests are in flight, jobs are still scheduled or
+        a :class:`JobFeed` is open."""
+        if self._open_feeds:
+            return True
         if any(state.outstanding > 0 for state in self._devices.values()):
             return True
         return self.events.any_pending(_WORK_EVENTS)

@@ -109,13 +109,38 @@ class EventQueue:
 
     def push(self, time_ms: float, event: SimEvent) -> SimEvent:
         """Schedule ``event`` at ``time_ms`` (which must not be in the past)."""
+        return self._schedule(time_ms, next(self._seq), event)
+
+    def reserve(self, size: int) -> Callable[[float, SimEvent], SimEvent]:
+        """A push for up to ``size`` events that sort as if pushed now.
+
+        The next ``size`` sequence numbers are set aside and every later
+        :meth:`push` draws past them, so an event scheduled through the
+        returned function, however late, goes before every event at the
+        same time pushed after this call.
+        """
+        if size <= 0:
+            raise ValueError("a reserved band needs at least one number")
+        first = next(self._seq)
+        self._seq = itertools.count(first + size)
+        band = iter(range(first, first + size))
+
+        def push(time_ms: float, event: SimEvent) -> SimEvent:
+            seq = next(band, None)
+            if seq is None:
+                raise OverflowError(f"the reserved band of {size} is used up")
+            return self._schedule(time_ms, seq, event)
+
+        return push
+
+    def _schedule(self, time_ms: float, seq: int, event: SimEvent) -> SimEvent:
         if not math.isfinite(time_ms):
             raise ValueError(f"cannot schedule at non-finite time {time_ms}")
         if time_ms < self.now_ms:
             raise ValueError(
                 f"cannot schedule at {time_ms} before now ({self.now_ms})"
             )
-        heapq.heappush(self._heap, (time_ms, next(self._seq), event))
+        heapq.heappush(self._heap, (time_ms, seq, event))
         return event
 
     def pop(self) -> SimEvent:

@@ -21,9 +21,10 @@ on/off alternation (Tables 2–6), the placement-policy comparison (Tables
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..parallel import AheadWorker, can_work_ahead, fan_out
 from ..core.analyzer import ReferenceStreamAnalyzer
@@ -46,10 +47,10 @@ from ..faults.plan import FaultPlan
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..policy import RearrangementPolicy, resolve_policy
 from ..stats.metrics import DayMetrics
-from ..workload.generator import DayWorkload, WorkloadGenerator
+from ..workload.generator import DaySlice, DayWorkload, WorkloadGenerator
 from ..workload.profiles import SYSTEM_FS_PROFILE, WorkloadProfile, profile_for_disk
 from ..workload.tenancy import SharedHotSet
-from .engine import DEFAULT_DEVICE, Simulation
+from .engine import DEFAULT_DEVICE, JobFeed, Simulation
 
 # Default Space-Saving sketch size: generously above the number of blocks
 # rearranged nightly, so the top-num_blocks ranking is trustworthy (the
@@ -262,7 +263,7 @@ def run_rig_day(
     day: int,
     rearranged: bool,
     tracer: Tracer = NULL_TRACER,
-    workloads: Mapping[str, list[DayWorkload]] | None = None,
+    workloads: Mapping[str, list[DayWorkload | Iterable[DaySlice]]] | None = None,
 ) -> RigDay:
     """Serve every rig's generated jobs on one simulation, with each
     controller attached and the fault plans' crashes for ``day`` (offsets
@@ -272,24 +273,39 @@ def run_rig_day(
 
     ``workloads`` holds each rig's days, by rig name, when the caller has
     generated them already; by default each rig's generators make them.
+    One day may instead come as its slices
+    (:class:`~repro.workload.generator.DaySlice`) from a generator still
+    making it: each slice is fed to the simulation (through a
+    :class:`~repro.sim.engine.JobFeed`) before the clock reaches it, and
+    the day joins :attr:`RigDay.workloads` whole.
     """
     simulation = Simulation(
         drivers={rig.name: rig.driver for rig in rigs},
         tracer=tracer,
     )
-    served: dict[str, list[DayWorkload]] = {}
+    served: dict[str, list] = {}
+    streamed = None
     for rig in rigs:
         rig.controller.attach_to(simulation)
         served[rig.name] = (
-            workloads[rig.name]
+            list(workloads[rig.name])
             if workloads is not None
             else [g.generate_day() for g in rig.generators]
         )
-        for workload in served[rig.name]:
-            simulation.add_jobs(workload.jobs, device=rig.name)
+        for index, workload in enumerate(served[rig.name]):
+            if isinstance(workload, DayWorkload):
+                simulation.add_jobs(workload.jobs, device=rig.name)
+            elif streamed is None:
+                feed = simulation.feed_jobs(rig.name)
+                streamed = (served[rig.name], index, feed, workload)
+            else:
+                raise ValueError("run_rig_day streams one day at a time")
         if rig.driver.faults is not None:
             for offset in rig.driver.faults.claim_crash_times(day):
                 simulation.schedule_crash(offset)
+    if streamed is not None:
+        days, index, feed, slices = streamed
+        days[index] = _feed_day(simulation, feed, slices)
     simulation.run()
     metrics = {
         rig.name: DayMetrics.from_tables(
@@ -304,6 +320,23 @@ def run_rig_day(
     return RigDay(
         metrics, served, simulation.now_ms, simulation.events_dispatched
     )
+
+
+def _feed_day(
+    simulation: Simulation, feed: JobFeed, slices: Iterable[DaySlice]
+) -> DayWorkload:
+    """Feed a day's slices to ``simulation``, running it up to (not
+    including) each next slice's first start; the day, joined."""
+    jobs = []
+    for piece in slices:
+        feed.add(piece.jobs)
+        jobs += piece.jobs
+        if piece.next_start_ms is None:
+            feed.close()
+        else:
+            simulation.run(until_ms=math.nextafter(piece.next_start_ms, -math.inf))
+    feed.close()
+    return DayWorkload(piece.day, jobs, piece.read_counts, piece.all_counts)
 
 
 @dataclass
@@ -341,9 +374,12 @@ class Experiment:
     Day 0 is generated in this process.  If it holds at least
     :data:`DAY_AHEAD_MIN_REQUESTS` requests and :func:`~repro.parallel
     .can_work_ahead` allows, a forked worker then generates each later day
-    one day ahead, while this process simulates the day before; the days
-    are the same either way, since a day's request stream never depends
-    on what the driver did.  The worker ends when the experiment is
+    up to one day ahead and sends it in time slices
+    (:meth:`~repro.workload.generator.WorkloadGenerator.day_slices`).
+    This process simulates each slice as it arrives, so a day simulates
+    while its own later slices are still being generated.  The days are
+    the same either way, since a day's request stream never depends on
+    what the driver did.  The worker ends when the experiment is
     collected, and a generation error or a dead worker raises
     :class:`~repro.parallel.WorkerTaskError` from :meth:`run_day`.
     """
@@ -360,7 +396,7 @@ class Experiment:
         """The workload generator.  Once a day-ahead worker has started,
         this copy stays where day 0 left it and the worker's copy makes
         every later day."""
-        self._ahead: AheadWorker[DayWorkload] | None = None
+        self._ahead: AheadWorker[DaySlice] | None = None
         self._days: int | None = None
         """How many days the caller runs, when it knows in advance
         (:func:`run_campaign` and ``api.simulate_day`` do): a one-day
@@ -370,8 +406,9 @@ class Experiment:
         self.events_dispatched = 0
         """Simulation events processed across every day run so far."""
 
-    def _generate(self, day: int) -> DayWorkload:
-        """Day ``day``'s workload, from the worker once it runs."""
+    def _generate(self, day: int) -> DayWorkload | Iterator[DaySlice]:
+        """Day ``day``'s workload: whole from this process, or in slices
+        from the worker once it runs."""
         if self._ahead is not None:
             return self._ahead.take(
                 f"workload day {day} (seed {self.config.seed})",
@@ -384,7 +421,7 @@ class Experiment:
             and workload.num_requests >= DAY_AHEAD_MIN_REQUESTS
             and can_work_ahead()
         ):
-            self._ahead = AheadWorker(self.generator.generate_day)
+            self._ahead = AheadWorker(self.generator.day_slices)
             weakref.finalize(self, self._ahead.close)
         return workload
 
@@ -409,14 +446,14 @@ class Experiment:
         """
         day = self._day_index
         self._day_index += 1
-        workload = self._generate(day)
         simulated = run_rig_day(
             [self.rig],
             day=day,
             rearranged=rearranged,
             tracer=self.tracer,
-            workloads={self.rig.name: [workload]},
+            workloads={self.rig.name: [self._generate(day)]},
         )
+        (workload,) = simulated.workloads[self.rig.name]
         self.events_dispatched += simulated.events
         blocks_in_table = len(self.driver.block_table)
         if keep_arrangement:

@@ -4,7 +4,8 @@ The generator owns a simulated file system (for realistic FFS block
 layout), a buffer cache (for the periodic-update write bursts), and a
 file-popularity model (for the paper's skewed reference distributions).
 Each call to :meth:`WorkloadGenerator.generate_day` produces one day's
-worth of :class:`~repro.sim.jobs.Job` objects:
+worth of :class:`~repro.sim.jobs.Job` objects (:meth:`~WorkloadGenerator
+.day_slices` produces the same day in time-ordered slices):
 
 * **read sessions** — closed-loop sequential runs through popular files
   (clients reading executables / documents via NFS), arriving as a clumped
@@ -32,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,6 +53,16 @@ from .profiles import WorkloadProfile
 
 if TYPE_CHECKING:  # avoid importing tenancy on the generator hot path
     from .tenancy import SharedHotSet
+
+_start_ms = attrgetter("start_ms")
+
+
+SLICE_MS = 1_800_000.0
+"""Simulated time per slice of a day (:meth:`WorkloadGenerator.day_slices`):
+the day-ahead worker sends each later day in slices this long, so the
+parent simulates a day while its later slices are generated.
+``docs/scaling.md``, "Off the critical path: the day-ahead worker", has
+the measurement behind the value."""
 
 
 @dataclass
@@ -78,33 +89,51 @@ class DayWorkload:
     def num_writes(self) -> int:
         return self.num_requests - self.num_reads
 
+
+@dataclass
+class DaySlice:
+    """A run of one generated day's jobs, in ``(start_ms, job_id)`` order."""
+
+    day: int
+    jobs: list[Job]
+    next_start_ms: float | None
+    """Where the day's later jobs start: the next slice's first job starts
+    here and none starts earlier.  ``None`` on the day's last slice."""
+    read_counts: dict[int, int] | None = None
+    all_counts: dict[int, int] | None = None
+    """The whole day's reference counts, on its last slice only."""
+
     def __reduce__(self):
         """Pickle the jobs as columns, one list per field.
 
         Pickled job by job, each job's state is a dict that the
-        unpickler's memo holds until the whole day is loaded; as columns,
-        a day that crosses a pipe (from the day-ahead worker, see
-        :class:`~repro.parallel.AheadWorker`) costs its receiver about
-        half the transient memory and less time.  Steps stay shared.
+        unpickler's memo holds until the whole slice is loaded; as
+        columns, a slice that crosses a pipe (from the day-ahead worker,
+        see :class:`~repro.parallel.AheadWorker`) costs its receiver
+        about half the transient memory and less time.  Steps stay
+        shared: within a slice through the pickle memo, and across a
+        day's slices through the worker's, which lasts the day.
         """
         jobs = self.jobs
-        return _day_from_columns, (
+        return _slice_from_columns, (
             self.day,
             [job.start_ms for job in jobs],
             [job.steps for job in jobs],
             [job.sequential for job in jobs],
             [job.name for job in jobs],
             [job.job_id for job in jobs],
+            self.next_start_ms,
             self.read_counts,
             self.all_counts,
         )
 
 
-def _day_from_columns(
-    day, starts, steps, sequential, names, job_ids, read_counts, all_counts
-) -> DayWorkload:
+def _slice_from_columns(
+    day, starts, steps, sequential, names, job_ids, next_start_ms,
+    read_counts, all_counts,
+) -> DaySlice:
     jobs = list(map(Job, starts, steps, sequential, names, job_ids))
-    return DayWorkload(day, jobs, read_counts, all_counts)
+    return DaySlice(day, jobs, next_start_ms, read_counts, all_counts)
 
 
 def _merge_sessions(
@@ -302,12 +331,26 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------
 
     def generate_day(self) -> DayWorkload:
-        """Produce the next day's jobs (advances the generator's day).
+        """Produce the next day's jobs (advances the generator's day):
+        :meth:`day_slices`, joined."""
+        jobs: list[Job] = []
+        for piece in self.day_slices():
+            jobs += piece.jobs
+        return DayWorkload(piece.day, jobs, piece.read_counts, piece.all_counts)
+
+    def day_slices(self) -> Iterator[DaySlice]:
+        """Produce the next day's jobs in time-ordered slices (advances
+        the generator's day once the first slice is asked for).
 
         The day's events are walked in time order, with the periodic syncs
         in between; at equal times, sessions come first, then file opens,
         spikes, creations and extensions, and a due sync before them all.
-        The opens, by far the most numerous, are emitted in runs.
+        The opens, by far the most numerous, are emitted in runs.  Every
+        job starts when the walk emits it, so the walk emits the day in
+        ``(start_ms, job_id)`` order.  Hence, once the walk has emitted a
+        job starting at or past the next multiple of :data:`SLICE_MS`,
+        the jobs before that one are a slice: no later job starts before
+        it.  The last slice carries the day's reference counts.
         """
         profile = self.profile
         day = self._day
@@ -323,6 +366,8 @@ class WorkloadGenerator:
         sync_ms = profile.sync_interval_s * 1000.0
         next_sync = sync_ms
         opened = 0
+        sent = 0
+        boundary = SLICE_MS
         for when, kind in _merge_sessions(sessions, others):
             # The opens due first; one at this very instant follows a
             # session but precedes every other kind.
@@ -343,6 +388,13 @@ class WorkloadGenerator:
                 self._emit_create(when)
             else:
                 self._emit_extend(when)
+            while jobs and jobs[-1].start_ms >= boundary:
+                cut = bisect_left(jobs, boundary, sent, key=_start_ms)
+                start = jobs[cut].start_ms
+                if cut > sent:
+                    yield DaySlice(day, jobs[sent:cut], start)
+                    sent = cut
+                boundary = (start // SLICE_MS + 1) * SLICE_MS
         next_sync = self._emit_opens(
             opens, opened, len(opens), next_sync, sync_ms, jobs
         )
@@ -350,10 +402,8 @@ class WorkloadGenerator:
             self._flush_sync(next_sync, jobs)
             next_sync += sync_ms
 
-        jobs.sort(key=lambda job: (job.start_ms, job.job_id))
-        workload = DayWorkload(day=day, jobs=jobs)
-        self._count(workload)
-        return workload
+        read_counts, all_counts = self._count(jobs)
+        yield DaySlice(day, jobs[sent:], None, read_counts, all_counts)
 
     def _build_timeline(
         self,
@@ -699,23 +749,26 @@ class WorkloadGenerator:
 
     # -- accounting -----------------------------------------------------
 
-    def _count(self, workload: DayWorkload) -> None:
-        """Tally per-block reference counts for the day's jobs.
+    def _count(self, jobs: list[Job]) -> tuple[dict[int, int], dict[int, int]]:
+        """Per-block reference counts of ``jobs``: reads, and all.
 
         Counting goes through ``numpy.unique`` instead of a per-step dict
         update; the count *values* are identical and no consumer depends
         on the dicts' insertion order.
         """
         read = Op.READ
-        steps = [step for job in workload.jobs for step in job.steps]
+        steps = [step for job in jobs for step in job.steps]
         all_blocks = [step.logical_block for step in steps]
         read_blocks = [step.logical_block for step in steps if step.op is read]
+        read_counts: dict[int, int] = {}
+        all_counts: dict[int, int] = {}
         for blocks, counts in (
-            (all_blocks, workload.all_counts),
-            (read_blocks, workload.read_counts),
+            (all_blocks, all_counts),
+            (read_blocks, read_counts),
         ):
             if blocks:
                 unique, tallies = np.unique(
                     np.asarray(blocks, dtype=np.int64), return_counts=True
                 )
                 counts.update(zip(unique.tolist(), tallies.tolist()))
+        return read_counts, all_counts

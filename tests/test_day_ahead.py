@@ -1,16 +1,20 @@
 """Day-ahead generation against in-process generation.
 
 A single-disk ``Experiment`` may generate every day after day 0 on a
-forked worker, one day ahead of the simulation.  The worker runs a forked
-copy of the campaign's own generator, and a day's request stream never
-depends on what the driver did the day before, so every day must come out
-exactly as when the campaign generates it in its own process.
+forked worker, up to one day ahead of the simulation, and stream each
+day to the simulation in time slices.  The worker runs a forked copy of
+the campaign's own generator, and a day's request stream never depends on
+what the driver did the day before, so every day must come out exactly
+as when the campaign generates it in its own process.
 
 Each case runs one campaign twice: with the worker forced on (the size
-rule's constant patched to 0) and forced off.  Both runs must give the
-same day digests, ``DayResult`` fields and ``events_dispatched``, and each
-day's workload must match job by job.  Extra seeds:
-``GEN_STRESS_SEED=<n>``.
+rule's constant patched to 0) and forced off.  On the worker side the
+slice length is drawn from the seed, short enough that every day arrives
+in several slices, and sometimes a multiple of the 30 s sync interval,
+so slice boundaries fall on syncs, analyzer polls and the fault plan's
+crash.  Both runs must give the same day digests, ``DayResult`` fields
+and ``events_dispatched``, and each day's workload must match job by
+job.  Extra seeds: ``GEN_STRESS_SEED=<n>``.
 
 The lifecycle tests below check that the worker never outlives its
 experiment and that its failures surface from ``run_day``.
@@ -21,6 +25,7 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
+import random
 import signal
 import time
 
@@ -30,7 +35,9 @@ from repro.bench.digest import day_metrics_payload, metrics_digest
 from repro.faults.spec import parse_fault_spec
 from repro.parallel import WorkerTaskError, can_work_ahead, fan_out
 from repro.sim import experiment as experiment_module
+from repro.sim.engine import JobFeed
 from repro.sim.experiment import Experiment, ExperimentConfig, alternating_schedule
+from repro.workload import generator as generator_module
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.profiles import PROFILES
 
@@ -75,15 +82,30 @@ def job_rows(workload) -> list[tuple]:
     ]
 
 
+def slice_ms_for(seed: int) -> float:
+    """A slice length drawn from ``seed``: a few seconds to a few
+    minutes, half the time a whole number of 30 s sync intervals."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        return 30_000.0 * rng.randint(1, 6)
+    return rng.uniform(5_000.0, 180_000.0)
+
+
 def run(config: ExperimentConfig, monkeypatch, ahead: bool) -> dict:
     """One campaign; every simulated output and every day's workload."""
     workloads = []
+    slices = []
     run_rig_day = experiment_module.run_rig_day
+    add = JobFeed.add
 
     def captured(*args, **kwargs):
         simulated = run_rig_day(*args, **kwargs)
         workloads.extend(simulated.workloads.values())
         return simulated
+
+    def counted(feed, jobs):
+        slices.append(len(jobs))
+        add(feed, jobs)
 
     with monkeypatch.context() as patch:
         patch.setattr(
@@ -91,7 +113,10 @@ def run(config: ExperimentConfig, monkeypatch, ahead: bool) -> dict:
             "DAY_AHEAD_MIN_REQUESTS",
             0 if ahead else float("inf"),
         )
+        if ahead:
+            patch.setattr(generator_module, "SLICE_MS", slice_ms_for(config.seed))
         patch.setattr(experiment_module, "run_rig_day", captured)
+        patch.setattr(JobFeed, "add", counted)
         experiment = Experiment(config)
         schedule = alternating_schedule(DAYS)
         days = []
@@ -116,6 +141,7 @@ def run(config: ExperimentConfig, monkeypatch, ahead: bool) -> dict:
             )
     return {
         "days": days,
+        "slices": slices,
         "events": experiment.events_dispatched,
         "workloads": [
             (
@@ -143,6 +169,10 @@ def test_day_ahead_matches_in_process(case, seed, monkeypatch):
         assert got == want, f"day {day} workload differs"
     assert ahead["days"] == in_process["days"]
     assert ahead["events"] == in_process["events"]
+    assert in_process["slices"] == []
+    if can_work_ahead():
+        # Days 1 to 3 streamed, each in several slices.
+        assert len(ahead["slices"]) >= 3 * 4
 
 
 # ----------------------------------------------------------------------
@@ -182,14 +212,18 @@ def test_dropping_the_experiment_stops_the_worker(ahead):
 
 @needs_worker
 def test_a_generation_error_names_the_day_and_seed(ahead, monkeypatch):
-    generate_day = WorkloadGenerator.generate_day
+    """Day 2 fails after its first slice has reached the simulation."""
+    day_slices = WorkloadGenerator.day_slices
 
     def failing_on_day_two(self):
-        if self._day == 2:
-            raise RuntimeError("disk full of ideas")
-        return generate_day(self)
+        day = self._day
+        for piece in day_slices(self):
+            yield piece
+            if day == 2:
+                raise RuntimeError("disk full of ideas")
 
-    monkeypatch.setattr(WorkloadGenerator, "generate_day", failing_on_day_two)
+    monkeypatch.setattr(generator_module, "SLICE_MS", 60_000.0)
+    monkeypatch.setattr(WorkloadGenerator, "day_slices", failing_on_day_two)
     experiment = small_experiment()
     run_days(experiment, 2)
     with pytest.raises(WorkerTaskError) as info:
@@ -267,16 +301,17 @@ def recorded(monkeypatch):
 def test_a_campaign_generates_no_day_past_its_last(ahead, recorded,
                                                    monkeypatch, tmp_path):
     """The worker makes days 1 to 2 of a three-day campaign and is closed
-    when day 2 is taken, before it could start a day 3."""
+    when day 2's last slice is taken, before it could start a day 3."""
     log = tmp_path / "days"
-    generate_day = WorkloadGenerator.generate_day
+    day_slices = WorkloadGenerator.day_slices
 
     def logged(self):
         with open(log, "a") as out:  # the worker's days land here too
             out.write(f"{self._day}\n")
-        return generate_day(self)
+        return day_slices(self)
 
-    monkeypatch.setattr(WorkloadGenerator, "generate_day", logged)
+    monkeypatch.setattr(generator_module, "SLICE_MS", 60_000.0)
+    monkeypatch.setattr(WorkloadGenerator, "day_slices", logged)
     config = config_for("system-nightly", 1993)
     result = experiment_module.run_campaign(config, [False, True, False])
     (experiment,) = recorded

@@ -8,6 +8,7 @@ import pytest
 from repro.disk.label import DiskLabel
 from repro.disk.models import TOSHIBA_MK156F
 from repro.driver.request import Op
+from repro.workload import generator as generator_module
 from repro.workload.distributions import top_k_share
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.profiles import SYSTEM_FS_PROFILE, USERS_FS_PROFILE
@@ -45,27 +46,66 @@ class TestDeterminism:
 
 
 class TestPickling:
-    def test_a_day_survives_pickling_with_its_steps_shared(self):
-        """A day crosses the day-ahead worker's pipe as columns; it must
+    def test_a_slice_survives_pickling_with_its_steps_shared(self):
+        """A slice crosses the day-ahead worker's pipe as columns; it must
         come back the same, job by job, with one object per shared step."""
-        day = make_generator(USERS_FS_PROFILE.scaled(hours=0.5)).generate_day()
-        copy = pickle.loads(pickle.dumps(day, pickle.HIGHEST_PROTOCOL))
+        generator = make_generator(USERS_FS_PROFILE.scaled(hours=0.5))
+        (piece,) = generator.day_slices()  # half an hour: one slice
+        copy = pickle.loads(pickle.dumps(piece, pickle.HIGHEST_PROTOCOL))
 
-        def rows(workload):
+        def rows(piece):
             return [
                 (j.start_ms, j.steps, j.sequential, j.name, j.job_id)
-                for j in workload.jobs
+                for j in piece.jobs
             ]
 
-        assert copy.day == day.day
-        assert rows(copy) == rows(day)
+        assert (copy.day, copy.next_start_ms) == (piece.day, None)
+        assert rows(copy) == rows(piece)
         assert (copy.read_counts, copy.all_counts) == (
-            day.read_counts,
-            day.all_counts,
+            piece.read_counts,
+            piece.all_counts,
         )
-        steps = {id(step) for job in day.jobs for step in job.steps}
+        steps = {id(step) for job in piece.jobs for step in job.steps}
         copied = {id(step) for job in copy.jobs for step in job.steps}
-        assert len(copied) == len(steps) < day.num_requests
+        requests = sum(len(job.steps) for job in piece.jobs)
+        assert len(copied) == len(steps) < requests
+
+
+class TestSlices:
+    """``generate_day`` is ``day_slices`` joined; the slices cut the day
+    at multiples of ``SLICE_MS``."""
+
+    @pytest.mark.parametrize("slice_ms", [45_000.0, 90_000.0, 600_000.0])
+    @pytest.mark.parametrize("profile", [SYSTEM_FS_PROFILE, USERS_FS_PROFILE])
+    def test_slices_join_into_the_day(self, monkeypatch, profile, slice_ms):
+        scaled = profile.scaled(hours=0.5)
+        whole = make_generator(scaled, seed=5)
+        monkeypatch.setattr(generator_module, "SLICE_MS", slice_ms)
+        sliced = make_generator(scaled, seed=5)
+        for __ in range(2):
+            day = whole.generate_day()
+            pieces = list(sliced.day_slices())
+            assert len(pieces) > 1
+            jobs = [job for piece in pieces for job in piece.jobs]
+            assert [(j.start_ms, j.steps, j.name) for j in jobs] == [
+                (j.start_ms, j.steps, j.name) for j in day.jobs
+            ]
+            last = pieces[-1]
+            assert (last.read_counts, last.all_counts) == (
+                day.read_counts,
+                day.all_counts,
+            )
+            for piece, after in zip(pieces, pieces[1:]):
+                assert piece.jobs and piece.read_counts is None
+                boundary = (piece.jobs[-1].start_ms // slice_ms + 1) * slice_ms
+                assert piece.next_start_ms == after.jobs[0].start_ms >= boundary
+            assert last.next_start_ms is None
+        assert whole.rng.bit_generator.state == sliced.rng.bit_generator.state
+
+    def test_jobs_come_in_start_then_id_order(self):
+        jobs = make_generator(USERS_FS_PROFILE.scaled(hours=1.0)).generate_day().jobs
+        keys = [(job.start_ms, job.job_id) for job in jobs]
+        assert keys == sorted(keys)
 
 
 class TestWorkloadShape:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import os
 import random
-from itertools import count
 
 import pytest
 
@@ -102,35 +101,6 @@ def slice_jobs(jobs: list[Job], seed: int) -> list[tuple[list[Job], float | None
     ]
 
 
-def open_feed(simulation: Simulation, device: str):
-    """Jobs added later sort as if scheduled now (the harness's stand-in
-    for the engine's own feed)."""
-    events = simulation.events
-    first = next(events._seq)
-    events._seq = count(first + (1 << 32))
-    seqs = count(first)
-    original = type(simulation).has_pending_work
-    pending = [True]
-    type(simulation).has_pending_work = property(
-        lambda sim: (sim is simulation and pending[0]) or original.fget(sim)
-    )
-
-    class Feed:
-        def add(self, jobs):
-            from heapq import heappush
-
-            from repro.sim.events import JobStart
-
-            for job in jobs:
-                heappush(events._heap, (job.start_ms, next(seqs), JobStart(job, device)))
-
-        def close(self):
-            pending[0] = False
-            type(simulation).has_pending_work = original
-
-    return Feed()
-
-
 def describe(event, now_ms: float) -> tuple:
     job = getattr(event, "job", None)
     return (
@@ -165,7 +135,11 @@ def simulate(jobs, seed: int, streamed: bool, feed=None) -> dict:
         simulation.add_jobs(jobs, device=DEVICE)
         simulation.schedule_crash(CRASH_MS)
     else:
-        stream = (feed or open_feed)(simulation, DEVICE)
+        stream = (
+            simulation.feed_jobs(DEVICE)
+            if feed is None
+            else feed(simulation, DEVICE)
+        )
         simulation.schedule_crash(CRASH_MS)
         for piece, next_start in slice_jobs(jobs, seed):
             stream.add(piece)
@@ -249,3 +223,40 @@ def test_run_time_sequence_numbers_would_be_caught(seed, scalar_engine):
         wrong = simulate(jobs, seed, streamed=True, feed=ordinary_feed)
     assert wrong["dispatched"] != up_front["dispatched"]
     assert wrong["polls"] != up_front["polls"]
+
+
+class TestJobFeed:
+    def simulation(self) -> Simulation:
+        rig = build_rig(ExperimentConfig(disk="toshiba", name=DEVICE))
+        return Simulation(drivers={DEVICE: rig.driver})
+
+    def test_an_open_feed_is_pending_work(self):
+        simulation = self.simulation()
+        assert not simulation.has_pending_work
+        feed = simulation.feed_jobs()
+        assert simulation.has_pending_work
+        feed.close()
+        feed.close()
+        assert not simulation.has_pending_work
+
+    def test_a_job_before_the_clock_is_refused(self):
+        simulation = self.simulation()
+        feed = simulation.feed_jobs(DEVICE)
+        feed.add([batch_job(100.0, [1], Op.READ)])
+        simulation.run(until_ms=200.0)
+        with pytest.raises(ValueError, match="before now"):
+            feed.add([batch_job(50.0, [2], Op.READ)])
+
+    def test_an_unknown_device_is_refused(self):
+        with pytest.raises(KeyError):
+            self.simulation().feed_jobs("disk9")
+
+    def test_a_band_holds_only_its_size(self):
+        simulation = self.simulation()
+        push = simulation.events.reserve(2)
+        later = simulation.events.push(5.0, batch_job(5.0, [1], Op.READ))
+        push(5.0, "first")
+        push(5.0, "second")
+        with pytest.raises(OverflowError):
+            push(5.0, "third")
+        assert list(simulation.events.pending()) == ["first", "second", later]

@@ -521,15 +521,17 @@ def _wait_for(predicate, timeout_s: float = 10.0) -> None:
 
 @pytest.mark.skipif(not can_work_ahead(), reason="needs fork and two CPUs")
 class TestAheadWorker:
-    """One forked producer, exactly one result ahead of its consumer."""
+    """One forked producer, streaming each result one result ahead of its
+    consumer."""
 
     def test_results_arrive_in_order_one_ahead(self):
         calls = multiprocessing.get_context("fork").Value("i", 0)
 
-        def produce() -> int:
+        def produce():
             with calls.get_lock():
                 calls.value += 1
-                return calls.value
+                made = calls.value
+            return [made, -made]
 
         worker = AheadWorker(produce)
         try:
@@ -537,28 +539,82 @@ class TestAheadWorker:
                 _wait_for(lambda: calls.value == expected)
                 time.sleep(0.05)  # room to run ahead, were it allowed to
                 assert calls.value == expected
-                assert worker.take(f"result {expected}") == expected
+                pieces = worker.take(f"result {expected}")
+                assert list(pieces) == [expected, -expected]
+        finally:
+            worker.close()
+        assert not worker._proc.is_alive()
+
+    def test_a_full_pipe_does_not_hold_up_the_next_piece(self):
+        """Each piece is larger than the pipe holds; the worker makes all
+        of them before the consumer reads one."""
+        made = multiprocessing.get_context("fork").Value("i", 0)
+
+        def produce():
+            for index in range(3):
+                with made.get_lock():
+                    made.value += 1
+                yield bytes([index]) * (1 << 20)
+
+        worker = AheadWorker(produce)
+        try:
+            _wait_for(lambda: made.value == 3)
+            pieces = [piece[:1] for piece in worker.take("big", last=True)]
+        finally:
+            worker.close()
+        assert pieces == [b"\x00", b"\x01", b"\x02"]
+
+    def test_early_pieces_arrive_while_later_ones_are_made(self):
+        release = multiprocessing.get_context("fork").Event()
+
+        def produce():
+            yield "first"
+            release.wait(timeout=30.0)
+            yield "second"
+
+        worker = AheadWorker(produce)
+        try:
+            pieces = worker.take("result", last=True)
+            assert next(pieces) == "first"
+            release.set()
+            assert list(pieces) == ["second"]
         finally:
             worker.close()
         assert not worker._proc.is_alive()
 
     def test_exception_reraises_with_context_and_traceback(self):
         def produce():
+            yield "a piece"
             raise ValueError("no day today")
 
         worker = AheadWorker(produce)
+        pieces = worker.take("day 5 (seed 9)")
+        assert next(pieces) == "a piece"
         with pytest.raises(WorkerTaskError) as info:
-            worker.take("day 5 (seed 9)")
+            next(pieces)
         assert info.value.context == "day 5 (seed 9)"
         assert "no day today" in info.value.cause
         assert "ValueError" in info.value.worker_traceback
         assert multiprocessing.active_children() == []
 
+    def test_pieces_share_what_an_earlier_piece_carried(self):
+        shared = ["the same list"]
+
+        def produce():
+            return [(1, shared), (2, shared)]
+
+        worker = AheadWorker(produce)
+        try:
+            (__, first), (__, second) = worker.take("result", last=True)
+        finally:
+            worker.close()
+        assert first == shared and first is second
+
     def test_worker_exits_on_eof_once_the_parent_end_closes(self):
         """The worker closed its inherited copy of the parent's end, so
         closing the parent's end is EOF to it, and it exits cleanly."""
-        worker = AheadWorker(lambda: 1)
-        assert worker.take("first") == 1
+        worker = AheadWorker(lambda: [1])
+        assert list(worker.take("first")) == [1]
         worker._conn.close()
         worker._proc.join(timeout=10.0)
         assert worker._proc.exitcode == 0
